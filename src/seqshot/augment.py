@@ -168,18 +168,13 @@ class DeltaEncoder:
 
     @classmethod
     def load(cls, path):
-        kind, tensors = nn.read_checkpoint(path)
-        if kind != cls.KIND:
-            raise FormatError(f"checkpoint kind {kind!r}, expected {cls.KIND!r}")
-        cfg = DeltaConfig(z_dim=int(tensors["meta/z_dim"][0]),
-                          hidden=int(tensors["meta/hidden"][0]))
-        model = cls(int(tensors["meta/embed_dim"][0]), cfg)
-        params = model.params()
-        for k, v in tensors.items():
-            if not k.startswith("meta/"):
-                params[k][...] = v
-        model.mark_updated()
-        return model
+        def build(meta):
+            cfg = DeltaConfig(z_dim=int(meta["meta/z_dim"][0]),
+                              hidden=int(meta["meta/hidden"][0]))
+            return cls(int(meta["meta/embed_dim"][0]), cfg)
+        return nn.load_params(nn.read_checkpoint(path), cls.KIND, build,
+                              ("meta/embed_dim", "meta/z_dim",
+                               "meta/hidden"))[0]
 
 
 def train_delta(pairs, config: DeltaConfig = None):

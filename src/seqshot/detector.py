@@ -16,7 +16,6 @@ from . import nn, pretrain
 from .errors import (
     DegenerateInputError,
     EmptyInputError,
-    FormatError,
     ShapeError,
 )
 
@@ -77,6 +76,9 @@ class DetectorNet:
     def grads(self):
         return self.graph.grads()
 
+    def mark_updated(self):
+        self.graph.mark_updated()
+
     def save(self, path):
         meta = {
             "meta/embed_dim": np.array([self.config.embed_dim], np.float64),
@@ -88,22 +90,13 @@ class DetectorNet:
 
     @classmethod
     def load(cls, path):
-        kind, tensors = nn.read_checkpoint(path)
-        if kind != cls.KIND:
-            raise FormatError(f"checkpoint kind {kind!r}, expected {cls.KIND!r}")
-        cfg = DetectorConfig(
-            embed_dim=int(tensors["meta/embed_dim"][0]),
-            proj_dim=int(tensors["meta/proj_dim"][0]),
-            n_conv=int(tensors["meta/n_conv"][0]),
-            kernel=int(tensors["meta/kernel"][0]),
-        )
-        model = cls(cfg)
-        params = model.params()
-        for k, v in tensors.items():
-            if not k.startswith("meta/"):
-                params[k][...] = v
-        model.graph.mark_updated()
-        return model
+        keys = ("embed_dim", "proj_dim", "n_conv", "kernel")
+
+        def build(meta):
+            return cls(DetectorConfig(
+                **{k: int(meta[f"meta/{k}"][0]) for k in keys}))
+        return nn.load_params(nn.read_checkpoint(path), cls.KIND, build,
+                              tuple(f"meta/{k}" for k in keys))[0]
 
 
 # -- normalized margin ----------------------------------------------------------
@@ -252,7 +245,7 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
             loss, _ = detector_loss(net, x_all[idx], labels[idx], cfg.margin)
             nn.adamw_step(params, net.grads(), state, cfg.lr,
                           cfg.weight_decay)
-            net.graph.mark_updated()
+            net.mark_updated()
             epoch_loss += loss
             n_batches += 1
         loss_curve.append(epoch_loss / n_batches)

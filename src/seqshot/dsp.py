@@ -32,6 +32,8 @@ FRAME_LEN_S = FRAME_LEN / SAMPLE_RATE
 LOG_FLOOR = 1e-6
 
 _SINC_HALF_TAPS = 8   # 16-tap windowed-sinc resampler
+_SINC_GRID = 4096     # fractional positions tabulated per kernel row
+_RESAMPLE_BLOCK = 1 << 16   # output samples per block; bounds peak memory
 _KAISER_BETA = 8.0
 
 
@@ -120,47 +122,81 @@ def _kaiser(u, half):
     return _kaiser_table[lo] * (1.0 - frac) + _kaiser_table[lo + 1] * frac
 
 
-def _resample(x, step):
+def resampled_length(n_samples, step):
+    """Output length of ``_resample`` on ``n_samples`` inputs."""
+    return int(round(n_samples / step))
+
+
+def _sinc_table(step, half):
+    """Kernel rows on a fine grid of fractional positions, (grid + 1, 16).
+
+    The kernel row depends on the output position only through its
+    fractional part, so rows are tabulated here and interpolated
+    (direct evaluation per sample is orders slower).
+    """
+    cutoff = min(1.0, 1.0 / step)
+    taps = np.arange(-half + 1, half + 1)
+    fgrid = np.arange(_SINC_GRID + 1) / _SINC_GRID
+    ug = fgrid[:, None] - taps[None, :]             # offsets in (-8, 8]
+    return cutoff * np.sinc(cutoff * ug) * _kaiser(ug, half)
+
+
+def _output_range(start, stop, n):
+    stop = n if stop is None else stop
+    if not 0 <= start < stop <= n:
+        raise ShapeError(f"output range [{start}, {stop}) outside [0, {n})")
+    return stop
+
+
+def _resample(x, step, start=0, stop=None):
     """Windowed-sinc resample: output[n] = x(n * step), step in input samples.
 
     16-tap Kaiser-windowed sinc, kernel renormalized per output sample so
-    constant signals are preserved exactly.
+    constant signals are preserved exactly.  Only outputs ``start`` to
+    ``stop`` (default: the end) are computed; each depends on its own
+    position alone, so a range equals the same slice of the whole output.
+    Outputs are filled in blocks of ``_RESAMPLE_BLOCK`` samples, so memory
+    does not grow with the signal's length beyond the input and output.
     """
-    n_out = int(round(len(x) / step))
+    n_out = resampled_length(len(x), step)
     if n_out < 1:
         raise EmptyInputError("resampled signal would be empty")
+    stop = _output_range(start, stop, n_out)
     half = _SINC_HALF_TAPS
-    cutoff = min(1.0, 1.0 / step)
+    table = _sinc_table(step, half)
     taps = np.arange(-half + 1, half + 1)          # 16 taps
-    # the kernel row depends on the output position only through its
-    # fractional part, so tabulate rows on a fine fractional grid and
-    # interpolate (direct evaluation per sample is orders slower)
-    n_grid = 4096
-    fgrid = np.arange(n_grid + 1) / n_grid
-    ug = fgrid[:, None] - taps[None, :]             # offsets in (-8, 8]
-    table = cutoff * np.sinc(cutoff * ug) * _kaiser(ug, half)
-    pos = np.arange(n_out) * step
-    base = np.floor(pos).astype(np.int64)
-    scaled = (pos - base) * n_grid
-    lo = scaled.astype(np.int64)
-    blend = (scaled - lo)[:, None]
-    kern = table[lo] * (1.0 - blend) + table[lo + 1] * blend
-    kern /= kern.sum(axis=1, keepdims=True)
-    idx = base[:, None] + taps[None, :]
     xp = np.pad(x, (half, half + 1))
-    return (xp[idx + half] * kern).sum(axis=1)
+    out = np.empty(stop - start)
+    for b0 in range(start, stop, _RESAMPLE_BLOCK):
+        b1 = min(b0 + _RESAMPLE_BLOCK, stop)
+        pos = np.arange(b0, b1) * step
+        base = np.floor(pos).astype(np.int64)
+        scaled = (pos - base) * _SINC_GRID
+        lo = scaled.astype(np.int64)
+        blend = (scaled - lo)[:, None]
+        kern = table[lo] * (1.0 - blend) + table[lo + 1] * blend
+        kern /= kern.sum(axis=1, keepdims=True)
+        idx = base[:, None] + taps[None, :]
+        out[b0 - start: b1 - start] = (xp[idx + half] * kern).sum(axis=1)
+    return out
 
 
-def augment_resample(w: Waveform, rate_factor):
+def augment_resample(w: Waveform, rate_factor, start=0, stop=None):
     """Playback-speed change; length scales by 1/rate_factor.
 
     The declared sample rate is unchanged, so pitch shifts with speed.
+    ``start``/``stop`` select output samples of the changed signal
+    (``resampled_length(len(w.samples), rate_factor)`` of them in all);
+    only those are computed, and they equal the same slice of the whole
+    output bit for bit.
     """
     if not 0.9 <= rate_factor <= 1.1:
         raise ValueError(f"rate_factor {rate_factor} outside [0.9, 1.1]")
     if rate_factor == 1.0:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    return Waveform(_resample(w.samples, rate_factor), w.sample_rate)
+        stop = _output_range(start, stop, len(w.samples))
+        return Waveform(w.samples[start:stop].copy(), w.sample_rate)
+    return Waveform(_resample(w.samples, rate_factor, start, stop),
+                    w.sample_rate)
 
 
 # -- Logmel ------------------------------------------------------------------
@@ -203,14 +239,23 @@ _FILTERBANK = mel_filterbank()
 _WINDOW = _hann(FRAME_LEN)
 
 
-def logmel(w: Waveform):
-    """(T, 64) log mel powers; T = 1 + floor((N - 400) / 160)."""
-    x = w.samples
-    if len(x) < FRAME_LEN:
+def frame_count(n_samples):
+    """Log-mel frames of ``n_samples`` samples: 1 + floor((N - 400) / 160)."""
+    if n_samples < FRAME_LEN:
         raise EmptyInputError(
-            f"need >= {FRAME_LEN} samples for one window, got {len(x)}"
+            f"need >= {FRAME_LEN} samples for one window, got {n_samples}"
         )
-    n_frames = 1 + (len(x) - FRAME_LEN) // FRAME_HOP
+    return 1 + (n_samples - FRAME_LEN) // FRAME_HOP
+
+
+def logmel(w: Waveform):
+    """(T, 64) log mel powers; T = ``frame_count(N)``.
+
+    Frame t covers samples [160 t, 160 t + 400), so the log-mel of a
+    slice starting at sample 160 k equals rows k onward of the whole.
+    """
+    x = w.samples
+    n_frames = frame_count(len(x))
     frames = np.lib.stride_tricks.as_strided(
         x, shape=(n_frames, FRAME_LEN),
         strides=(x.strides[0] * FRAME_HOP, x.strides[0]),

@@ -27,6 +27,7 @@ from .checkpoint import (
     read_checkpoint,
     save_checkpoint,
     load_checkpoint,
+    load_params,
 )
 
 __all__ = [
@@ -48,4 +49,5 @@ __all__ = [
     "read_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
+    "load_params",
 ]

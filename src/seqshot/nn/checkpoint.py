@@ -91,22 +91,32 @@ def save_checkpoint(graph, path, kind="graph", extra=None):
     write_checkpoint(path, kind, tensors)
 
 
-def load_checkpoint(path, graph, expect_kind=None):
-    """Load parameters into an architecture-matching graph, in place.
+def load_params(checkpoint, kind, build, meta_keys=()):
+    """Load a checkpoint into a freshly built model, checking every tensor.
 
-    Returns (graph, extra) where extra holds tensors not owned by any
-    layer but prefixed "meta/"; any other unknown name is an error.
+    ``checkpoint`` is the (kind, tensors) pair ``read_checkpoint`` returns.
+    ``build(meta)`` gets the ``meta/`` tensors and returns the model to
+    fill: anything with ``params()`` (name -> array, written in place) and
+    ``mark_updated()``.  Nothing is written unless every check passes.
+    Returns (model, meta).
+
+    Raises FormatError when the kind is not ``kind`` (None accepts any),
+    when one of ``meta_keys`` is missing, when a tensor's shape differs
+    from its parameter's, or when a parameter has no tensor; and
+    UnknownTensorError for a tensor that is neither a parameter nor
+    ``meta/``.
     """
-    kind, tensors = read_checkpoint(path)
-    if expect_kind is not None and kind != expect_kind:
-        raise UnknownTensorError(
-            f"checkpoint kind {kind!r}, expected {expect_kind!r}"
-        )
-    params = graph.params()
-    extra = {}
+    found, tensors = checkpoint
+    if kind is not None and found != kind:
+        raise FormatError(f"checkpoint kind {found!r}, expected {kind!r}")
+    meta = {k: v for k, v in tensors.items() if k.startswith("meta/")}
+    missing = sorted(set(meta_keys) - set(meta))
+    if missing:
+        raise FormatError(f"checkpoint missing meta tensors: {missing}")
+    model = build(meta)
+    params = model.params()
     for name, arr in tensors.items():
-        if name.startswith("meta/"):
-            extra[name] = arr
+        if name in meta:
             continue
         if name not in params:
             raise UnknownTensorError(f"unknown tensor {name!r}")
@@ -114,9 +124,19 @@ def load_checkpoint(path, graph, expect_kind=None):
             raise FormatError(
                 f"tensor {name!r} shape {arr.shape} != {params[name].shape}"
             )
-        params[name][...] = arr
-    missing = set(params) - set(tensors)
+    missing = sorted(set(params) - set(tensors))
     if missing:
-        raise FormatError(f"checkpoint missing tensors: {sorted(missing)}")
-    graph.mark_updated()
-    return graph, extra
+        raise FormatError(f"checkpoint missing tensors: {missing}")
+    for name, arr in params.items():
+        arr[...] = tensors[name]
+    model.mark_updated()
+    return model, meta
+
+
+def load_checkpoint(path, graph, expect_kind=None):
+    """Load parameters into an architecture-matching graph, in place.
+
+    Returns (graph, extra) where extra holds tensors not owned by any
+    layer but prefixed "meta/"; see ``load_params`` for the checks.
+    """
+    return load_params(read_checkpoint(path), expect_kind, lambda meta: graph)

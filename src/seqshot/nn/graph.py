@@ -6,9 +6,6 @@ import numpy as np
 
 from ..errors import SeqshotError, ShapeError, StaleCacheError
 
-# When true, every forward checks activations for NaN/inf.
-DEBUG_NAN_CHECKS = False
-
 
 @dataclass
 class ForwardCache:
@@ -50,16 +47,16 @@ class Graph:
                 raise
             except ValueError as e:
                 raise ShapeError(f"{layer.name}: {e}") from e
-            if DEBUG_NAN_CHECKS and not np.all(np.isfinite(h)):
-                raise SeqshotError(f"non-finite activation after {layer.name}")
             caches.append(c)
         return h, ForwardCache(self, self.version, caches, h)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, features=True):
         """Backprop dL/dy; accumulates parameter grads, returns input grad.
 
         ``feature_grads[name]`` is the loss gradient at layer ``name``'s
-        output; ``feature_grads["input"]`` aliases the returned dx.
+        output; ``feature_grads["input"]`` aliases the returned dx.  With
+        ``features=False`` it stays empty, so each layer's output gradient
+        is freed once the layer below has used it.
         """
         if cache.graph is not self or cache.version != self.version:
             raise StaleCacheError("activation cache is stale for this graph")
@@ -70,9 +67,11 @@ class Graph:
         feature_grads = {}
         g = dy
         for layer, c in zip(reversed(self.layers), reversed(cache.layer_caches)):
-            feature_grads[layer.name] = g
+            if features:
+                feature_grads[layer.name] = g
             g = layer.backward(c, g)
-        feature_grads["input"] = g
+        if features:
+            feature_grads["input"] = g
         return BackwardResult(dx=g, feature_grads=feature_grads)
 
     # -- parameter access ---------------------------------------------------

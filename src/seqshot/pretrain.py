@@ -151,6 +151,12 @@ def _config_meta(cfg):
     }
 
 
+# meta/embed_tap is optional: checkpoints written before it existed load
+# with the default tap
+_META_KEYS = ("meta/n_classes", "meta/channels", "meta/head_hidden",
+              "meta/embed_dim")
+
+
 def _config_from_meta(extra):
     tap_arr = extra.get("meta/embed_tap")
     tap = ModelConfig.embed_tap if tap_arr is None else int(tap_arr[0])
@@ -188,8 +194,8 @@ class WeakModel:
 
     def backward(self, cache, dlogits):
         c1, c2 = cache
-        demb = self.head.backward(c2, dlogits).dx
-        return self.backbone.backward(c1, demb).dx
+        demb = self.head.backward(c2, dlogits, features=False).dx
+        return self.backbone.backward(c1, demb, features=False).dx
 
     def logits(self, x):
         return self.forward(x)[0]
@@ -219,18 +225,9 @@ class WeakModel:
 
     @classmethod
     def load(cls, path):
-        kind, tensors = nn.read_checkpoint(path)
-        if kind != cls.KIND:
-            raise FormatError(f"checkpoint kind {kind!r}, expected {cls.KIND!r}")
-        extra = {k: v for k, v in tensors.items() if k.startswith("meta/")}
-        model = cls(_config_from_meta(extra))
-        params = model.params()
-        for k, v in tensors.items():
-            if k.startswith("meta/"):
-                continue
-            params[k][...] = v
-        model.mark_updated()
-        return model
+        return nn.load_params(nn.read_checkpoint(path), cls.KIND,
+                              lambda meta: cls(_config_from_meta(meta)),
+                              _META_KEYS)[0]
 
 
 class StrongModel:
@@ -263,9 +260,9 @@ class StrongModel:
 
     def backward(self, cache, dlogits):
         c1, c2, c3 = cache
-        dfeat = self.classifier.backward(c3, dlogits).dx
-        dh = self.neck.backward(c2, dfeat).dx
-        return self.backbone.backward(c1, dh).dx
+        dfeat = self.classifier.backward(c3, dlogits, features=False).dx
+        dh = self.neck.backward(c2, dfeat, features=False).dx
+        return self.backbone.backward(c1, dh, features=False).dx
 
     def features(self, x):
         """Pre-classifier embedding frames: (B, embed_dim, T//32)."""
@@ -309,18 +306,9 @@ class StrongModel:
 
     @classmethod
     def load(cls, path):
-        kind, tensors = nn.read_checkpoint(path)
-        if kind != cls.KIND:
-            raise FormatError(f"checkpoint kind {kind!r}, expected {cls.KIND!r}")
-        extra = {k: v for k, v in tensors.items() if k.startswith("meta/")}
-        model = cls(_config_from_meta(extra))
-        params = model.params()
-        for k, v in tensors.items():
-            if k.startswith("meta/"):
-                continue
-            params[k][...] = v
-        model.mark_updated()
-        return model
+        return nn.load_params(nn.read_checkpoint(path), cls.KIND,
+                              lambda meta: cls(_config_from_meta(meta)),
+                              _META_KEYS)[0]
 
 
 # -- training -------------------------------------------------------------------
@@ -356,41 +344,45 @@ def _class_weights(records, n_classes):
     return w / w.sum()
 
 
-def _augment_clip(w, rng, cfg):
-    """Resample/gain in the signal domain; returns (waveform, rate_factor)."""
-    rate = float(rng.uniform(0.9, 1.1))
-    gain = float(rng.uniform(-20.0, 20.0))
-    out = dsp.augment_resample(w, rate)
-    out = dsp.augment_gain(out, gain)
-    return out, rate
-
-
-def _fix_frames(m, n_frames, rng, random_crop=True):
-    """Crop or floor-pad a logmel to exactly n_frames; returns
-    (matrix, crop_offset_frames, valid_frames)."""
-    t = m.shape[0]
-    if t >= n_frames:
-        off = int(rng.integers(0, t - n_frames + 1)) if random_crop else 0
-        return m[off: off + n_frames], off, n_frames
-    pad = np.full((n_frames - t, m.shape[1]), np.log(dsp.LOG_FLOOR))
-    return np.vstack([m, pad]), 0, t
-
-
 def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
     """Load + augment a batch; returns (x (B,1,T,64), targets, meta).
+
+    Per clip the draws are: playback rate and gain (with ``augment``),
+    the crop offset, SpecAugment (with ``augment``); then mixup across
+    the batch.  The crop is placed on the frame count the rate-changed
+    clip has, which follows from its sample count, and only the samples
+    under the crop are resampled and turned into log-mel frames.  The
+    batch therefore equals, bit for bit, cropping the log-mel of the
+    whole augmented clip.  A clip shorter than ``crop_frames`` is padded
+    at the end with log-floor frames.
 
     meta holds (record_idx, rate, crop_off, valid_frames, mix_partner, lam)
     for per-frame label mapping in strong training.
     """
+    n_crop = cfg.crop_frames
     feats, targs, meta = [], [], []
     for i in idxs:
         r = records[i]
         w = r.load()
-        rate, off, valid = 1.0, 0, cfg.crop_frames
+        rate = 1.0
         if cfg.augment:
-            w, rate = _augment_clip(w, rng, cfg)
+            rate = float(rng.uniform(0.9, 1.1))
+            gain = float(rng.uniform(-20.0, 20.0))
+        n_frames = dsp.frame_count(dsp.resampled_length(len(w.samples), rate))
+        off, valid = 0, min(n_frames, n_crop)
+        if n_frames >= n_crop and random_crop:
+            off = int(rng.integers(0, n_frames - n_crop + 1))
+        start = off * dsp.FRAME_HOP
+        stop = start + (valid - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN
+        if cfg.augment:
+            w = dsp.augment_gain(dsp.augment_resample(w, rate, start, stop),
+                                 gain)
+        else:
+            w = dsp.Waveform(w.samples[start:stop], w.sample_rate)
         m = dsp.logmel(w)
-        m, off, valid = _fix_frames(m, cfg.crop_frames, rng, random_crop)
+        if valid < n_crop:
+            pad = np.full((n_crop - valid, m.shape[1]), np.log(dsp.LOG_FLOOR))
+            m = np.vstack([m, pad])
         if cfg.augment:
             m = dsp.spec_augment(m, rng, cfg.spec_time_masks,
                                  cfg.spec_freq_masks, cfg.spec_max_t,
@@ -463,6 +455,7 @@ def train_weak(records, n_classes, config: TrainConfig,
                 dlogits = kd_weight * d_kd + (1 - kd_weight) * d_bce
             model.zero_grads()
             model.backward(cache, dlogits)
+            del cache   # free the activations before the next forward pass
             lr = nn.one_cycle_lr(step, total_steps, config.peak_lr,
                                  config.final_lr, config.warmup_frac)
             nn.adamw_step(params, model.grads(), state, lr,
@@ -612,6 +605,7 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
             loss, dlogits = bce_with_logits(logits, y)
             model.zero_grads()
             model.backward(cache, dlogits)
+            del cache   # free the activations before the next forward pass
             lr = nn.one_cycle_lr(step, total_steps, config.peak_lr,
                                  config.final_lr, config.warmup_frac)
             nn.adamw_step(params, model.grads(), state, lr,

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from seqshot import cli, corpus
+from seqshot import augment, cli, corpus, detector, dsp, nn, pretrain
 
 TINY_MODEL = [
     "--set", "model.channels=[4,6,8,10,12]",
@@ -137,3 +138,67 @@ def test_bad_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- malformed checkpoints ----------------------------------------------------------
+
+TINY_CONFIG = pretrain.ModelConfig(n_classes=2, channels=(4, 6, 8, 10, 12),
+                                   head_hidden=16, embed_dim=8)
+
+
+def _write_models(root):
+    paths = {k: root / f"{k}.ckpt"
+             for k in ("weak", "strong", "delta", "detector")}
+    pretrain.WeakModel(TINY_CONFIG).save(paths["weak"])
+    pretrain.StrongModel(TINY_CONFIG).save(paths["strong"])
+    augment.DeltaEncoder(8).save(paths["delta"])
+    # the strong model's frames tap stage 3: 8 channels x 8 frequency bins
+    detector.DetectorNet(detector.DetectorConfig(embed_dim=64)).save(
+        paths["detector"])
+    return paths
+
+
+def _corrupt(path, fault):
+    kind, tensors = nn.read_checkpoint(path)
+    param = next(k for k in tensors if not k.startswith("meta/"))
+    if fault == "missing_tensor":
+        del tensors[param]
+    elif fault == "unknown_tensor":
+        tensors["stray/W"] = np.zeros((2, 2))
+    elif fault == "shape":
+        tensors[param] = np.zeros(tensors[param].shape + (2,))
+    else:   # the first meta tensor is one the loader needs
+        del tensors[next(k for k in tensors if k.startswith("meta/"))]
+    nn.write_checkpoint(path, kind, tensors)
+
+
+def _argv(model, paths, root):
+    """A command that loads ``model`` before it reads any audio."""
+    if model == "weak":
+        (root / "empty.jsonl").write_text("")
+        return ["pseudolabel", "--data", str(root / "empty.jsonl"),
+                "--model", str(paths["weak"]), "--out", str(root / "o")]
+    if model == "delta":
+        return ["enroll", "--shots", str(root / "shot.wav"),
+                "--weak", str(paths["weak"]), "--strong", str(paths["strong"]),
+                "--delta", str(paths["delta"]), "--out", str(root / "o")]
+    # valid inputs, so only the checkpoint can make detect fail
+    rng = np.random.default_rng(0)
+    dsp.write_wav(root / "rec.wav",
+                  dsp.Waveform(0.1 * rng.standard_normal(3 * 16000)))
+    (root / "enrollment.json").write_text(json.dumps({"window_s": 1.0}))
+    return ["detect", "--recording", str(root / "rec.wav"),
+            "--detector", str(paths["detector"]),
+            "--strong", str(paths["strong"]),
+            "--enrollment", str(root / "enrollment.json")]
+
+
+@pytest.mark.parametrize("fault", ["missing_tensor", "unknown_tensor",
+                                   "shape", "missing_meta"])
+@pytest.mark.parametrize("model", ["weak", "strong", "delta", "detector"])
+def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
+                                               fault):
+    paths = _write_models(tmp_path)
+    _corrupt(paths[model], fault)
+    code, out = run(capsys, _argv(model, paths, tmp_path))
+    assert code == 1 and out is None

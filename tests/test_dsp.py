@@ -112,6 +112,39 @@ def test_resample_range_enforced():
         dsp.augment_resample(dsp.Waveform(np.zeros(100)), 1.5)
 
 
+@pytest.mark.parametrize("rate", [0.9, 0.97, 1.0, 1.1])
+def test_resample_output_range_equals_slice(rng, rate):
+    w = dsp.Waveform(0.3 * rng.standard_normal(9000))
+    whole = dsp.augment_resample(w, rate).samples
+    assert len(whole) == dsp.resampled_length(9000, rate)
+    for start, stop in [(0, 1), (0, 400), (1234, 5678),
+                        (len(whole) - 3, len(whole))]:
+        part = dsp.augment_resample(w, rate, start, stop).samples
+        np.testing.assert_array_equal(part, whole[start:stop])
+
+
+def test_resample_output_range_checked():
+    w = dsp.Waveform(np.zeros(1000))
+    for rate in (1.0, 1.05):
+        n = dsp.resampled_length(1000, rate)
+        for start, stop in [(-1, 10), (10, 10), (0, n + 1)]:
+            with pytest.raises(ShapeError):
+                dsp.augment_resample(w, rate, start, stop)
+
+
+def test_resample_blocks_equal_one_pass(rng, monkeypatch):
+    # 44.1 kHz -> 16 kHz, the load_wav path, over several output blocks
+    x = 0.3 * rng.standard_normal(44100)
+    step = 44100 / 16000
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 1 << 20)
+    one_pass = dsp._resample(x, step)
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 1000)
+    assert len(one_pass) > 10 * dsp._RESAMPLE_BLOCK
+    np.testing.assert_array_equal(dsp._resample(x, step), one_pass)
+    np.testing.assert_array_equal(dsp._resample(x, step, 999, 12001),
+                                  one_pass[999:12001])
+
+
 # -- logmel ----------------------------------------------------------------------
 
 def test_logmel_silence_floor():

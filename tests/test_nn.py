@@ -162,6 +162,13 @@ def test_feature_grads_by_name(rng):
     res = g.backward(cache, np.ones_like(y))
     assert set(res.feature_grads) == {"a", "r", "b", "input"}
     assert res.feature_grads["a"].shape == (1, 4)
+    grads = {k: v.copy() for k, v in g.grads().items()}
+    g.zero_grads()
+    bare = g.backward(cache, np.ones_like(y), features=False)
+    assert bare.feature_grads == {}
+    np.testing.assert_array_equal(bare.dx, res.dx)
+    for k, v in g.grads().items():
+        np.testing.assert_array_equal(v, grads[k])
 
 
 # -- gradient checks per layer -------------------------------------------------
@@ -333,3 +340,23 @@ def test_checkpoint_unknown_tensor(rng, tmp_path):
     nn.write_checkpoint(path, "graph", {"nonexistent/W": np.zeros((2, 2))})
     with pytest.raises(UnknownTensorError):
         nn.load_checkpoint(path, make_graph(rng))
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape", "unknown"])
+def test_rejected_checkpoint_leaves_graph_untouched(rng, tmp_path, fault):
+    path = tmp_path / "g.sqck"
+    tensors = make_graph(rng).params()
+    if fault == "missing":
+        del tensors["head/b"]
+    elif fault == "shape":
+        tensors["head/b"] = np.zeros(5)
+    else:
+        tensors["stray/W"] = np.zeros(2)
+    nn.write_checkpoint(path, "graph", tensors)
+    g = make_graph(np.random.default_rng(7))
+    before = {k: v.copy() for k, v in g.params().items()}
+    expected = UnknownTensorError if fault == "unknown" else FormatError
+    with pytest.raises(expected):
+        nn.load_checkpoint(path, g)
+    for k, v in g.params().items():
+        np.testing.assert_array_equal(v, before[k])

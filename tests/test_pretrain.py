@@ -160,6 +160,116 @@ def test_training_deterministic(tmp_path):
     assert run(tmp_path / "a.ckpt") == run(tmp_path / "b.ckpt")
 
 
+def _reference_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
+    """The batch built the direct way: resample and log-mel each whole
+    clip, then crop or pad its frames; the draws are in the same order."""
+    n_crop = cfg.crop_frames
+    feats, targs, meta = [], [], []
+    for i in idxs:
+        w, rate = records[i].load(), 1.0
+        if cfg.augment:
+            rate = float(rng.uniform(0.9, 1.1))
+            gain = float(rng.uniform(-20.0, 20.0))
+            w = dsp.augment_gain(dsp.augment_resample(w, rate), gain)
+        m = dsp.logmel(w)
+        t = m.shape[0]
+        if t >= n_crop:
+            off = int(rng.integers(0, t - n_crop + 1)) if random_crop else 0
+            m, valid = m[off: off + n_crop], n_crop
+        else:
+            pad = np.full((n_crop - t, m.shape[1]), np.log(dsp.LOG_FLOOR))
+            m, off, valid = np.vstack([m, pad]), 0, t
+        if cfg.augment:
+            m = dsp.spec_augment(m, rng, cfg.spec_time_masks,
+                                 cfg.spec_freq_masks, cfg.spec_max_t,
+                                 cfg.spec_max_f)
+        feats.append(m)
+        targs.append(pretrain.multi_hot(records[i].labels, n_classes))
+        meta.append({"idx": int(i), "rate": rate, "off": off, "valid": valid,
+                     "partner": None, "lam": 1.0})
+    if cfg.augment and len(idxs) > 1:
+        perm = rng.permutation(len(idxs))
+        lams = [dsp.draw_mixup_lambda(rng) for _ in idxs]
+        mixed = [dsp.mixup(feats[k], feats[j], targs[k], targs[j], lam)
+                 for k, (j, lam) in enumerate(zip(perm, lams))]
+        feats, targs = [f for f, _ in mixed], [t for _, t in mixed]
+        for k, (j, lam) in enumerate(zip(perm, lams)):
+            meta[k].update(partner=int(j), lam=lam)
+    return np.stack(feats)[:, None, :, :], np.stack(targs), meta
+
+
+class _UnitRate:
+    """A Generator whose playback-rate draws come out exactly 1.0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high):
+        value = self._rng.uniform(low, high)
+        return 1.0 if (low, high) == (0.9, 1.1) else value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _batch_records():
+    # 98, 68 and 248 log-mel frames at rate 1
+    durations = (1.0, 0.7, 2.5, 1.0, 0.7)
+    return [pretrain.ClipRecord(labels=(k % 2,),
+                                _waveform=noise(d, seed=40 + k))
+            for k, d in enumerate(durations)]
+
+
+@pytest.mark.parametrize("augment", [True, False])
+@pytest.mark.parametrize("random_crop", [True, False])
+@pytest.mark.parametrize("crop_frames", [48, 98, 150, 300])
+def test_prepare_batch_equals_whole_clip_crop(augment, random_crop,
+                                              crop_frames):
+    # 150 and 300 frames pad the short clips (300 pads them all)
+    recs = _batch_records()
+    cfg = pretrain.TrainConfig(crop_frames=crop_frames, augment=augment,
+                               spec_max_t=5)
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        idxs = rng_a.choice(len(recs), size=4)
+        rng_b.choice(len(recs), size=4)
+        got = pretrain._prepare_batch(recs, idxs, 2, rng_a, cfg, random_crop)
+        want = _reference_batch(recs, idxs, 2, rng_b, cfg, random_crop)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+def test_prepare_batch_rate_exactly_one():
+    recs = _batch_records()
+    cfg = pretrain.TrainConfig(crop_frames=60, augment=True, spec_max_t=5)
+    idxs = np.arange(len(recs))
+    got = pretrain._prepare_batch(recs, idxs, 2, _UnitRate(5), cfg)
+    want = _reference_batch(recs, idxs, 2, _UnitRate(5), cfg)
+    assert all(m["rate"] == 1.0 for m in got[2])
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[2] == want[2]
+
+
+def test_prepare_batch_computes_only_cropped_frames(monkeypatch):
+    recs = _batch_records()
+    computed = []
+    logmel = dsp.logmel
+
+    def counting_logmel(w):
+        m = logmel(w)
+        computed.append(m.shape[0])
+        return m
+
+    monkeypatch.setattr(dsp, "logmel", counting_logmel)
+    for augment in (True, False):
+        cfg = pretrain.TrainConfig(crop_frames=48, augment=augment,
+                                   spec_max_t=5)
+        pretrain._prepare_batch(recs, np.arange(len(recs)), 2,
+                                np.random.default_rng(0), cfg)
+    assert computed == [48] * (2 * len(recs))
+
+
 def test_label_out_of_range():
     recs = [pretrain.ClipRecord(labels=(3,), _waveform=tone(440, 1.0))]
     with pytest.raises(SeqshotError):
