@@ -8,12 +8,12 @@ ever reads non-target audio.
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import dsp, nn
+from . import dsp, nn, pretrain
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -22,8 +22,6 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-
-EMBED_HOP_S = 0.32
 
 PROVENANCES = ("curated", "time_shift", "delta", "masked", "shuffled")
 
@@ -36,7 +34,12 @@ SHUFFLE_BLOCK_DIVISOR = 5
 
 def _padded_sample_bounds(shot, onset_s, offset_s):
     """Sample bounds for [onset, offset), widened symmetrically to at
-    least MIN_CROP_S and clipped to the shot."""
+    least MIN_CROP_S and clipped to the shot.
+
+    This is not ``curation.embed_crop``, which widens at the end only,
+    to the pooled embedder's 0.5 s: the detector's training crops need
+    MIN_CROP_S, centred on the segment, with bounds rounded to samples.
+    """
     sr = shot.sample_rate
     a = int(round(onset_s * sr))
     b = int(round(offset_s * sr))
@@ -56,7 +59,7 @@ class EmbeddingSequence:
     frames: np.ndarray            # (T, E)
     label: int                    # 1 target, 0 nontarget
     provenance: str
-    frame_hop_s: float = EMBED_HOP_S
+    frame_hop_s: float = pretrain.EMBED_HOP_S
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -107,7 +110,7 @@ class DeltaConfig:
     seed: int = 0
 
 
-class DeltaEncoder:
+class DeltaEncoder(nn.Module):
     """Encoder-decoder over embedding frames: a low-dim deformation code z
     extracted from a (clean, degraded) frame pair is applied to new frames.
 
@@ -117,64 +120,50 @@ class DeltaEncoder:
     """
 
     KIND = "delta"
+    CONFIG = DeltaConfig
+    META = ("embed_dim", "z_dim", "hidden")
 
     def __init__(self, embed_dim, config: DeltaConfig = None):
         self.embed_dim = embed_dim
-        self.config = config or DeltaConfig()
-        rng = np.random.default_rng(self.config.seed + 77)
-        e, z, h = embed_dim, self.config.z_dim, self.config.hidden
-        self.encoder = nn.Graph([
-            nn.Linear(2 * e, h, "enc1", rng),
-            nn.ReLU("enc_relu"),
-            nn.Linear(h, z, "enc2", rng),
-        ])
-        self.decoder = nn.Graph([
-            nn.Linear(e + z, h, "dec1", rng),
-            nn.ReLU("dec_relu"),
-            nn.Linear(h, e, "dec2", rng),
-        ])
+        config = config or DeltaConfig()
+        rng = np.random.default_rng(config.seed + 77)
+        e, z, h = embed_dim, config.z_dim, config.hidden
+        super().__init__(
+            config,
+            encoder=nn.Graph([
+                nn.Linear(2 * e, h, "enc1", rng),
+                nn.ReLU("enc_relu"),
+                nn.Linear(h, z, "enc2", rng),
+            ]),
+            decoder=nn.Graph([
+                nn.Linear(e + z, h, "dec1", rng),
+                nn.ReLU("dec_relu"),
+                nn.Linear(h, e, "dec2", rng),
+            ]))
         self.holdout_l1 = None
 
-    def encode(self, clean, degraded):
-        return self.encoder.forward(np.hstack([clean, degraded]))[0]
-
-    def decode(self, base, z):
-        return self.decoder.forward(np.hstack([base, z]))[0]
-
-    def apply(self, base, clean, degraded):
-        return self.decode(base, self.encode(clean, degraded))
-
-    def params(self):
-        return {**{f"encoder/{k}": v for k, v in self.encoder.params().items()},
-                **{f"decoder/{k}": v for k, v in self.decoder.params().items()}}
-
-    def grads(self):
-        return {**{f"encoder/{k}": v for k, v in self.encoder.grads().items()},
-                **{f"decoder/{k}": v for k, v in self.decoder.grads().items()}}
-
-    def zero_grads(self):
-        self.encoder.zero_grads()
-        self.decoder.zero_grads()
-
-    def mark_updated(self):
-        self.encoder.mark_updated()
-        self.decoder.mark_updated()
-
-    def save(self, path):
-        meta = {"meta/embed_dim": np.array([self.embed_dim], dtype=np.float64),
-                "meta/z_dim": np.array([self.config.z_dim], dtype=np.float64),
-                "meta/hidden": np.array([self.config.hidden], dtype=np.float64)}
-        nn.write_checkpoint(path, self.KIND, {**self.params(), **meta})
+    def meta(self):
+        return {"embed_dim": self.embed_dim, "z_dim": self.config.z_dim,
+                "hidden": self.config.hidden}
 
     @classmethod
-    def load(cls, path):
-        def build(meta):
-            cfg = DeltaConfig(z_dim=int(meta["meta/z_dim"][0]),
-                              hidden=int(meta["meta/hidden"][0]))
-            return cls(int(meta["meta/embed_dim"][0]), cfg)
-        return nn.load_params(nn.read_checkpoint(path), cls.KIND, build,
-                              ("meta/embed_dim", "meta/z_dim",
-                               "meta/hidden"))[0]
+    def from_meta(cls, fields):
+        return cls(fields.pop("embed_dim"), DeltaConfig(**fields))
+
+    def forward(self, clean, degraded, base):
+        """Dec(base || Enc(clean || degraded)), per frame; (out, cache)."""
+        z, enc_cache = self.encoder.forward(np.hstack([clean, degraded]))
+        out, dec_cache = self.decoder.forward(np.hstack([base, z]))
+        return out, (enc_cache, dec_cache)
+
+    def backward(self, cache, dy):
+        enc_cache, dec_cache = cache
+        d_in = self.decoder.backward(dec_cache, dy, features=False).dx
+        self.encoder.backward(enc_cache, d_in[:, self.embed_dim:],
+                              features=False)
+
+    def apply(self, base, clean, degraded):
+        return self.forward(clean, degraded, base)[0]
 
 
 def train_delta(pairs, config: DeltaConfig = None):
@@ -185,7 +174,7 @@ def train_delta(pairs, config: DeltaConfig = None):
     mean-removed frames (``pretrain.embed_frames_normalized``): the model
     learns the deformation in that domain, and ``delta_augment`` applies
     it there.  Returns the model with its held-out L1 recorded in
-    ``holdout_l1``.
+    ``holdout_l1`` and its mean training L1 per epoch in ``loss_curve``.
     """
     cfg = config or DeltaConfig()
     if not pairs:
@@ -213,25 +202,20 @@ def train_delta(pairs, config: DeltaConfig = None):
     if len(train) == 0:
         train = hold
     model = DeltaEncoder(clean.shape[1], cfg)
-    params = model.params()
-    state = nn.adamw_init(params)
-    for _ in range(cfg.epochs):
+
+    def batches():
         order = rng.permutation(len(train))
         for b0 in range(0, len(order), cfg.batch_size):
-            idx = train[order[b0: b0 + cfg.batch_size]]
-            enc_in = np.hstack([clean[idx], deg[idx]])
-            z, enc_cache = model.encoder.forward(enc_in)
-            dec_in = np.hstack([base[idx], z])
-            recon, dec_cache = model.decoder.forward(dec_in)
-            resid = recon - tgt[idx]
-            d_recon = np.sign(resid) / resid.size
-            model.zero_grads()
-            d_dec_in = model.decoder.backward(dec_cache, d_recon).dx
-            dz = d_dec_in[:, clean.shape[1]:]
-            model.encoder.backward(enc_cache, dz)
-            nn.adamw_step(params, model.grads(), state, cfg.lr,
-                          cfg.weight_decay)
-            model.mark_updated()
+            yield train[order[b0: b0 + cfg.batch_size]]
+
+    def step_loss(idx):
+        recon, cache = model.forward(clean[idx], deg[idx], base[idx])
+        resid = recon - tgt[idx]
+        model.backward(cache, np.sign(resid) / resid.size)
+        return float(np.mean(np.abs(resid)))
+
+    model.loss_curve = nn.fit(model, cfg.epochs, batches, step_loss,
+                              lambda step: cfg.lr, cfg.weight_decay)
     recon_hold = model.apply(base[hold], clean[hold], deg[hold])
     model.holdout_l1 = float(np.mean(np.abs(recon_hold - tgt[hold])))
     model.holdout_identity_l1 = float(np.mean(np.abs(base[hold] - tgt[hold])))

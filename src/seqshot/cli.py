@@ -8,13 +8,15 @@ files, degenerate data), 2 usage or configuration errors.
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import augment, config, corpus, curation, detector, evaluate, pretrain
-from .errors import ConfigError, SeqshotError
+from . import (augment, config, corpus, curation, detector, dsp, evaluate,
+               pretrain)
+from .errors import ConfigError, FormatError, SeqshotError
 
 log = logging.getLogger("seqshot")
 
@@ -59,12 +61,35 @@ def _augment_config(cfg, have_delta):
         n_masked=a["n_masked"], n_shuffled=a["n_shuffled"])
 
 
-def _load_donor_pairs(path):
-    seqs = augment.load_train_set(path)
+def _load_delta(args):
+    """(Δ-encoder, donor pairs) from ``--delta`` and ``--donors``, or
+    (None, []) without either.  The checkpoint is read first, so a bad
+    one reports as such; then one flag without the other is a usage
+    error."""
+    delta = augment.DeltaEncoder.load(args.delta) if args.delta else None
+    if bool(args.delta) != bool(args.donors):
+        raise ConfigError("--delta and --donors must be given together")
+    if delta is None:
+        return None, []
+    seqs = augment.load_train_set(args.donors)
     if len(seqs) < 2:
         raise SeqshotError("donor set needs at least one (clean, degraded) "
                            "pair")
-    return [(seqs[i], seqs[i + 1]) for i in range(0, len(seqs) - 1, 2)]
+    return delta, [(seqs[i], seqs[i + 1]) for i in range(0, len(seqs) - 1, 2)]
+
+
+def _window_s(path):
+    """The scan window an ``enrollment.json`` records."""
+    try:
+        window_s = json.loads(Path(path).read_text())["window_s"]
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+            TypeError) as e:
+        raise FormatError(f"{path}: no enrollment window_s ({e!r})") from e
+    if isinstance(window_s, bool) or not isinstance(window_s, (int, float)) \
+            or not math.isfinite(window_s) or window_s <= 0:
+        raise FormatError(f"{path}: window_s {window_s!r} is not a finite "
+                          f"number above 0")
+    return window_s
 
 
 def _n_classes(cfg):
@@ -160,11 +185,7 @@ def cmd_enroll(args, cfg):
         raise ConfigError("enroll needs at least one shot")
     weak = pretrain.WeakModel.load(args.weak)
     strong = pretrain.StrongModel.load(args.strong)
-    delta = augment.DeltaEncoder.load(args.delta) if args.delta else None
-    donors = _load_donor_pairs(args.donors) if args.donors else []
-    if delta is not None and not donors:
-        raise ConfigError("--delta requires --donors")
-    from . import dsp
+    delta, donors = _load_delta(args)
     shots = [dsp.load_wav(p) for p in args.shots]
     aligned, curation_report = curation.curate(
         shots, lambda w: pretrain.embed_pooled(weak, w))
@@ -192,15 +213,14 @@ def cmd_enroll(args, cfg):
 
 
 def cmd_detect(args, cfg):
-    from . import dsp
     net = detector.DetectorNet.load(args.detector)
     strong = pretrain.StrongModel.load(args.strong)
-    enrollment = json.loads(Path(args.enrollment).read_text())
+    window_s = _window_s(args.enrollment)
     w = dsp.load_wav(args.recording)
-    scored = detector.detect_stream(net, strong, w, enrollment["window_s"])
+    scored = detector.detect_stream(net, strong, w, window_s)
     events = [[t, s] for t, s in scored if s > args.threshold]
     _emit({"recording": str(args.recording),
-           "window_s": enrollment["window_s"],
+           "window_s": window_s,
            "n_windows": len(scored),
            "max_score": max(s for _, s in scored),
            "events": events})
@@ -209,15 +229,10 @@ def cmd_detect(args, cfg):
 def cmd_evaluate(args, cfg):
     weak = pretrain.WeakModel.load(args.weak)
     strong = pretrain.StrongModel.load(args.strong)
-    delta = augment.DeltaEncoder.load(args.delta) if args.delta else None
-    donors = _load_donor_pairs(args.donors) if args.donors else []
-    if delta is None:
-        # delta augmentation needs both the model and donor pairs
-        delta = augment.DeltaEncoder(strong.config.embed_dim)
-        donors = []
+    delta, donors = _load_delta(args)
     models = evaluate.PretrainedModels(weak=weak, strong=strong, delta=delta,
                                        donor_pairs=donors)
-    aug_cfg = _augment_config(cfg, bool(donors))
+    aug_cfg = _augment_config(cfg, delta is not None)
     results = []
     for ep_dir in args.episodes:
         descriptor = Path(ep_dir) / "episode.json"

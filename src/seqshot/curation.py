@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import dsp
+from . import dsp, pretrain
 from .errors import CurationError, DegenerateInputError, EmptyInputError
 
 log = logging.getLogger(__name__)
@@ -239,6 +239,20 @@ def align_to_exemplar(segments, shots):
     return aligned, scores
 
 
+def embed_crop(w: dsp.Waveform, seg: Segment):
+    """The audio under ``seg``, widened at its end (or, at the end of the
+    shot, at its start) to the pooled embedder's minimum duration."""
+    min_len = int(pretrain.MIN_EMBED_S * w.sample_rate)
+    a = int(seg.onset_s * w.sample_rate)
+    b = int(seg.offset_s * w.sample_rate)
+    if b - a < min_len:
+        b = a + min_len
+    if b > len(w.samples):
+        b = len(w.samples)
+        a = max(0, b - min_len)
+    return dsp.Waveform(w.samples[a: b], w.sample_rate)
+
+
 def curate(shots_audio, embed_fn, config: CurationConfig = None):
     """Full curation for K enrollment shots.
 
@@ -252,16 +266,7 @@ def curate(shots_audio, embed_fn, config: CurationConfig = None):
                   for s, m in enumerate(logmels)]
 
     def seg_embed(seg: Segment):
-        w = shots_audio[seg.shot_id]
-        min_len = int(0.5 * w.sample_rate)         # embedder needs >= 0.5 s
-        a = int(seg.onset_s * w.sample_rate)
-        b = int(seg.offset_s * w.sample_rate)
-        if b - a < min_len:
-            b = a + min_len
-        if b > len(w.samples):
-            b = len(w.samples)
-            a = max(0, b - min_len)
-        return embed_fn(dsp.Waveform(w.samples[a: b], w.sample_rate))
+        return embed_fn(embed_crop(shots_audio[seg.shot_id], seg))
 
     matched = match_across_shots(candidates, seg_embed, tau=cfg.tau)
     aligned, scores = align_to_exemplar(matched, logmels)

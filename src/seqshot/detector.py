@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn, pretrain
+from . import dsp, nn, pretrain
 from .errors import (
     DegenerateInputError,
     EmptyInputError,
@@ -31,15 +31,16 @@ class DetectorConfig:
     seed: int = 0
 
 
-class DetectorNet:
+class DetectorNet(nn.Module):
     """1x1 projection, then dilated causal convs with ReLU, mean over
     time, linear head to logits [target, non-target]."""
 
     KIND = "detector"
+    CONFIG = DetectorConfig
+    META = ("embed_dim", "proj_dim", "n_conv", "kernel")
 
     def __init__(self, config: DetectorConfig = None):
-        self.config = config or DetectorConfig()
-        cfg = self.config
+        cfg = config or DetectorConfig()
         rng = np.random.default_rng(cfg.seed + 101)
         layers = [nn.Conv1d(cfg.embed_dim, cfg.proj_dim, kernel=1,
                             name="proj", rng=rng)]
@@ -50,7 +51,7 @@ class DetectorNet:
             layers.append(nn.ReLU(f"relu{i}"))
         layers.append(nn.MeanOverTime("pool"))
         layers.append(nn.Linear(cfg.proj_dim, 2, "head", rng))
-        self.graph = nn.Graph(layers)
+        super().__init__(cfg, graph=nn.Graph(layers))
 
     def conv_layer_names(self):
         return [f"conv{i}" for i in range(self.config.n_conv)]
@@ -60,7 +61,7 @@ class DetectorNet:
         if x.ndim != 3 or x.shape[1] != self.config.embed_dim:
             raise ShapeError(f"expected (B, {self.config.embed_dim}, T), "
                              f"got {x.shape}")
-        return self.graph.forward(x)
+        return super().forward(x)
 
     def logits(self, x):
         return self.forward(x)[0]
@@ -69,34 +70,6 @@ class DetectorNet:
         """sigma(f_target - f_nontarget) per item, in (0, 1)."""
         logits = self.logits(x)
         return 1.0 / (1.0 + np.exp(-(logits[:, 0] - logits[:, 1])))
-
-    def params(self):
-        return self.graph.params()
-
-    def grads(self):
-        return self.graph.grads()
-
-    def mark_updated(self):
-        self.graph.mark_updated()
-
-    def save(self, path):
-        meta = {
-            "meta/embed_dim": np.array([self.config.embed_dim], np.float64),
-            "meta/proj_dim": np.array([self.config.proj_dim], np.float64),
-            "meta/n_conv": np.array([self.config.n_conv], np.float64),
-            "meta/kernel": np.array([self.config.kernel], np.float64),
-        }
-        nn.write_checkpoint(path, self.KIND, {**self.params(), **meta})
-
-    @classmethod
-    def load(cls, path):
-        keys = ("embed_dim", "proj_dim", "n_conv", "kernel")
-
-        def build(meta):
-            return cls(DetectorConfig(
-                **{k: int(meta[f"meta/{k}"][0]) for k in keys}))
-        return nn.load_params(nn.read_checkpoint(path), cls.KIND, build,
-                              tuple(f"meta/{k}" for k in keys))[0]
 
 
 # -- normalized margin ----------------------------------------------------------
@@ -139,7 +112,7 @@ def margin_distance(net: DetectorNet, x, true_class, layer, eps=1e-6):
     """
     if x.ndim == 2:
         x = x[None]
-    logits, cache = net.forward(x)
+    logits, (cache,) = net.forward(x)
     gap = float(logits[0, 0] - logits[0, 1]) * (1.0 if true_class == 1 else -1.0)
     seeds = _gap_seeds([true_class])
     net.graph.zero_grads()
@@ -161,7 +134,7 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
     cfg = config or MarginConfig()
     labels = np.asarray(labels)
     layer_names = cfg.layers(net)
-    logits, cache = net.forward(x)
+    logits, (cache,) = net.forward(x)
     gap_signed = logits[:, 0] - logits[:, 1]          # f_target - f_nontarget
     sign = np.where(labels == 1, 1.0, -1.0)
     gap = sign * gap_signed                           # f_true - f_other
@@ -217,7 +190,8 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
                    net_config: DetectorConfig = None):
     """Train from EmbeddingSequences (all the same frame count).
 
-    Requires both classes present.  Fixed learning rate, AdamW.
+    Requires both classes present.  Fixed learning rate, AdamW
+    (``nn.fit``).
     """
     cfg = config or DetectorTrainConfig()
     if not train_set:
@@ -234,30 +208,25 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
     net = DetectorNet(net_config)
     x_all = np.stack([s.frames.T for s in train_set])   # (N, E, T)
     rng = np.random.default_rng(cfg.seed)
-    params = net.params()
-    state = nn.adamw_init(params)
-    loss_curve = []
-    for _ in range(cfg.epochs):
+
+    def batches():
         order = rng.permutation(len(train_set))
-        epoch_loss, n_batches = 0.0, 0
         for b0 in range(0, len(order), cfg.batch_size):
-            idx = order[b0: b0 + cfg.batch_size]
-            loss, _ = detector_loss(net, x_all[idx], labels[idx], cfg.margin)
-            nn.adamw_step(params, net.grads(), state, cfg.lr,
-                          cfg.weight_decay)
-            net.mark_updated()
-            epoch_loss += loss
-            n_batches += 1
-        loss_curve.append(epoch_loss / n_batches)
-    net.loss_curve = loss_curve
+            yield order[b0: b0 + cfg.batch_size]
+
+    def step_loss(idx):
+        return detector_loss(net, x_all[idx], labels[idx], cfg.margin)[0]
+
+    net.loss_curve = nn.fit(net, cfg.epochs, batches, step_loss,
+                            lambda step: cfg.lr, cfg.weight_decay)
     return net
 
 
 def window_frame_count(window_s):
-    """Embedding frames produced by a crop of the given duration."""
-    n = int(round(window_s * 16000))
-    t_logmel = 1 + (n - 400) // 160
-    return t_logmel // pretrain.FRAMES_PER_EMBED
+    """Embedding frames produced by a crop of the given duration (at
+    least one log-mel window, 0.025 s)."""
+    n = int(round(window_s * dsp.SAMPLE_RATE))
+    return dsp.frame_count(n) // pretrain.FRAMES_PER_EMBED
 
 
 def stream_scores(net: DetectorNet, frames, n_win_frames, batch_size=256):

@@ -6,7 +6,6 @@ FFT size 512, 64 HTK-mel triangular filters spanning 0-8000 Hz with
 unit peak, natural log with a 1e-6 floor.
 """
 
-import struct
 import wave
 from dataclasses import dataclass
 
@@ -17,9 +16,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
     ShapeError,
-    TruncatedFileError,
     UnsupportedFormatError,
-    VersionMismatchError,
 )
 
 SAMPLE_RATE = 16000
@@ -333,34 +330,3 @@ def convolve_rir(w: Waveform, rir: Waveform):
     if cur > 0:
         y = y * (peak / cur)
     return Waveform(y, w.sample_rate)
-
-
-# -- LogMel serialization ------------------------------------------------------
-
-LOGMEL_MAGIC = b"SQLM"
-LOGMEL_VERSION = 1
-
-
-def write_logmel(path, m):
-    m = np.ascontiguousarray(m, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(LOGMEL_MAGIC)
-        f.write(struct.pack("<III", LOGMEL_VERSION, m.shape[0], m.shape[1]))
-        f.write(m.tobytes())
-
-
-def read_logmel(path):
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != LOGMEL_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {LOGMEL_MAGIC!r}")
-        head = f.read(12)
-        if len(head) != 12:
-            raise TruncatedFileError("logmel header truncated")
-        version, t, bands = struct.unpack("<III", head)
-        if version != LOGMEL_VERSION:
-            raise VersionMismatchError(f"logmel version {version}")
-        raw = f.read(4 * t * bands)
-        if len(raw) != 4 * t * bands:
-            raise TruncatedFileError("logmel payload truncated")
-    return np.frombuffer(raw, dtype="<f4").reshape(t, bands).astype(np.float64)

@@ -151,7 +151,7 @@ class PretrainedModels:
     """Everything frozen before any episode is seen."""
     weak: pretrain.WeakModel
     strong: pretrain.StrongModel
-    delta: augment.DeltaEncoder
+    delta: augment.DeltaEncoder   # None: no Δ-encoder augmentation
     donor_pairs: list
 
 
@@ -165,20 +165,6 @@ class EpisodeResult:
     n_pos: int
     n_neg: int
     audit: list = field(default_factory=list)
-
-
-def _segment_embed(weak, shot, seg):
-    """Pooled embedding of a curated slice, padded to >= 0.5 s."""
-    sr = shot.sample_rate
-    min_len = int(0.5 * sr)
-    a = int(seg.onset_s * sr)
-    b = int(seg.offset_s * sr)
-    if b - a < min_len:
-        b = a + min_len
-    if b > len(shot.samples):
-        b = len(shot.samples)
-        a = max(0, b - min_len)
-    return pretrain.embed_pooled(weak, dsp.Waveform(shot.samples[a:b], sr))
 
 
 def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
@@ -207,8 +193,9 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
     # window must be too
     n_win_frames = max(1, detector.window_frame_count(
         max(window_s, augment.MIN_CROP_S)))
-    centroid = np.mean([_segment_embed(models.weak, shots[k], aligned[k])
-                        for k in range(len(shots))], axis=0)
+    centroid = np.mean([
+        pretrain.embed_pooled(models.weak, curation.embed_crop(shot, seg))
+        for shot, seg in zip(shots, aligned)], axis=0)
 
     nets = []
     for rep in range(reps):

@@ -6,7 +6,9 @@ Layers operate on plain numpy arrays.  Conventions:
   - Linear acts on the last axis, any number of leading axes.
 
 All models in this package are feedforward chains, so a ``Graph`` is an
-ordered layer list rather than a general tape.
+ordered layer list rather than a general tape.  A ``Module`` is a trained
+model: named graphs plus a config, saved and loaded one way; ``fit`` is
+the AdamW loop every model trains with.
 """
 
 from .layers import (
@@ -22,13 +24,8 @@ from .layers import (
 )
 from .graph import Graph, BackwardResult
 from .optim import adamw_init, adamw_step, one_cycle_lr
-from .checkpoint import (
-    write_checkpoint,
-    read_checkpoint,
-    save_checkpoint,
-    load_checkpoint,
-    load_params,
-)
+from .checkpoint import write_checkpoint, read_checkpoint, load_params
+from .module import Module, fit
 
 __all__ = [
     "Layer",
@@ -47,7 +44,7 @@ __all__ = [
     "one_cycle_lr",
     "write_checkpoint",
     "read_checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
     "load_params",
+    "Module",
+    "fit",
 ]

@@ -83,14 +83,6 @@ def read_checkpoint(path):
     return kind, tensors
 
 
-def save_checkpoint(graph, path, kind="graph", extra=None):
-    """Save a Graph's parameters (plus optional extra tensors)."""
-    tensors = dict(graph.params())
-    if extra:
-        tensors.update(extra)
-    write_checkpoint(path, kind, tensors)
-
-
 def load_params(checkpoint, kind, build, meta_keys=()):
     """Load a checkpoint into a freshly built model, checking every tensor.
 
@@ -98,7 +90,7 @@ def load_params(checkpoint, kind, build, meta_keys=()):
     ``build(meta)`` gets the ``meta/`` tensors and returns the model to
     fill: anything with ``params()`` (name -> array, written in place) and
     ``mark_updated()``.  Nothing is written unless every check passes.
-    Returns (model, meta).
+    Returns the model.
 
     Raises FormatError when the kind is not ``kind`` (None accepts any),
     when one of ``meta_keys`` is missing, when a tensor's shape differs
@@ -130,13 +122,5 @@ def load_params(checkpoint, kind, build, meta_keys=()):
     for name, arr in params.items():
         arr[...] = tensors[name]
     model.mark_updated()
-    return model, meta
+    return model
 
-
-def load_checkpoint(path, graph, expect_kind=None):
-    """Load parameters into an architecture-matching graph, in place.
-
-    Returns (graph, extra) where extra holds tensors not owned by any
-    layer but prefixed "meta/"; see ``load_params`` for the checks.
-    """
-    return load_params(read_checkpoint(path), expect_kind, lambda meta: graph)

@@ -32,6 +32,7 @@ from .errors import (
 
 FRAMES_PER_EMBED = 32            # logmel frames per strong-embedding frame
 EMBED_HOP_S = FRAMES_PER_EMBED * dsp.FRAME_HOP_S   # 0.32
+MIN_EMBED_S = 0.5                # shortest audio the embedders take
 
 PSEUDO_WIN_S = 0.5
 PSEUDO_HOP_S = 0.1
@@ -139,63 +140,32 @@ def _backbone_layers(cfg, rng):
     return layers
 
 
-def _config_meta(cfg):
-    return {
-        "meta/n_classes": np.array([cfg.n_classes], dtype=np.float64),
-        "meta/channels": np.array(cfg.channels, dtype=np.float64),
-        "meta/head_hidden": np.array([cfg.head_hidden], dtype=np.float64),
-        "meta/embed_dim": np.array([cfg.embed_dim], dtype=np.float64),
-        "meta/embed_tap": np.array(
-            [-1 if cfg.embed_tap is None else cfg.embed_tap],
-            dtype=np.float64),
-    }
+class _Embedder(nn.Module):
+    CONFIG = ModelConfig
+    META = ("n_classes", "channels", "head_hidden", "embed_dim", "embed_tap")
+    # checkpoints written before embed_tap existed load with the default tap
+    OPTIONAL_META = ("embed_tap",)
 
 
-# meta/embed_tap is optional: checkpoints written before it existed load
-# with the default tap
-_META_KEYS = ("meta/n_classes", "meta/channels", "meta/head_hidden",
-              "meta/embed_dim")
+class WeakModel(_Embedder):
+    """Weak-label multi-label classifier with a pooled embedding.
 
-
-def _config_from_meta(extra):
-    tap_arr = extra.get("meta/embed_tap")
-    tap = ModelConfig.embed_tap if tap_arr is None else int(tap_arr[0])
-    return ModelConfig(
-        n_classes=int(extra["meta/n_classes"][0]),
-        channels=tuple(int(c) for c in extra["meta/channels"]),
-        head_hidden=int(extra["meta/head_hidden"][0]),
-        embed_dim=int(extra["meta/embed_dim"][0]),
-        embed_tap=None if tap < 0 else tap,
-    )
-
-
-class WeakModel:
-    """Weak-label multi-label classifier with a pooled embedding."""
+    ``forward`` maps a (B, 1, T, 64) log-mel batch to (B, C) logits.
+    """
 
     KIND = "weak"
 
     def __init__(self, config: ModelConfig):
-        self.config = config
         rng = np.random.default_rng(config.seed)
-        self.backbone = nn.Graph(
-            _backbone_layers(config, rng) + [nn.GlobalChannelPool("pool")]
-        )
-        self.head = nn.Graph([
-            nn.Linear(config.pooled_dim, config.head_hidden, "fc1", rng),
-            nn.ReLU("fc_relu"),
-            nn.Linear(config.head_hidden, config.n_classes, "fc2", rng),
-        ])
-
-    def forward(self, x):
-        """x: (B, 1, T, 64) logmel batch -> (logits, cache)."""
-        emb, c1 = self.backbone.forward(x)
-        logits, c2 = self.head.forward(emb)
-        return logits, (c1, c2)
-
-    def backward(self, cache, dlogits):
-        c1, c2 = cache
-        demb = self.head.backward(c2, dlogits, features=False).dx
-        return self.backbone.backward(c1, demb, features=False).dx
+        super().__init__(
+            config,
+            backbone=nn.Graph(_backbone_layers(config, rng)
+                              + [nn.GlobalChannelPool("pool")]),
+            head=nn.Graph([
+                nn.Linear(config.pooled_dim, config.head_hidden, "fc1", rng),
+                nn.ReLU("fc_relu"),
+                nn.Linear(config.head_hidden, config.n_classes, "fc2", rng),
+            ]))
 
     def logits(self, x):
         return self.forward(x)[0]
@@ -203,93 +173,35 @@ class WeakModel:
     def embed(self, x):
         return self.backbone.forward(x)[0]
 
-    def params(self):
-        return {**{f"backbone/{k}": v for k, v in self.backbone.params().items()},
-                **{f"head/{k}": v for k, v in self.head.params().items()}}
 
-    def grads(self):
-        return {**{f"backbone/{k}": v for k, v in self.backbone.grads().items()},
-                **{f"head/{k}": v for k, v in self.head.grads().items()}}
+class StrongModel(_Embedder):
+    """Frame-level embedding/classifier; one output frame per 320 ms.
 
-    def zero_grads(self):
-        self.backbone.zero_grads()
-        self.head.zero_grads()
-
-    def mark_updated(self):
-        self.backbone.mark_updated()
-        self.head.mark_updated()
-
-    def save(self, path):
-        nn.write_checkpoint(path, self.KIND,
-                            {**self.params(), **_config_meta(self.config)})
-
-    @classmethod
-    def load(cls, path):
-        return nn.load_params(nn.read_checkpoint(path), cls.KIND,
-                              lambda meta: cls(_config_from_meta(meta)),
-                              _META_KEYS)[0]
-
-
-class StrongModel:
-    """Frame-level embedding/classifier; one output frame per 320 ms."""
+    ``forward`` maps (B, 1, T, 64) to (B, C, T//32) logits.
+    """
 
     KIND = "strong"
 
     def __init__(self, config: ModelConfig):
-        self.config = config
         rng = np.random.default_rng(config.seed + 1)
-        self.backbone = nn.Graph(
-            _backbone_layers(config, rng) + [nn.MeanOverFreq("fpool")]
-        )
-        self.neck = nn.Graph([
-            nn.Conv1d(config.pooled_dim, config.embed_dim, kernel=1,
-                      name="neck", rng=rng),
-            nn.ReLU("neck_relu"),
-        ])
-        self.classifier = nn.Graph([
-            nn.Conv1d(config.embed_dim, config.n_classes, kernel=1,
-                      name="cls", rng=rng),
-        ])
-
-    def forward(self, x):
-        """x: (B, 1, T, 64) -> (logits (B, C, T//32), cache)."""
-        h, c1 = self.backbone.forward(x)
-        feats, c2 = self.neck.forward(h)
-        logits, c3 = self.classifier.forward(feats)
-        return logits, (c1, c2, c3)
-
-    def backward(self, cache, dlogits):
-        c1, c2, c3 = cache
-        dfeat = self.classifier.backward(c3, dlogits, features=False).dx
-        dh = self.neck.backward(c2, dfeat, features=False).dx
-        return self.backbone.backward(c1, dh, features=False).dx
+        super().__init__(
+            config,
+            backbone=nn.Graph(_backbone_layers(config, rng)
+                              + [nn.MeanOverFreq("fpool")]),
+            neck=nn.Graph([
+                nn.Conv1d(config.pooled_dim, config.embed_dim, kernel=1,
+                          name="neck", rng=rng),
+                nn.ReLU("neck_relu"),
+            ]),
+            classifier=nn.Graph([
+                nn.Conv1d(config.embed_dim, config.n_classes, kernel=1,
+                          name="cls", rng=rng),
+            ]))
 
     def features(self, x):
         """Pre-classifier embedding frames: (B, embed_dim, T//32)."""
         h, _ = self.backbone.forward(x)
         return self.neck.forward(h)[0]
-
-    def params(self):
-        out = {}
-        for prefix, g in (("backbone", self.backbone), ("neck", self.neck),
-                          ("classifier", self.classifier)):
-            out.update({f"{prefix}/{k}": v for k, v in g.params().items()})
-        return out
-
-    def grads(self):
-        out = {}
-        for prefix, g in (("backbone", self.backbone), ("neck", self.neck),
-                          ("classifier", self.classifier)):
-            out.update({f"{prefix}/{k}": v for k, v in g.grads().items()})
-        return out
-
-    def zero_grads(self):
-        for g in (self.backbone, self.neck, self.classifier):
-            g.zero_grads()
-
-    def mark_updated(self):
-        for g in (self.backbone, self.neck, self.classifier):
-            g.mark_updated()
 
     def init_backbone_from(self, weak: WeakModel):
         """Copy the (distilled) student's convolutional weights."""
@@ -299,16 +211,6 @@ class StrongModel:
             if k in src:
                 v[...] = src[k]
         self.backbone.mark_updated()
-
-    def save(self, path):
-        nn.write_checkpoint(path, self.KIND,
-                            {**self.params(), **_config_meta(self.config)})
-
-    @classmethod
-    def load(cls, path):
-        return nn.load_params(nn.read_checkpoint(path), cls.KIND,
-                              lambda meta: cls(_config_from_meta(meta)),
-                              _META_KEYS)[0]
 
 
 # -- training -------------------------------------------------------------------
@@ -407,6 +309,31 @@ def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
     return x, np.stack(targs), meta
 
 
+def _training_plan(records, n_classes, config, random_crop=True):
+    """(batches, lr) for ``nn.fit``: each batch draws its clips with
+    replacement, weighted by ``_class_weights``, and ``_prepare_batch``
+    draws from the same RNG, seeded with ``config.seed``; the learning
+    rate follows the one-cycle schedule over the whole run."""
+    rng = np.random.default_rng(config.seed)
+    weights = _class_weights(records, n_classes)
+    steps_per_epoch = max(1, (len(records) + config.batch_size - 1)
+                          // config.batch_size)
+    total_steps = max(1, config.epochs * steps_per_epoch)
+
+    def batches():
+        for _ in range(steps_per_epoch):
+            idxs = rng.choice(len(records), size=min(config.batch_size,
+                                                     len(records)),
+                              replace=True, p=weights)
+            yield _prepare_batch(records, idxs, n_classes, rng, config,
+                                 random_crop)
+
+    def lr(step):
+        return nn.one_cycle_lr(step, total_steps, config.peak_lr,
+                               config.final_lr, config.warmup_frac)
+    return batches, lr
+
+
 def train_weak(records, n_classes, config: TrainConfig,
                model_config: ModelConfig = None, teacher=None,
                temperature=2.0, kd_weight=0.5):
@@ -428,43 +355,24 @@ def train_weak(records, n_classes, config: TrainConfig,
     if teacher is not None and teacher.config.n_classes != n_classes:
         raise SeqshotError("teacher class count mismatch")
     model = WeakModel(model_config)
-    rng = np.random.default_rng(config.seed)
-    weights = _class_weights(records, n_classes)
-    steps_per_epoch = max(1, (len(records) + config.batch_size - 1)
-                          // config.batch_size)
-    total_steps = max(1, config.epochs * steps_per_epoch)
-    params = model.params()
-    state = nn.adamw_init(params)
-    step = 0
-    loss_curve = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        for _ in range(steps_per_epoch):
-            idxs = rng.choice(len(records), size=min(config.batch_size,
-                                                     len(records)),
-                              replace=True, p=weights)
-            x, y, _ = _prepare_batch(records, idxs, n_classes, rng, config)
-            logits, cache = model.forward(x)
-            if teacher is None:
-                loss, dlogits = bce_with_logits(logits, y)
-            else:
-                t_logits, _ = teacher.forward(x)
-                kd, d_kd = kd_binary_kl(t_logits, logits, temperature)
-                bce, d_bce = bce_with_logits(logits, y)
-                loss = kd_weight * kd + (1 - kd_weight) * bce
-                dlogits = kd_weight * d_kd + (1 - kd_weight) * d_bce
-            model.zero_grads()
-            model.backward(cache, dlogits)
-            del cache   # free the activations before the next forward pass
-            lr = nn.one_cycle_lr(step, total_steps, config.peak_lr,
-                                 config.final_lr, config.warmup_frac)
-            nn.adamw_step(params, model.grads(), state, lr,
-                          config.weight_decay)
-            model.mark_updated()
-            epoch_loss += loss
-            step += 1
-        loss_curve.append(epoch_loss / steps_per_epoch)
-    model.loss_curve = loss_curve
+    batches, lr = _training_plan(records, n_classes, config)
+
+    def step_loss(batch):
+        x, y, _ = batch
+        logits, cache = model.forward(x)
+        if teacher is None:
+            loss, dlogits = bce_with_logits(logits, y)
+        else:
+            t_logits, _ = teacher.forward(x)
+            kd, d_kd = kd_binary_kl(t_logits, logits, temperature)
+            bce, d_bce = bce_with_logits(logits, y)
+            loss = kd_weight * kd + (1 - kd_weight) * bce
+            dlogits = kd_weight * d_kd + (1 - kd_weight) * d_bce
+        model.backward(cache, dlogits)
+        return loss
+
+    model.loss_curve = nn.fit(model, config.epochs, batches, step_loss, lr,
+                              config.weight_decay)
     return model
 
 
@@ -484,10 +392,6 @@ class PseudoStrongLabels:
     window_hop_s: float = PSEUDO_HOP_S
     window_len_s: float = PSEUDO_WIN_S
     threshold: float = PSEUDO_THRESHOLD
-
-
-def pseudo_window_count(duration_s):
-    return int(np.floor((duration_s - PSEUDO_WIN_S) / PSEUDO_HOP_S + 1e-9)) + 1
 
 
 def pseudo_label(model: WeakModel, w: dsp.Waveform, batch_size=128):
@@ -573,56 +477,37 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
     n_classes = student.config.n_classes
     model = StrongModel(replace(student.config, seed=config.seed))
     model.init_backbone_from(student)
-    rng = np.random.default_rng(config.seed)
-    weights = _class_weights(records, n_classes)
-    steps_per_epoch = max(1, (len(records) + config.batch_size - 1)
-                          // config.batch_size)
-    total_steps = max(1, config.epochs * steps_per_epoch)
-    params = model.params()
-    state = nn.adamw_init(params)
-    step = 0
-    loss_curve = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        for _ in range(steps_per_epoch):
-            idxs = rng.choice(len(records), size=min(config.batch_size,
-                                                     len(records)),
-                              replace=True, p=weights)
-            x, _, meta = _prepare_batch(records, idxs, n_classes, rng, config,
-                                        random_crop=False)
-            logits, cache = model.forward(x)
-            n_out = logits.shape[2]
-            y = np.zeros((len(idxs), n_classes, n_out))
-            for k, mt in enumerate(meta):
-                t_self = _frame_targets(pseudo_per_clip[mt["idx"]], n_out,
-                                        mt["rate"], mt["off"], mt["valid"])
-                if mt["partner"] is not None and mt["lam"] < 1.0:
-                    pm = meta[mt["partner"]]
-                    t_mix = _frame_targets(pseudo_per_clip[pm["idx"]], n_out,
-                                           pm["rate"], pm["off"], pm["valid"])
-                    t_self = mt["lam"] * t_self + (1 - mt["lam"]) * t_mix
-                y[k] = t_self.T
-            loss, dlogits = bce_with_logits(logits, y)
-            model.zero_grads()
-            model.backward(cache, dlogits)
-            del cache   # free the activations before the next forward pass
-            lr = nn.one_cycle_lr(step, total_steps, config.peak_lr,
-                                 config.final_lr, config.warmup_frac)
-            nn.adamw_step(params, model.grads(), state, lr,
-                          config.weight_decay)
-            model.mark_updated()
-            epoch_loss += loss
-            step += 1
-        loss_curve.append(epoch_loss / steps_per_epoch)
-    model.loss_curve = loss_curve
+    batches, lr = _training_plan(records, n_classes, config, random_crop=False)
+
+    def step_loss(batch):
+        x, _, meta = batch
+        logits, cache = model.forward(x)
+        n_out = logits.shape[2]
+        y = np.zeros((len(meta), n_classes, n_out))
+        for k, mt in enumerate(meta):
+            t_self = _frame_targets(pseudo_per_clip[mt["idx"]], n_out,
+                                    mt["rate"], mt["off"], mt["valid"])
+            if mt["partner"] is not None and mt["lam"] < 1.0:
+                pm = meta[mt["partner"]]
+                t_mix = _frame_targets(pseudo_per_clip[pm["idx"]], n_out,
+                                       pm["rate"], pm["off"], pm["valid"])
+                t_self = mt["lam"] * t_self + (1 - mt["lam"]) * t_mix
+            y[k] = t_self.T
+        loss, dlogits = bce_with_logits(logits, y)
+        model.backward(cache, dlogits)
+        return loss
+
+    model.loss_curve = nn.fit(model, config.epochs, batches, step_loss, lr,
+                              config.weight_decay)
     return model
 
 
 # -- embedding extraction ----------------------------------------------------------------
 
 def _logmel_input(w):
-    if len(w.samples) < int(0.5 * dsp.SAMPLE_RATE):
-        raise EmptyInputError("need at least 0.5 s of audio to embed")
+    if len(w.samples) < int(MIN_EMBED_S * dsp.SAMPLE_RATE):
+        raise EmptyInputError(
+            f"need at least {MIN_EMBED_S} s of audio to embed")
     return dsp.logmel(w)[None, None, :, :]
 
 

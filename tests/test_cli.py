@@ -202,3 +202,33 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
     _corrupt(paths[model], fault)
     code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
+
+
+# -- malformed enrollment and half-given Δ-encoder flags -------------------------
+
+@pytest.mark.parametrize("text", [
+    "not json {",
+    json.dumps({"segments": []}),
+    json.dumps({"window_s": "abc"}),
+    json.dumps({"window_s": 0}),
+], ids=["not_json", "no_window_s", "not_a_number", "zero"])
+def test_malformed_enrollment_is_runtime_error(tmp_path, capsys, text):
+    argv = _argv("detector", _write_models(tmp_path), tmp_path)
+    (tmp_path / "enrollment.json").write_text(text)
+    code, out = run(capsys, argv)
+    assert code == 1 and out is None
+
+
+@pytest.mark.parametrize("given", ["delta", "donors"])
+@pytest.mark.parametrize("command", ["enroll", "evaluate"])
+def test_half_given_delta_flags_are_usage_error(tmp_path, capsys, command,
+                                                given):
+    paths = _write_models(tmp_path)
+    argv = [command, "--weak", str(paths["weak"]),
+            "--strong", str(paths["strong"]), "--out", str(tmp_path / "o")]
+    argv += (["--shots", str(tmp_path / "shot.wav")] if command == "enroll"
+             else ["--episodes", str(tmp_path / "episode")])
+    argv += (["--delta", str(paths["delta"])] if given == "delta"
+             else ["--donors", str(tmp_path / "donors")])
+    code, out = run(capsys, argv)
+    assert code == 2 and out is None

@@ -305,14 +305,3 @@ def test_rir_longer_than_signal_rejected():
     with pytest.raises(ShapeError):
         dsp.convolve_rir(dsp.Waveform(np.zeros(10) + 0.1),
                          dsp.Waveform(np.zeros(20) + 0.1))
-
-
-# -- logmel serialization ---------------------------------------------------------------
-
-def test_logmel_roundtrip(tmp_path, rng):
-    m = rng.normal(size=(30, 64)).astype(np.float32).astype(np.float64)
-    p = tmp_path / "m.sqlm"
-    dsp.write_logmel(p, m)
-    out = dsp.read_logmel(p)
-    np.testing.assert_array_equal(out, m)
-    assert p.read_bytes()[:4] == b"SQLM"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -276,45 +278,124 @@ def test_one_cycle_monotone_decay_after_peak():
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
-# -- checkpoints -----------------------------------------------------------------
+# -- modules and checkpoints ---------------------------------------------------
 
-def make_graph(rng):
-    return nn.Graph([
-        nn.Conv1d(2, 3, kernel=3, name="c", rng=rng, causal=True),
-        nn.ReLU("r"),
-        nn.MeanOverTime("p"),
-        nn.Linear(3, 2, "head", rng),
-    ])
+@dataclasses.dataclass
+class TinyConfig:
+    channels: tuple = (2, 3)
+    seed: int = 0
 
 
-def test_checkpoint_roundtrip_bitwise(rng, tmp_path):
-    g = make_graph(rng)
-    path = tmp_path / "g.sqck"
-    nn.save_checkpoint(g, path, kind="graph")
-    g2 = make_graph(np.random.default_rng(999))
-    nn.load_checkpoint(path, g2, expect_kind="graph")
-    for k, v in g.params().items():
-        np.testing.assert_array_equal(v, g2.params()[k])
+class Tiny(nn.Module):
+    KIND = "tiny"
+    CONFIG = TinyConfig
+    META = ("channels",)
+
+    def __init__(self, config):
+        rng = np.random.default_rng(config.seed)
+        c_in, c_hid = config.channels
+        super().__init__(
+            config,
+            body=nn.Graph([
+                nn.Conv1d(c_in, c_hid, kernel=3, name="c", rng=rng,
+                          causal=True),
+                nn.ReLU("r"),
+                nn.MeanOverTime("p"),
+            ]),
+            out=nn.Graph([nn.Linear(c_hid, 2, "head", rng)]))
 
 
-def test_checkpoint_file_level_roundtrip(rng, tmp_path):
-    g = make_graph(rng)
+def test_module_forward_backward_chain_graphs(rng):
+    m = Tiny(TinyConfig())
+    x = rng.normal(size=(2, 2, 5))
+    y, cache = m.forward(x)
+    h, c1 = m.body.forward(x)
+    y_ref, c2 = m.out.forward(h)
+    np.testing.assert_array_equal(y, y_ref)
+    dy = rng.normal(size=y.shape)
+    m.zero_grads()
+    dx = m.backward(cache, dy)
+    grads = {k: v.copy() for k, v in m.grads().items()}
+    m.zero_grads()
+    dx_ref = m.body.backward(c1, m.out.backward(c2, dy).dx).dx
+    np.testing.assert_array_equal(dx, dx_ref)
+    for k, v in m.grads().items():
+        np.testing.assert_array_equal(grads[k], v)
+
+
+def test_fit_equals_hand_written_adamw_loop(rng):
+    x = rng.normal(size=(6, 2, 5))
+    order = [np.array([0, 1, 2]), np.array([3, 4, 5])]
+
+    def loss_and_backward(m, idx):
+        y, cache = m.forward(x[idx])
+        m.backward(cache, y)
+        return quadratic_loss(y)
+
+    m = Tiny(TinyConfig())
+    curve = nn.fit(m, 3, lambda: iter(order),
+                   lambda idx: loss_and_backward(m, idx),
+                   lambda step: 0.01 / (step + 1), 0.1)
+    ref = Tiny(TinyConfig())
+    params = ref.params()
+    state = nn.adamw_init(params)
+    step, ref_curve = 0, []
+    for _ in range(3):
+        losses = []
+        for idx in order:
+            ref.zero_grads()
+            losses.append(loss_and_backward(ref, idx))
+            nn.adamw_step(params, ref.grads(), state, 0.01 / (step + 1), 0.1)
+            ref.mark_updated()
+            step += 1
+        ref_curve.append((losses[0] + losses[1]) / 2)
+    assert curve == ref_curve
+    for k, v in m.params().items():
+        np.testing.assert_array_equal(v, params[k])
+
+
+def test_fit_invalidates_caches(rng):
+    m = Tiny(TinyConfig())
+    x = rng.normal(size=(1, 2, 4))
+    _, cache = m.body.forward(x)
+
+    def step_loss(batch):
+        y, c = m.forward(batch)
+        m.backward(c, np.ones_like(y))
+        return 0.0
+    nn.fit(m, 1, lambda: [x], step_loss, lambda step: 0.01, 0.0)
+    with pytest.raises(StaleCacheError):
+        m.body.backward(cache, np.ones((1, 3, 4)))
+
+
+def test_checkpoint_roundtrip_bitwise(tmp_path):
+    m = Tiny(TinyConfig(channels=(2, 4), seed=5))
+    path = tmp_path / "m.sqck"
+    m.save(path)
+    m2 = Tiny.load(path)
+    assert m2.config.channels == (2, 4)
+    for k, v in m.params().items():
+        np.testing.assert_array_equal(v, m2.params()[k])
+
+
+def test_checkpoint_file_level_roundtrip(tmp_path):
     p1, p2 = tmp_path / "a.sqck", tmp_path / "b.sqck"
-    nn.save_checkpoint(g, p1)
-    g2 = make_graph(np.random.default_rng(999))
-    nn.load_checkpoint(p1, g2)
-    nn.save_checkpoint(g2, p2)
+    Tiny(TinyConfig(seed=5)).save(p1)
+    Tiny.load(p1).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+    kind, tensors = nn.read_checkpoint(p1)
+    assert kind == "tiny"
+    assert list(tensors) == ["body/c/W", "body/c/b", "out/head/W",
+                             "out/head/b", "meta/channels"]
 
 
-def test_checkpoint_truncated(rng, tmp_path):
-    g = make_graph(rng)
-    path = tmp_path / "g.sqck"
-    nn.save_checkpoint(g, path)
+def test_checkpoint_truncated(tmp_path):
+    path = tmp_path / "m.sqck"
+    Tiny(TinyConfig()).save(path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 7])
     with pytest.raises(TruncatedFileError):
-        nn.load_checkpoint(path, make_graph(rng))
+        Tiny.load(path)
 
 
 def test_checkpoint_bad_magic(rng, tmp_path):
@@ -324,10 +405,9 @@ def test_checkpoint_bad_magic(rng, tmp_path):
         nn.read_checkpoint(path)
 
 
-def test_checkpoint_version_mismatch(rng, tmp_path):
-    g = make_graph(rng)
-    path = tmp_path / "g.sqck"
-    nn.save_checkpoint(g, path)
+def test_checkpoint_version_mismatch(tmp_path):
+    path = tmp_path / "m.sqck"
+    Tiny(TinyConfig()).save(path)
     raw = bytearray(path.read_bytes())
     raw[4:8] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
@@ -335,28 +415,31 @@ def test_checkpoint_version_mismatch(rng, tmp_path):
         nn.read_checkpoint(path)
 
 
-def test_checkpoint_unknown_tensor(rng, tmp_path):
-    path = tmp_path / "g.sqck"
-    nn.write_checkpoint(path, "graph", {"nonexistent/W": np.zeros((2, 2))})
+def test_checkpoint_unknown_tensor(tmp_path):
+    path = tmp_path / "m.sqck"
+    Tiny(TinyConfig()).save(path)
+    kind, tensors = nn.read_checkpoint(path)
+    tensors["nonexistent/W"] = np.zeros((2, 2))
+    nn.write_checkpoint(path, kind, tensors)
     with pytest.raises(UnknownTensorError):
-        nn.load_checkpoint(path, make_graph(rng))
+        Tiny.load(path)
 
 
 @pytest.mark.parametrize("fault", ["missing", "shape", "unknown"])
-def test_rejected_checkpoint_leaves_graph_untouched(rng, tmp_path, fault):
-    path = tmp_path / "g.sqck"
-    tensors = make_graph(rng).params()
+def test_rejected_checkpoint_leaves_graph_untouched(tmp_path, fault):
+    path = tmp_path / "m.sqck"
+    Tiny(TinyConfig(seed=3)).save(path)
+    kind, tensors = nn.read_checkpoint(path)
     if fault == "missing":
-        del tensors["head/b"]
+        del tensors["out/head/b"]
     elif fault == "shape":
-        tensors["head/b"] = np.zeros(5)
+        tensors["out/head/b"] = np.zeros(5)
     else:
         tensors["stray/W"] = np.zeros(2)
-    nn.write_checkpoint(path, "graph", tensors)
-    g = make_graph(np.random.default_rng(7))
-    before = {k: v.copy() for k, v in g.params().items()}
+    m = Tiny(TinyConfig(seed=7))
+    before = {k: v.copy() for k, v in m.params().items()}
     expected = UnknownTensorError if fault == "unknown" else FormatError
     with pytest.raises(expected):
-        nn.load_checkpoint(path, g)
-    for k, v in g.params().items():
+        nn.load_params((kind, tensors), "tiny", lambda meta: m)
+    for k, v in m.params().items():
         np.testing.assert_array_equal(v, before[k])

@@ -324,12 +324,6 @@ def test_distill_runs_and_matches_teacher_direction(toy_weak):
 
 # -- pseudo-strong labels ---------------------------------------------------------
 
-def test_pseudo_window_count():
-    assert pretrain.pseudo_window_count(10.0) == 96
-    assert pretrain.pseudo_window_count(0.5) == 1
-    assert pretrain.pseudo_window_count(1.0) == 6
-
-
 def test_pseudo_label_shape_and_strict_threshold():
     mc = pretrain.ModelConfig(n_classes=3, **TINY)
     model = pretrain.WeakModel(mc)
