@@ -1,10 +1,11 @@
 """Few-shot enrollment walkthrough, library-level.
 
 Pretrains tiny weak + frame-embedding models, then runs the few-shot
-side on one synthetic episode: curate the K unsegmented shots, expand
-the curated segments into a training set (positives by time shift,
-negatives by masking/shuffling the positives themselves), train the
-margin detector, and stream it over an evaluation clip.
+side on one synthetic episode with ``evaluate.enroll``: curate the K
+unsegmented shots, expand the curated segments into a training set
+(positives by time shift, negatives by masking/shuffling the positives
+themselves), train the margin detector, and stream it over an
+evaluation clip with the scan window the enrollment decided.
 
 Runs in a few minutes on a laptop:  python3 demos/02_enroll_and_detect.py
 """
@@ -13,9 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from seqshot import augment, corpus, curation, detector, dsp, pretrain
+from seqshot import augment, corpus, detector, dsp, evaluate, pretrain
 
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
@@ -40,33 +39,26 @@ spec = corpus.EpisodeSpec(family_seed=42, eval_neg_per_seq=1,
 desc = json.loads(corpus.gen_episode(spec, work / "ep").read_text())
 shots = [dsp.load_wav(work / "ep" / e["wav"]) for e in desc["enrollment"]]
 
-# -- curation: find the common, aligned target segment in each shot --------
-segments, report = curation.curate(
-    shots, lambda w: pretrain.embed_pooled(weak, w))
-for seg in segments:
-    print(f"shot {seg.shot_id}: target at {seg.onset_s:.2f}-"
-          f"{seg.offset_s:.2f} s")
-
-# -- training set from the positives alone ---------------------------------
+# -- enrollment: curate the shots, expand the curated segments into a
+# training set from the positives alone, train the margin detector --------
+models = evaluate.PretrainedModels(weak=weak, strong=strong, delta=None,
+                                   donor_pairs=[])
 aug = augment.AugmentConfig(n_time_shift=6, n_delta=0, n_masked=6,
                             n_shuffled=6)
-train_set = augment.build_train_set(
-    shots, segments,
-    lambda w: pretrain.embed_frames_normalized(strong, w),
-    delta_model=None, donor_pairs=[], config=aug,
-    rng=np.random.default_rng(0))
-n_pos = sum(s.label == 1 for s in train_set)
-print(f"train set: {len(train_set)} sequences ({n_pos} positive)")
-
-net = detector.train_detector(
-    train_set, detector.DetectorTrainConfig(epochs=60, seed=0),
-    detector.DetectorConfig(embed_dim=8, proj_dim=8))
+dtc = detector.DetectorTrainConfig(epochs=60)
+enrolled = evaluate.enroll(shots, models, seeds=[0], augment_config=aug,
+                           train_config=dtc)
+for seg in enrolled.segments:
+    print(f"shot {seg.shot_id}: target at {seg.onset_s:.2f}-"
+          f"{seg.offset_s:.2f} s")
+print(f"train set: {enrolled.train_items[0]} sequences, "
+      f"scan window {enrolled.window_s:.2f} s")
+net = enrolled.detectors[0]
 
 # -- stream over one positive and one negative eval clip -------------------
-window_s = segments[0].offset_s - segments[0].onset_s
 for item in (desc["eval"][0], desc["eval"][-1]):
     w = dsp.load_wav(work / "ep" / item["wav"])
-    scores = detector.detect_stream(net, strong, w, window_s)
+    scores = detector.detect_stream(net, strong, w, enrolled.window_s)
     t, s = max(scores, key=lambda p: p[1])
     kind = "positive" if item["label"] else "negative"
     print(f"{kind} clip: peak score {s:.3f} at {t:.2f} s")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, nn, pretrain
+from . import dsp, nn
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -32,18 +32,25 @@ MASK_FRACTION = (0.25, 0.5)
 SHUFFLE_BLOCK_DIVISOR = 5
 
 
+def crop_duration_s(duration_s, shot_duration_s=float("inf")):
+    """Length of the audio crop the detector trains on for a curated
+    segment of ``duration_s``: at least MIN_CROP_S, or the whole shot
+    when the shot is shorter.  Its frame count is the scan window's."""
+    return max(duration_s, min(MIN_CROP_S, shot_duration_s))
+
+
 def _padded_sample_bounds(shot, onset_s, offset_s):
-    """Sample bounds for [onset, offset), widened symmetrically to at
-    least MIN_CROP_S and clipped to the shot.
+    """Sample bounds for [onset, offset), widened symmetrically to
+    ``crop_duration_s`` and clipped to the shot.
 
     This is not ``curation.embed_crop``, which widens at the end only,
-    to the pooled embedder's 0.5 s: the detector's training crops need
-    MIN_CROP_S, centred on the segment, with bounds rounded to samples.
+    to the pooled embedder's 0.5 s: the detector's training crops are
+    centred on the segment, with bounds rounded to samples.
     """
     sr = shot.sample_rate
     a = int(round(onset_s * sr))
     b = int(round(offset_s * sr))
-    need = int(MIN_CROP_S * sr)
+    need = int(crop_duration_s((b - a) / sr) * sr)
     if b - a < need:
         mid = (a + b) // 2
         a = max(0, mid - need // 2)
@@ -59,7 +66,6 @@ class EmbeddingSequence:
     frames: np.ndarray            # (T, E)
     label: int                    # 1 target, 0 nontarget
     provenance: str
-    frame_hop_s: float = pretrain.EMBED_HOP_S
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -80,7 +86,7 @@ def time_shift_augment(shot: dsp.Waveform, segment, n, rng, embed_fn):
     dur = segment.offset_s - segment.onset_s
     if dur > shot.duration_s + 1e-9:
         raise SeqshotError("segment longer than its shot")
-    dur = max(dur, min(MIN_CROP_S, shot.duration_s))
+    dur = crop_duration_s(dur, shot.duration_s)
     lo = max(0.0, segment.onset_s - ENLARGE_S / 2)
     hi = min(shot.duration_s, segment.onset_s + dur + ENLARGE_S / 2)
     max_start = max(lo, hi - dur)

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (augment, config, corpus, curation, detector, dsp, evaluate,
-               pretrain)
+from . import augment, config, corpus, detector, dsp, evaluate, pretrain
 from .errors import ConfigError, FormatError, SeqshotError
 
 log = logging.getLogger("seqshot")
@@ -47,7 +46,6 @@ def _detector_train_config(cfg):
     d = cfg["detector"]
     return detector.DetectorTrainConfig(
         epochs=d["epochs"], lr=d["lr"], weight_decay=d["weight_decay"],
-        seed=cfg["seed"],
         margin=detector.MarginConfig(gamma=d["gamma"],
                                      margin_weight=d["margin_weight"],
                                      bce_weight=d["bce_weight"]))
@@ -61,21 +59,22 @@ def _augment_config(cfg, have_delta):
         n_masked=a["n_masked"], n_shuffled=a["n_shuffled"])
 
 
-def _load_delta(args):
-    """(Δ-encoder, donor pairs) from ``--delta`` and ``--donors``, or
-    (None, []) without either.  The checkpoint is read first, so a bad
-    one reports as such; then one flag without the other is a usage
+def _pretrained_models(args):
+    """The frozen models: ``--weak``, ``--strong``, and ``--delta`` with
+    its ``--donors`` pairs or neither.  Checkpoints are read first, so a
+    bad one reports as such; then one of the last two alone is a usage
     error."""
+    weak = pretrain.WeakModel.load(args.weak)
+    strong = pretrain.StrongModel.load(args.strong)
     delta = augment.DeltaEncoder.load(args.delta) if args.delta else None
     if bool(args.delta) != bool(args.donors):
         raise ConfigError("--delta and --donors must be given together")
-    if delta is None:
-        return None, []
-    seqs = augment.load_train_set(args.donors)
-    if len(seqs) < 2:
+    seqs = augment.load_train_set(args.donors) if args.delta else []
+    if args.delta and len(seqs) < 2:
         raise SeqshotError("donor set needs at least one (clean, degraded) "
                            "pair")
-    return delta, [(seqs[i], seqs[i + 1]) for i in range(0, len(seqs) - 1, 2)]
+    pairs = [(seqs[i], seqs[i + 1]) for i in range(0, len(seqs) - 1, 2)]
+    return evaluate.PretrainedModels(weak, strong, delta, pairs)
 
 
 def _window_s(path):
@@ -183,33 +182,27 @@ def cmd_train_strong(args, cfg):
 def cmd_enroll(args, cfg):
     if not args.shots:
         raise ConfigError("enroll needs at least one shot")
-    weak = pretrain.WeakModel.load(args.weak)
-    strong = pretrain.StrongModel.load(args.strong)
-    delta, donors = _load_delta(args)
+    models = _pretrained_models(args)
     shots = [dsp.load_wav(p) for p in args.shots]
-    aligned, curation_report = curation.curate(
-        shots, lambda w: pretrain.embed_pooled(weak, w))
-    rng = np.random.default_rng(cfg["seed"])
-    train_set = augment.build_train_set(
-        shots, aligned,
-        lambda w: pretrain.embed_frames_normalized(strong, w),
-        delta, donors, _augment_config(cfg, delta is not None), rng)
-    net = detector.train_detector(train_set, _detector_train_config(cfg))
+    enrolled = evaluate.enroll(shots, models, [cfg["seed"]],
+                               _augment_config(cfg, models.delta is not None),
+                               _detector_train_config(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net.save(out / "detector.ckpt")
-    window_s = aligned[0].duration_s
+    enrolled.detectors[0].save(out / "detector.ckpt")
     enrollment = {
-        "window_s": window_s,
-        "segments": [[s.shot_id, s.onset_s, s.offset_s] for s in aligned],
-        "curation": curation_report,
-        "train_items": len(train_set),
+        "window_s": enrolled.window_s,
+        "segments": [[s.shot_id, s.onset_s, s.offset_s]
+                     for s in enrolled.segments],
+        "curation": enrolled.curation_report,
+        "train_items": enrolled.train_items[0],
     }
     (out / "enrollment.json").write_text(
         json.dumps(enrollment, indent=1, sort_keys=True) + "\n")
     _emit({"detector": str(out / "detector.ckpt"),
            "enrollment": str(out / "enrollment.json"),
-           "window_s": window_s, "train_items": len(train_set)})
+           "window_s": enrolled.window_s,
+           "train_items": enrolled.train_items[0]})
 
 
 def cmd_detect(args, cfg):
@@ -227,12 +220,8 @@ def cmd_detect(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    weak = pretrain.WeakModel.load(args.weak)
-    strong = pretrain.StrongModel.load(args.strong)
-    delta, donors = _load_delta(args)
-    models = evaluate.PretrainedModels(weak=weak, strong=strong, delta=delta,
-                                       donor_pairs=donors)
-    aug_cfg = _augment_config(cfg, delta is not None)
+    models = _pretrained_models(args)
+    aug_cfg = _augment_config(cfg, models.delta is not None)
     results = []
     for ep_dir in args.episodes:
         descriptor = Path(ep_dir) / "episode.json"

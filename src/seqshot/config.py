@@ -48,7 +48,6 @@ DEFAULTS = {
         "gamma": 1.0,
         "margin_weight": 1.0,
         "bce_weight": 0.1,
-        "proj_dim": 32,
     },
     "evaluate": {
         "reps": 10,

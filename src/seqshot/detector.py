@@ -19,8 +19,6 @@ from .errors import (
     ShapeError,
 )
 
-EMBED_HOP_S = pretrain.EMBED_HOP_S
-
 
 @dataclass
 class DetectorConfig:
@@ -243,7 +241,8 @@ def stream_scores(net: DetectorNet, frames, n_win_frames, batch_size=256):
         chunk = starts[b0: b0 + batch_size]
         x = np.stack([frames[s: s + n_win_frames].T for s in chunk])
         scores = net.score(x)
-        out.extend((s * EMBED_HOP_S, float(v)) for s, v in zip(chunk, scores))
+        out.extend((s * pretrain.EMBED_HOP_S, float(v))
+                   for s, v in zip(chunk, scores))
     return out
 
 
@@ -251,9 +250,9 @@ def detect_stream(net: DetectorNet, strong_model, w, window_s,
                   batch_size=256):
     """Score a long recording with a sliding window.
 
-    The audio is embedded once; windows of the enrollment frame count
-    slide at one-frame (320 ms) hops.  Returns a list of
-    (start_time_s, score) pairs.
+    The audio is embedded once; windows of the scan window's frame count
+    (``window_s`` from enrollment) slide at one-frame (320 ms) hops.
+    Returns a list of (start_time_s, score) pairs.
     """
     frames = pretrain.embed_frames_normalized(strong_model, w)  # (T', E)
     n_win_frames = max(1, window_frame_count(window_s))
@@ -266,9 +265,3 @@ def clip_score_from_frames(net: DetectorNet, frames, n_win_frames):
         return float(net.score(frames.T[None])[0])
     return max(v for _, v in stream_scores(net, frames, n_win_frames))
 
-
-def clip_score(net: DetectorNet, strong_model, w, window_s):
-    """Max sliding-window score of a waveform."""
-    frames = pretrain.embed_frames_normalized(strong_model, w)
-    return clip_score_from_frames(net, frames,
-                                  max(1, window_frame_count(window_s)))

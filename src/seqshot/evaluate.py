@@ -10,7 +10,7 @@ reads evaluation audio while training.
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,6 @@ def difficulty_index(target_centroid, negative_embeddings):
 class EvalItem:
     wav: str
     label: int
-    field_: str
 
 
 class Episode:
@@ -124,7 +123,7 @@ class Episode:
         desc = json.loads(descriptor_path.read_text())
         self.root = descriptor_path.parent
         self.enrollment_wavs = [e["wav"] for e in desc["enrollment"]]
-        self.eval_items = [EvalItem(e["wav"], int(e["label"]), e["field"])
+        self.eval_items = [EvalItem(e["wav"], int(e["label"]))
                            for e in desc["eval"]]
         self.target_duration_s = float(desc.get("target_duration_s", 0.0))
         self.phase = "train"
@@ -167,49 +166,66 @@ class EpisodeResult:
     audit: list = field(default_factory=list)
 
 
+@dataclass
+class Enrollment:
+    """One target enrolled from K shots."""
+    segments: list                # curated, aligned: one Segment per shot
+    curation_report: dict
+    window_s: float               # the scan window: the crop trained on
+    detectors: list               # one DetectorNet per seed
+    train_items: list             # train-set size per seed
+
+
+def enroll(shots, models: PretrainedModels, seeds,
+           augment_config: augment.AugmentConfig = None,
+           train_config: detector.DetectorTrainConfig = None,
+           curation_config: curation.CurationConfig = None):
+    """Curate the shots once, then per seed ``s`` build a train set with
+    ``default_rng(s)`` and train a detector with seed ``s``.  The scan
+    window is the training crops' length, ``augment.crop_duration_s`` of
+    the curated window."""
+    aug_cfg = augment_config or augment.AugmentConfig()
+    train_cfg = train_config or detector.DetectorTrainConfig()
+    segments, report = curation.curate(
+        shots, lambda w: pretrain.embed_pooled(models.weak, w),
+        curation_config)
+    window_s = augment.crop_duration_s(segments[0].duration_s,
+                                       min(w.duration_s for w in shots))
+    detectors, train_items = [], []
+    for s in seeds:
+        train_set = augment.build_train_set(
+            shots, segments,
+            lambda w: pretrain.embed_frames_normalized(models.strong, w),
+            models.delta, models.donor_pairs, aug_cfg,
+            np.random.default_rng(s))
+        detectors.append(detector.train_detector(
+            train_set, replace(train_cfg, seed=s)))
+        train_items.append(len(train_set))
+    return Enrollment(segments, report, window_s, detectors, train_items)
+
+
 def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
                 augment_config: augment.AugmentConfig = None,
                 train_config: detector.DetectorTrainConfig = None,
                 curation_config: curation.CurationConfig = None):
     """Run the full protocol on one episode.
 
-    Training phase: curate the enrollment shots, expand them into a
-    training set, fit the detector — repeated ``reps`` times with fresh
-    augmentation/training seeds.  Eval phase: embed every held-out clip
-    once, score with the detector (max over sliding windows) and with
-    the weak-label cosine baseline.  Reports median-over-reps AUPRC.
+    Training phase: ``enroll`` from the enrollment shots, one detector
+    per rep, rep ``r`` seeded ``seed * 10007 + r``.  Eval phase: embed
+    every held-out clip once, score with each detector (max over
+    sliding windows of the scan window) and with the weak-label cosine
+    baseline.  Reports median-over-reps AUPRC.
     """
-    aug_cfg = augment_config or augment.AugmentConfig()
-    base_train_cfg = train_config or detector.DetectorTrainConfig()
-
     episode.set_phase("train")
     shots = [episode.load_enrollment(i)
              for i in range(len(episode.enrollment_wavs))]
-    aligned, _ = curation.curate(
-        shots, lambda w: pretrain.embed_pooled(models.weak, w),
-        curation_config)
-    window_s = aligned[0].duration_s
-    # training crops are padded up to the embedder minimum, so the eval
-    # window must be too
-    n_win_frames = max(1, detector.window_frame_count(
-        max(window_s, augment.MIN_CROP_S)))
+    enrolled = enroll(shots, models,
+                      [seed * 10007 + rep for rep in range(reps)],
+                      augment_config, train_config, curation_config)
+    n_win_frames = detector.window_frame_count(enrolled.window_s)
     centroid = np.mean([
         pretrain.embed_pooled(models.weak, curation.embed_crop(shot, seg))
-        for shot, seg in zip(shots, aligned)], axis=0)
-
-    nets = []
-    for rep in range(reps):
-        rng = np.random.default_rng(seed * 10007 + rep)
-        train_set = augment.build_train_set(
-            shots, aligned,
-            lambda w: pretrain.embed_frames_normalized(models.strong, w),
-            models.delta, models.donor_pairs, aug_cfg, rng)
-        cfg = detector.DetectorTrainConfig(
-            epochs=base_train_cfg.epochs, lr=base_train_cfg.lr,
-            weight_decay=base_train_cfg.weight_decay,
-            batch_size=base_train_cfg.batch_size,
-            seed=seed * 10007 + rep, margin=base_train_cfg.margin)
-        nets.append(detector.train_detector(train_set, cfg))
+        for shot, seg in zip(shots, enrolled.segments)], axis=0)
 
     episode.set_phase("eval")
     labels = episode.labels
@@ -220,7 +236,7 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
         eval_pooled.append(pretrain.embed_pooled(models.weak, w))
 
     psl_per_rep = []
-    for net in nets:
+    for net in enrolled.detectors:
         scores = np.array([detector.clip_score_from_frames(net, f,
                                                            n_win_frames)
                            for f in eval_frames])
@@ -235,7 +251,7 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
         wl_auprc=wl,
         psl_per_rep=psl_per_rep,
         difficulty=difficulty_index(centroid, neg_pooled),
-        target_duration_s=window_s,
+        target_duration_s=enrolled.segments[0].duration_s,
         n_pos=int((labels == 1).sum()),
         n_neg=int((labels == 0).sum()),
         audit=list(episode.audit),

@@ -17,7 +17,6 @@ from .layers import (
     Conv1d,
     Conv2d,
     ReLU,
-    Sigmoid,
     MeanOverTime,
     MeanOverFreq,
     GlobalChannelPool,
@@ -33,7 +32,6 @@ __all__ = [
     "Conv1d",
     "Conv2d",
     "ReLU",
-    "Sigmoid",
     "MeanOverTime",
     "MeanOverFreq",
     "GlobalChannelPool",

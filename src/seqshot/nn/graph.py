@@ -31,12 +31,6 @@ class Graph:
         self.layers = list(layers)
         self.version = 0
 
-    def __getitem__(self, name):
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
     def forward(self, x):
         caches = []
         h = x

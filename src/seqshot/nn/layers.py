@@ -204,16 +204,6 @@ class ReLU(Layer):
         return dy * (cache > 0)
 
 
-class Sigmoid(Layer):
-    def forward(self, x):
-        y = 1.0 / (1.0 + np.exp(-x))
-        return y, y
-
-    def backward(self, cache, dy):
-        y = cache
-        return dy * y * (1.0 - y)
-
-
 class MeanOverTime(Layer):
     """(B, C, T) -> (B, C)."""
 

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 
+from ..errors import FormatError
+
 # calls go through the package, so a wrapper set on ``nn`` (a profiler,
 # say) sees every optimizer step and checkpoint read or write
 from .. import nn
@@ -16,11 +18,21 @@ def _encode(value):
                                     dtype=np.float64))
 
 
-def _decode(arr, as_tuple):
-    if as_tuple:
-        return tuple(int(v) for v in arr)
-    v = int(arr[0])
-    return None if v < 0 else v
+def _decode(name, arr, as_tuple, nullable):
+    """A stored meta field back as its value.  Raises FormatError unless
+    it holds whole numbers >= 0, at least one, and exactly one for a
+    field that is not a tuple; -1 reads as None where ``nullable``."""
+    values = arr.reshape(-1)
+    if values.size == 0 or (not as_tuple and values.size != 1):
+        raise FormatError(f"meta/{name} holds {values.size} values")
+    if nullable and values[0] == -1:
+        return None
+    if not np.all(np.isfinite(values) & (values >= 0)
+                  & (values == np.floor(values))):
+        raise FormatError(f"meta/{name} {values.tolist()} is negative or "
+                          f"not whole")
+    ints = tuple(int(v) for v in values)
+    return ints if as_tuple else ints[0]
 
 
 class Module:
@@ -29,10 +41,11 @@ class Module:
     Subclasses set ``KIND`` (the checkpoint kind), ``CONFIG`` (the config
     class) and ``META`` (the fields stored as ``meta/<field>``, in file
     order; those in ``OPTIONAL_META`` may be missing from a checkpoint
-    and then take the config's default), and pass their graphs, in file
-    order, to ``__init__``, which makes each an attribute.  Parameters
-    are named ``<graph>/<layer>/<param>``; a module of one graph leaves
-    the graph name out.
+    and then take the config's default, those in ``NULLABLE_META`` may
+    be None), and pass their graphs, in file order, to ``__init__``,
+    which makes each an attribute.  Parameters are named
+    ``<graph>/<layer>/<param>``; a module of one graph leaves the graph
+    name out.
 
     ``forward``/``backward`` chain the graphs in order; a module whose
     graphs are not a chain overrides both.
@@ -42,6 +55,7 @@ class Module:
     CONFIG = None
     META = ()
     OPTIONAL_META = ()
+    NULLABLE_META = ()
 
     def __init__(self, config, **graphs):
         self.config = config
@@ -113,7 +127,8 @@ class Module:
 
         def build(meta):
             return cls.from_meta({
-                f: _decode(meta[f"meta/{f}"], f in tuples)
+                f: _decode(f, meta[f"meta/{f}"], f in tuples,
+                           f in cls.NULLABLE_META)
                 for f in cls.META if f"meta/{f}" in meta})
         required = tuple(f"meta/{f}" for f in cls.META
                          if f not in cls.OPTIONAL_META)

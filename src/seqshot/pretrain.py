@@ -145,6 +145,7 @@ class _Embedder(nn.Module):
     META = ("n_classes", "channels", "head_hidden", "embed_dim", "embed_tap")
     # checkpoints written before embed_tap existed load with the default tap
     OPTIONAL_META = ("embed_tap",)
+    NULLABLE_META = ("embed_tap",)
 
 
 class WeakModel(_Embedder):
@@ -389,9 +390,6 @@ def distill(teacher, student_config: ModelConfig, records, config: TrainConfig,
 @dataclass
 class PseudoStrongLabels:
     labels: np.ndarray            # (windows, classes) uint8
-    window_hop_s: float = PSEUDO_HOP_S
-    window_len_s: float = PSEUDO_WIN_S
-    threshold: float = PSEUDO_THRESHOLD
 
 
 def pseudo_label(model: WeakModel, w: dsp.Waveform, batch_size=128):

@@ -71,8 +71,6 @@ def _layer_case(name, rng):
         x = rng.normal(size=(b, 6))
         x[np.abs(x) < 0.05] = 0.1          # stay clear of the kink
         return nn.ReLU("r"), x
-    if name == "sigmoid":
-        return nn.Sigmoid("s"), rng.normal(size=(b, 6))
     if name == "mean_time":
         return nn.MeanOverTime("p"), rng.normal(size=(b, 3, 7))
     if name == "mean_freq":
@@ -80,8 +78,8 @@ def _layer_case(name, rng):
     return nn.GlobalChannelPool("p"), rng.normal(size=(b, 3, 5, 4))
 
 
-LAYER_KINDS = ("linear", "conv1d", "conv2d", "relu", "sigmoid",
-               "mean_time", "mean_freq", "channel_pool")
+LAYER_KINDS = ("linear", "conv1d", "conv2d", "relu", "mean_time",
+               "mean_freq", "channel_pool")
 
 
 def test_every_layer_matches_finite_differences_100_cases():

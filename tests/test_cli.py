@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from seqshot import augment, cli, corpus, detector, dsp, nn, pretrain
+from seqshot import (augment, cli, corpus, curation, detector, dsp, nn,
+                     pretrain)
 
 TINY_MODEL = [
     "--set", "model.channels=[4,6,8,10,12]",
@@ -127,6 +128,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_unused_detector_proj_dim_key_is_usage_error(tmp_path, capsys):
+    # the detector's projection width is not configurable from the CLI
+    code, _ = run(capsys, ["--set", "detector.proj_dim=8", "synth-corpus",
+                           "--out", str(tmp_path / "d")])
+    assert code == 2
+
+
 def test_missing_data_file_is_runtime_error(tmp_path, capsys):
     code, _ = run(capsys, ["pretrain", "--data",
                            str(tmp_path / "absent.jsonl"),
@@ -202,6 +210,73 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
     _corrupt(paths[model], fault)
     code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("meta/n_classes", np.zeros(0)),
+    ("meta/channels", np.array([4, -6, 8, 10, 12])),
+    ("meta/head_hidden", np.array([16, 16])),
+    ("meta/embed_dim", np.array([8.5])),
+    ("meta/embed_tap", np.array([-2])),
+], ids=["empty", "negative_entry", "two_values", "not_integer",
+        "negative_not_none"])
+def test_malformed_meta_value_is_runtime_error(tmp_path, capsys, key,
+                                               value):
+    paths = _write_models(tmp_path)
+    kind, tensors = nn.read_checkpoint(paths["weak"])
+    tensors[key] = value
+    nn.write_checkpoint(paths["weak"], kind, tensors)
+    code, out = run(capsys, _argv("weak", paths, tmp_path))
+    assert code == 1 and out is None
+
+
+# -- the scan window is the window trained on -----------------------------------
+
+@pytest.mark.parametrize("curated_s", [0.36, 0.76, 1.0])
+def test_detect_scans_the_trained_window(tmp_path, capsys, monkeypatch,
+                                         curated_s):
+    paths = _write_models(tmp_path)
+    rng = np.random.default_rng(0)
+    shots = []
+    for k in range(2):
+        shots.append(str(tmp_path / f"shot{k}.wav"))
+        dsp.write_wav(shots[-1], dsp.Waveform(
+            0.1 * rng.standard_normal(4 * 16000)))
+    recording = dsp.Waveform(0.1 * rng.standard_normal(6 * 16000))
+    dsp.write_wav(tmp_path / "rec.wav", recording)
+    # curation of random-weight models is arbitrary: fix the window
+    segments = [curation.Segment(k, 1.23, 1.23 + curated_s)
+                for k in range(2)]
+    monkeypatch.setattr(curation, "curate",
+                        lambda shots, embed_fn, config=None: (segments, {}))
+    trained = []
+    train_detector = detector.train_detector
+
+    def spy(train_set, config=None):
+        trained.extend(s.frames.shape[0] for s in train_set)
+        return train_detector(train_set, config)
+    monkeypatch.setattr(detector, "train_detector", spy)
+
+    code, out = run(capsys, ["--set", "detector.epochs=1",
+                             "--set", "augment.n_time_shift=2",
+                             "--set", "augment.n_masked=1",
+                             "--set", "augment.n_shuffled=1",
+                             "enroll", "--shots", *shots,
+                             "--weak", str(paths["weak"]),
+                             "--strong", str(paths["strong"]),
+                             "--out", str(tmp_path / "e")])
+    assert code == 0
+    t = trained[0]
+    assert set(trained) == {t} and t >= 4
+    enrolled = tmp_path / "e"
+    code, out = run(capsys, ["detect", "--recording", str(tmp_path / "rec.wav"),
+                             "--detector", str(enrolled / "detector.ckpt"),
+                             "--strong", str(paths["strong"]),
+                             "--enrollment", str(enrolled / "enrollment.json")])
+    assert code == 0
+    strong = pretrain.StrongModel.load(paths["strong"])
+    n_frames = pretrain.embed_frames(strong, recording).shape[0]
+    assert out["n_windows"] == n_frames - t + 1
 
 
 # -- malformed enrollment and half-given Δ-encoder flags -------------------------

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from seqshot import augment, corpus, detector, evaluate, pretrain
+from seqshot import (augment, corpus, curation, detector, dsp, evaluate,
+                     pretrain)
 from seqshot.errors import DegenerateInputError, EmptyInputError
 
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
@@ -183,3 +184,34 @@ def test_run_episode_structure_and_audit(small_episode, tiny_models):
     # every eval clip is read exactly once (embeddings are cached)
     eval_reads = [i for phase, kind, i in result.audit if kind == "eval"]
     assert sorted(eval_reads) == list(range(12))
+
+
+@pytest.mark.parametrize("curated_s", [0.36, 0.76, 1.0, 1.52, 3.6])
+def test_enroll_window_is_every_train_item_frame_count(tiny_models,
+                                                       monkeypatch,
+                                                       curated_s):
+    rng = np.random.default_rng(3)
+    shots = [dsp.Waveform(0.1 * rng.standard_normal(8 * 16000))
+             for _ in range(2)]
+    segments = [curation.Segment(k, 2.07 + k, 2.07 + k + curated_s)
+                for k in range(2)]
+    monkeypatch.setattr(curation, "curate",
+                        lambda shots, embed_fn, config=None: (segments, {}))
+    trained = []
+    train_detector = detector.train_detector
+
+    def spy(train_set, config=None):
+        trained.extend(s.frames.shape[0] for s in train_set)
+        return train_detector(train_set, config)
+    monkeypatch.setattr(detector, "train_detector", spy)
+
+    aug = augment.AugmentConfig(n_time_shift=3, n_delta=1, n_masked=1,
+                                n_shuffled=1)
+    enrolled = evaluate.enroll(shots, tiny_models, [4, 5], aug,
+                               detector.DetectorTrainConfig(epochs=1))
+    assert enrolled.segments == segments
+    assert len(enrolled.detectors) == 2
+    assert enrolled.train_items == [2 * 7, 2 * 7]
+    assert len(trained) == 2 * 2 * 7
+    assert set(trained) == {detector.window_frame_count(enrolled.window_s)}
+    assert enrolled.window_s == max(curated_s, augment.MIN_CROP_S)

@@ -204,11 +204,6 @@ def test_gradcheck_relu(rng):
     run_layer_gradcheck(nn.ReLU("r"), x, rng, check_params=False)
 
 
-def test_gradcheck_sigmoid(rng):
-    run_layer_gradcheck(nn.Sigmoid("s"), rng.normal(size=(2, 6)), rng,
-                        check_params=False)
-
-
 @pytest.mark.parametrize("layer_cls,shape", [
     (nn.MeanOverTime, (2, 3, 7)),
     (nn.MeanOverFreq, (2, 3, 5, 4)),
