@@ -156,6 +156,12 @@ class DeltaEncoder(nn.Module):
     def from_meta(cls, fields):
         return cls(fields.pop("embed_dim"), DeltaConfig(**fields))
 
+    @classmethod
+    def stored_sizes(cls, shapes):
+        return {"embed_dim": shapes["decoder/dec2/W"][1],
+                "z_dim": shapes["encoder/enc2/W"][1],
+                "hidden": shapes["encoder/enc1/W"][1]}
+
     def forward(self, clean, degraded, base):
         """Dec(base || Enc(clean || degraded)), per frame; (out, cache)."""
         z, enc_cache = self.encoder.forward(np.hstack([clean, degraded]))
@@ -166,7 +172,7 @@ class DeltaEncoder(nn.Module):
         enc_cache, dec_cache = cache
         d_in = self.decoder.backward(dec_cache, dy, features=False).dx
         self.encoder.backward(enc_cache, d_in[:, self.embed_dim:],
-                              features=False)
+                              features=False, input_grad=False)
 
     def apply(self, base, clean, degraded):
         return self.forward(clean, degraded, base)[0]

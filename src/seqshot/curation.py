@@ -203,6 +203,21 @@ def _frame_span(seg: Segment):
     return a, b
 
 
+def _window_correlation(frames, t_e, ex0, ex_norm):
+    """Pearson correlation of every T_e-frame window of ``frames`` with
+    the centred exemplar ``ex0``.  The flattened windows are a view of
+    ``frames``, so the centred copy is the only window-sized array: the
+    row norms square 8 rows at a time (``np.linalg.norm`` of all rows
+    makes two more), and the copy is freed on return, before the next
+    shot's windows are made."""
+    flat = np.lib.stride_tricks.sliding_window_view(
+        frames.reshape(-1), t_e * frames.shape[1])[::frames.shape[1]]
+    flat0 = flat - flat.mean(axis=1, keepdims=True)
+    norms = np.concatenate([np.linalg.norm(flat0[i: i + 8], axis=1)
+                            for i in range(0, len(flat0), 8)])
+    return (flat0 @ ex0) / (norms * ex_norm + 1e-12)
+
+
 def align_to_exemplar(segments, shots):
     """Trim every segment to the exemplar (shortest) frame length at the
     max-correlation position; returns (aligned segments, scores).
@@ -225,13 +240,7 @@ def align_to_exemplar(segments, shots):
                                    b * dsp.FRAME_HOP_S))
             scores.append(1.0)
             continue
-        windows = np.lib.stride_tricks.sliding_window_view(
-            shot[a:b], (t_e, shot.shape[1])
-        )[:, 0]                                   # (n_pos, T_e, 64)
-        flat = windows.reshape(windows.shape[0], -1)
-        flat0 = flat - flat.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(flat0, axis=1)
-        corr = (flat0 @ ex0) / (norms * ex_norm + 1e-12)
+        corr = _window_correlation(shot[a:b], t_e, ex0, ex_norm)
         pos = int(np.argmax(corr))               # argmax takes the earliest tie
         aligned.append(Segment(seg.shot_id, (a + pos) * dsp.FRAME_HOP_S,
                                (a + pos + t_e) * dsp.FRAME_HOP_S))

@@ -11,6 +11,7 @@ gradients flow through the logit gap only.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from . import dsp, nn, pretrain
 from .errors import (
@@ -51,6 +52,15 @@ class DetectorNet(nn.Module):
         layers.append(nn.Linear(cfg.proj_dim, 2, "head", rng))
         super().__init__(cfg, graph=nn.Graph(layers))
 
+    @classmethod
+    def stored_sizes(cls, shapes):
+        convs = cls.numbered_shapes(shapes, "conv{}/W")
+        sizes = {"embed_dim": shapes["proj/W"][1],
+                 "proj_dim": shapes["proj/W"][0], "n_conv": len(convs)}
+        if convs:
+            sizes["kernel"] = convs[0][2]
+        return sizes
+
     def conv_layer_names(self):
         return [f"conv{i}" for i in range(self.config.n_conv)]
 
@@ -67,7 +77,7 @@ class DetectorNet(nn.Module):
     def score(self, x):
         """sigma(f_target - f_nontarget) per item, in (0, 1)."""
         logits = self.logits(x)
-        return 1.0 / (1.0 + np.exp(-(logits[:, 0] - logits[:, 1])))
+        return expit(logits[:, 0] - logits[:, 1])
 
 
 # -- normalized margin ----------------------------------------------------------
@@ -106,28 +116,36 @@ def margin_distance(net: DetectorNet, x, true_class, layer, eps=1e-6):
     """Normalized margin of one input at one feature map.
 
     (f_true - f_other) / (||d(f_true - f_other)/d feature||_F + eps);
-    invariant to rescaling of all layers above the feature map.
+    invariant to rescaling of all layers above the feature map.  Leaves
+    the net's parameter gradients untouched.
     """
     if x.ndim == 2:
         x = x[None]
     logits, (cache,) = net.forward(x)
     gap = float(logits[0, 0] - logits[0, 1]) * (1.0 if true_class == 1 else -1.0)
-    seeds = _gap_seeds([true_class])
-    net.graph.zero_grads()
-    result = net.graph.backward(cache, seeds)
+    result = net.graph.backward(cache, _gap_seeds([true_class]),
+                                param_grads=False)
     g = result.feature_grads[layer]
     return gap / (float(np.linalg.norm(g)) + eps)
 
 
 def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
                   frozen_norms=None):
-    """Margin + BCE loss over a batch; accumulates parameter gradients.
+    """Margin + BCE loss over a batch; sets the net's parameter gradients.
 
     Margin term: mean over items and feature maps of
     max(0, gamma - gap / (norm + eps)) with the norms held constant
     (optionally supplied via ``frozen_norms`` for finite-difference
     checks).  BCE term: on sigma(f_target - f_nontarget) against the
     labels.  Returns (loss, details dict).
+
+    One forward and one backward pass per step.  Items do not interact
+    and the norms are constants, so at every layer's output the loss
+    gradient of item b is a scalar c_b = dloss/dgap_b times the gradient
+    of its gap f_true - f_other.  One input-gradient pass seeded with the
+    gaps gives the norms and those gradients; the parameter gradients
+    then come from the gap gradients scaled by c_b.  The first layer's
+    input gradient is computed only when a norm needs it.
     """
     cfg = config or MarginConfig()
     labels = np.asarray(labels)
@@ -137,9 +155,10 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
     sign = np.where(labels == 1, 1.0, -1.0)
     gap = sign * gap_signed                           # f_true - f_other
 
+    probe = net.graph.backward(
+        cache, _gap_seeds(labels), param_grads=False,
+        input_grad=frozen_norms is None and "input" in layer_names)
     if frozen_norms is None:
-        net.graph.zero_grads()
-        probe = net.graph.backward(cache, _gap_seeds(labels))
         norms = _feature_norms(probe.feature_grads, layer_names)
     else:
         norms = frozen_norms
@@ -155,18 +174,22 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
                                        for n in layer_names])).sum(axis=0) \
         / hinge.size
 
-    p = 1.0 / (1.0 + np.exp(-gap_signed))
+    p = expit(gap_signed)
     y = (labels == 1).astype(np.float64)
     eps = 1e-12
     bce = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     dgap_signed_bce = (p - y) / b
 
     loss = cfg.margin_weight * margin_loss + cfg.bce_weight * bce
-    dgap_signed = cfg.margin_weight * sign * dgap_margin \
-        + cfg.bce_weight * dgap_signed_bce
-    dlogits = np.stack([dgap_signed, -dgap_signed], axis=1)
+    dgap = cfg.margin_weight * dgap_margin \
+        + cfg.bce_weight * sign * dgap_signed_bce    # c_b
+    output_grads = {}
+    for layer in net.graph.layers:
+        if layer.params:
+            g = probe.feature_grads[layer.name]
+            output_grads[layer.name] = dgap.reshape(-1, *[1] * (g.ndim - 1)) * g
     net.graph.zero_grads()
-    net.graph.backward(cache, dlogits)
+    net.graph.backward_params(cache, output_grads)
     details = {"margin_loss": margin_loss, "bce": bce, "gap": gap,
                "margins": margins, "norms": norms}
     return loss, details
@@ -204,7 +227,9 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
     if net_config is None:
         net_config = DetectorConfig(embed_dim=embed_dim, seed=cfg.seed)
     net = DetectorNet(net_config)
-    x_all = np.stack([s.frames.T for s in train_set])   # (N, E, T)
+    # (N, E, T) over (N, T, E) memory: batches index it without reordering,
+    # and the projection's im2col reads each frame as one row
+    x_all = np.stack([s.frames for s in train_set]).transpose(0, 2, 1)
     rng = np.random.default_rng(cfg.seed)
 
     def batches():
@@ -239,7 +264,8 @@ def stream_scores(net: DetectorNet, frames, n_win_frames, batch_size=256):
     out = []
     for b0 in range(0, len(starts), batch_size):
         chunk = starts[b0: b0 + batch_size]
-        x = np.stack([frames[s: s + n_win_frames].T for s in chunk])
+        x = np.stack([frames[s: s + n_win_frames]
+                      for s in chunk]).transpose(0, 2, 1)
         scores = net.score(x)
         out.extend((s * pretrain.EMBED_HOP_S, float(v))
                    for s, v in zip(chunk, scores))

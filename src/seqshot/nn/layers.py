@@ -1,13 +1,20 @@
 """Layer implementations.
 
 Each layer exposes ``forward(x) -> (y, cache)`` and
-``backward(cache, dy) -> dx``; parameter gradients accumulate into
-``layer.grads``.  Parameters are float64 in memory but initialized on a
-float32 grid so that freshly initialized graphs survive the f32 on-disk
-checkpoint format bit-exactly.
+``backward(cache, dy, input_grad=True, param_grads=True) -> dx``:
+parameter gradients accumulate into ``layer.grads`` unless
+``param_grads=False``, and ``input_grad=False`` skips dx (returns None).
+Parameters are float64 in memory but initialized on a float32 grid so
+that freshly initialized graphs survive the f32 on-disk checkpoint format
+bit-exactly.
+
+Convolutions are im2col GEMMs (``_Conv``): the input windows are copied
+once into a (positions, kernel * c_in) matrix, so the output, the weight
+gradient and the input gradient are one matmul each.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ShapeError
 
@@ -36,7 +43,7 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
         raise NotImplementedError
 
 
@@ -58,21 +65,106 @@ class Linear(Layer):
         y = x @ self.params["W"] + self.params["b"]
         return y, x
 
-    def backward(self, cache, dy):
-        x = cache
-        x2 = x.reshape(-1, self.n_in)
-        dy2 = dy.reshape(-1, self.n_out)
-        self.grads["W"] += x2.T @ dy2
-        self.grads["b"] += dy2.sum(axis=0)
-        return dy @ self.params["W"].T
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        if param_grads:
+            x2 = cache.reshape(-1, self.n_in)
+            dy2 = dy.reshape(-1, self.n_out)
+            self.grads["W"] += x2.T @ dy2
+            self.grads["b"] += dy2.sum(axis=0)
+        return dy @ self.params["W"].T if input_grad else None
 
 
-class Conv1d(Layer):
+class _Conv(Layer):
+    """Convolution over the trailing (spatial) axes of (B, C, *spatial)
+    as an im2col GEMM.  Subclasses set ``c_in``, ``c_out``, the ``W``
+    (c_out, c_in, *kernel) and ``b`` parameters, and ``_geometry()``:
+    per spatial axis the kernel, stride, dilation and (before, after)
+    zero padding.
+
+    The im2col matrix has one row per output position and columns
+    (kernel offsets..., c_in), read from a channels-last copy of the
+    input, so each window is whole channel vectors.  Outputs are
+    (B, C, *spatial) views of channels-last memory: the next layer's
+    im2col and the backward row view read them without reordering.
+    """
+
+    AXES = ()
+
+    def _w_rows(self):
+        """W as (c_out, kernel offsets... * c_in), the im2col column order."""
+        return np.moveaxis(self.params["W"], 1, -1).reshape(self.c_out, -1)
+
+    def forward(self, x):
+        if x.ndim != 2 + len(self.AXES) or x.shape[1] != self.c_in:
+            raise ShapeError(f"{self.name}: expected (B, {self.c_in}, "
+                             f"{', '.join(self.AXES)}), got {x.shape}")
+        kernel, stride, dilation, pads = self._geometry()
+        b, spatial = x.shape[0], x.shape[2:]
+        xp = np.moveaxis(x, 1, -1)                 # (B, *spatial, C_in)
+        if any(lo or hi for lo, hi in pads):
+            padded = np.zeros((b, *_padded(spatial, pads), self.c_in))
+            padded[_interior(spatial, pads)] = xp
+            xp = padded
+        out = tuple((n - (k - 1) * d - 1) // s + 1 for n, k, s, d
+                    in zip(xp.shape[1:-1], kernel, stride, dilation))
+        if min(out) < 1:
+            raise ShapeError(f"{self.name}: input {x.shape} too small for "
+                             f"kernel {kernel} (dilation {dilation})")
+        sb, *sx, sc = xp.strides
+        cols = as_strided(
+            xp, (b, *out, *kernel, self.c_in),
+            (sb, *(s * st for s, st in zip(stride, sx)),
+             *(d * st for d, st in zip(dilation, sx)), sc),
+        ).reshape(b * int(np.prod(out)), -1)
+        y = cols @ self._w_rows().T
+        y += self.params["b"]
+        return np.moveaxis(y.reshape(b, *out, self.c_out), -1, 1), \
+            (cols, x.shape)
+
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        """Weight and bias gradients (unless ``param_grads=False``) and
+        the input gradient (unless ``input_grad=False``): one GEMM each."""
+        cols, x_shape = cache
+        kernel, stride, dilation, pads = self._geometry()
+        out = dy.shape[2:]
+        dy2 = np.moveaxis(dy, 1, -1).reshape(-1, self.c_out)
+        if param_grads:
+            dw = (dy2.T @ cols).reshape(self.c_out, *kernel, self.c_in)
+            self.grads["W"] += np.moveaxis(dw, -1, 1)
+            self.grads["b"] += dy2.sum(axis=0)
+        if not input_grad:
+            return None
+        # col2im: each kernel offset adds its column block back onto the
+        # input positions it was read from
+        dwin = (dy2 @ self._w_rows()).reshape(x_shape[0], *out, *kernel,
+                                              self.c_in)
+        dxp = np.zeros((x_shape[0], *_padded(x_shape[2:], pads), self.c_in))
+        for offs in np.ndindex(*kernel):
+            read = tuple(slice(o * d, o * d + s * (n - 1) + 1, s)
+                         for o, d, s, n in zip(offs, dilation, stride, out))
+            dxp[(slice(None), *read)] += \
+                dwin[(slice(None),) * (1 + len(out)) + offs]
+        return np.moveaxis(dxp[_interior(x_shape[2:], pads)], -1, 1)
+
+
+def _padded(spatial, pads):
+    return tuple(n + lo + hi for n, (lo, hi) in zip(spatial, pads))
+
+
+def _interior(spatial, pads):
+    """Index of the unpadded input in a padded (B, *spatial, C) array."""
+    return (slice(None),
+            *(slice(lo, lo + n) for n, (lo, _) in zip(spatial, pads)))
+
+
+class Conv1d(_Conv):
     """1-d convolution on (batch, channels, time).
 
     ``causal=True`` left-pads by (kernel-1)*dilation zeros so output at
     time t depends only on inputs <= t.
     """
+
+    AXES = ("T",)
 
     def __init__(self, c_in, c_out, kernel, name, rng,
                  stride=1, dilation=1, causal=False, pad=0):
@@ -87,51 +179,16 @@ class Conv1d(Layer):
         self._register("W", he_uniform(rng, (c_out, c_in, kernel), c_in * kernel))
         self._register("b", np.zeros(c_out))
 
-    def _padding(self):
-        if self.causal:
-            return (self.kernel - 1) * self.dilation, 0
-        return self.pad, self.pad
-
-    def forward(self, x):
-        if x.ndim != 3 or x.shape[1] != self.c_in:
-            raise ShapeError(
-                f"{self.name}: expected (B, {self.c_in}, T), got {x.shape}"
-            )
-        pl, pr = self._padding()
-        xp = np.pad(x, ((0, 0), (0, 0), (pl, pr)))
-        eff_k = (self.kernel - 1) * self.dilation + 1
-        t_out = (xp.shape[2] - eff_k) // self.stride + 1
-        if t_out < 1:
-            raise ShapeError(
-                f"{self.name}: input time {x.shape[2]} too short for "
-                f"kernel {self.kernel} (dilation {self.dilation})"
-            )
-        span = self.stride * (t_out - 1) + 1
-        cols = np.stack(
-            [xp[:, :, j * self.dilation: j * self.dilation + span: self.stride]
-             for j in range(self.kernel)],
-            axis=2,
-        )  # (B, C_in, k, T_out)
-        y = np.einsum("oik,bikt->bot", self.params["W"], cols, optimize=True)
-        y += self.params["b"][:, None]
-        return y, (cols, x.shape)
-
-    def backward(self, cache, dy):
-        cols, x_shape = cache
-        self.grads["W"] += np.einsum("bot,bikt->oik", dy, cols, optimize=True)
-        self.grads["b"] += dy.sum(axis=(0, 2))
-        pl, pr = self._padding()
-        dxp = np.zeros((x_shape[0], x_shape[1], x_shape[2] + pl + pr))
-        t_out = dy.shape[2]
-        span = self.stride * (t_out - 1) + 1
-        for j in range(self.kernel):
-            dxp[:, :, j * self.dilation: j * self.dilation + span: self.stride] += \
-                np.einsum("oi,bot->bit", self.params["W"][:, :, j], dy, optimize=True)
-        return dxp[:, :, pl: dxp.shape[2] - pr] if (pl or pr) else dxp
+    def _geometry(self):
+        pads = ((self.kernel - 1) * self.dilation, 0) if self.causal \
+            else (self.pad, self.pad)
+        return (self.kernel,), (self.stride,), (self.dilation,), (pads,)
 
 
-class Conv2d(Layer):
+class Conv2d(_Conv):
     """2-d convolution on (batch, channels, time, freq)."""
+
+    AXES = ("T", "F")
 
     def __init__(self, c_in, c_out, kernel, name, rng, stride=(1, 1), pad=(0, 0)):
         super().__init__(name)
@@ -144,64 +201,16 @@ class Conv2d(Layer):
         self._register("W", he_uniform(rng, (c_out, c_in, kt, kf), c_in * kt * kf))
         self._register("b", np.zeros(c_out))
 
-    def forward(self, x):
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise ShapeError(
-                f"{self.name}: expected (B, {self.c_in}, T, F), got {x.shape}"
-            )
-        kt, kf = self.kernel
-        st, sf = self.stride
-        pt, pf = self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (pf, pf)))
-        t_out = (xp.shape[2] - kt) // st + 1
-        f_out = (xp.shape[3] - kf) // sf + 1
-        if t_out < 1 or f_out < 1:
-            raise ShapeError(
-                f"{self.name}: input {x.shape} too small for kernel {self.kernel}"
-            )
-        tspan = st * (t_out - 1) + 1
-        fspan = sf * (f_out - 1) + 1
-        cols = np.stack(
-            [xp[:, :, jt: jt + tspan: st, jf: jf + fspan: sf]
-             for jt in range(kt) for jf in range(kf)],
-            axis=2,
-        )  # (B, C_in, kt*kf, T_out, F_out)
-        w2 = self.params["W"].reshape(self.c_out, self.c_in, kt * kf)
-        y = np.einsum("oiq,biqtf->botf", w2, cols, optimize=True)
-        y += self.params["b"][:, None, None]
-        return y, (cols, x.shape)
-
-    def backward(self, cache, dy):
-        cols, x_shape = cache
-        kt, kf = self.kernel
-        st, sf = self.stride
-        pt, pf = self.pad
-        dw = np.einsum("botf,biqtf->oiq", dy, cols, optimize=True)
-        self.grads["W"] += dw.reshape(self.params["W"].shape)
-        self.grads["b"] += dy.sum(axis=(0, 2, 3))
-        dxp = np.zeros(
-            (x_shape[0], x_shape[1], x_shape[2] + 2 * pt, x_shape[3] + 2 * pf)
-        )
-        t_out, f_out = dy.shape[2], dy.shape[3]
-        tspan = st * (t_out - 1) + 1
-        fspan = sf * (f_out - 1) + 1
-        for jt in range(kt):
-            for jf in range(kf):
-                dxp[:, :, jt: jt + tspan: st, jf: jf + fspan: sf] += np.einsum(
-                    "oi,botf->bitf", self.params["W"][:, :, jt, jf], dy,
-                    optimize=True,
-                )
-        if pt or pf:
-            return dxp[:, :, pt: dxp.shape[2] - pt or None, pf: dxp.shape[3] - pf or None]
-        return dxp
+    def _geometry(self):
+        return self.kernel, self.stride, (1, 1), tuple((p, p) for p in self.pad)
 
 
 class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
-    def backward(self, cache, dy):
-        return dy * (cache > 0)
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        return dy * (cache > 0) if input_grad else None
 
 
 class MeanOverTime(Layer):
@@ -212,7 +221,9 @@ class MeanOverTime(Layer):
             raise ShapeError(f"{self.name}: expected (B, C, T), got {x.shape}")
         return x.mean(axis=2), x.shape
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        if not input_grad:
+            return None
         b, c, t = cache
         return np.broadcast_to(dy[:, :, None] / t, (b, c, t)).copy()
 
@@ -225,7 +236,9 @@ class MeanOverFreq(Layer):
             raise ShapeError(f"{self.name}: expected (B, C, T, F), got {x.shape}")
         return x.mean(axis=3), x.shape
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        if not input_grad:
+            return None
         b, c, t, f = cache
         return np.broadcast_to(dy[:, :, :, None] / f, (b, c, t, f)).copy()
 
@@ -238,6 +251,8 @@ class GlobalChannelPool(Layer):
             raise ShapeError(f"{self.name}: expected (B, C, T, F), got {x.shape}")
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        if not input_grad:
+            return None
         b, c, t, f = cache
         return np.broadcast_to(dy[:, :, None, None] / (t * f), (b, c, t, f)).copy()

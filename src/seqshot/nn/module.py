@@ -49,6 +49,9 @@ class Module:
 
     ``forward``/``backward`` chain the graphs in order; a module whose
     graphs are not a chain overrides both.
+
+    ``stored_sizes`` says which ``META`` sizes the stored tensors fix;
+    ``load`` compares them before it builds (allocates) anything.
     """
 
     KIND = None
@@ -72,14 +75,16 @@ class Module:
         return x, caches
 
     def backward(self, cache, dy):
-        """Accumulate parameter gradients; returns the input gradient.
+        """Accumulate parameter gradients.
 
-        No per-layer output gradient is kept (``features=False``).
+        The first graph's input gradient (the gradient at the model's
+        input) is not computed: no caller reads it.  No per-layer output
+        gradient is kept (``features=False``).
         """
-        for graph, c in zip(reversed(list(self.graphs.values())),
-                            reversed(cache)):
-            dy = graph.backward(c, dy, features=False).dx
-        return dy
+        graphs = list(self.graphs.values())
+        for i in reversed(range(len(graphs))):
+            dy = graphs[i].backward(cache[i], dy, features=False,
+                                    input_grad=i > 0).dx
 
     # -- parameters ------------------------------------------------------------
 
@@ -115,25 +120,60 @@ class Module:
         """A fresh module from the decoded ``meta/`` fields."""
         return cls(cls.CONFIG(**fields))
 
+    @classmethod
+    def stored_sizes(cls, shapes):
+        """Field -> value of the ``META`` sizes that the parameter shapes
+        ``shapes`` (name -> shape) fix.  Raises KeyError for a tensor it
+        needs that is missing, IndexError for one of too low a rank."""
+        return {}
+
+    @staticmethod
+    def numbered_shapes(shapes, pattern):
+        """Shapes of ``pattern.format(0)``, ``pattern.format(1)``, ... up
+        to the first name ``shapes`` lacks."""
+        found = []
+        while pattern.format(len(found)) in shapes:
+            found.append(shapes[pattern.format(len(found))])
+        return found
+
     def save(self, path):
         meta = {f"meta/{k}": _encode(v) for k, v in self.meta().items()}
         nn.write_checkpoint(path, self.KIND, {**self.params(), **meta})
 
     @classmethod
     def load(cls, path):
-        """Load through ``nn.load_params``, which checks every tensor."""
+        """Load through ``nn.load_params``, which checks every tensor.
+
+        Every ``meta/`` size must equal what the stored tensors fix
+        (``stored_sizes``), or FormatError is raised before the module is
+        built, so a checkpoint cannot make the loader allocate more than
+        the tensors it holds.
+        """
         tuples = {f.name for f in dataclasses.fields(cls.CONFIG)
                   if f.type is tuple}
+        checkpoint = nn.read_checkpoint(path)
+        shapes = {k: v.shape for k, v in checkpoint[1].items()
+                  if not k.startswith("meta/")}
 
         def build(meta):
-            return cls.from_meta({
-                f: _decode(f, meta[f"meta/{f}"], f in tuples,
-                           f in cls.NULLABLE_META)
-                for f in cls.META if f"meta/{f}" in meta})
+            fields = {f: _decode(f, meta[f"meta/{f}"], f in tuples,
+                                 f in cls.NULLABLE_META)
+                      for f in cls.META if f"meta/{f}" in meta}
+            try:
+                stored = cls.stored_sizes(shapes)
+            except KeyError as e:
+                raise FormatError(f"checkpoint missing tensor {e}") from None
+            except IndexError:
+                raise FormatError("checkpoint tensor of too low a rank") \
+                    from None
+            for f, value in stored.items():
+                if f in fields and fields[f] != value:
+                    raise FormatError(f"meta/{f} {fields[f]} does not match "
+                                      f"the stored tensors ({value})")
+            return cls.from_meta(fields)
         required = tuple(f"meta/{f}" for f in cls.META
                          if f not in cls.OPTIONAL_META)
-        return nn.load_params(nn.read_checkpoint(path), cls.KIND, build,
-                              required)
+        return nn.load_params(checkpoint, cls.KIND, build, required)
 
 
 def fit(module, epochs, batches, step_loss, lr, weight_decay):

@@ -33,6 +33,9 @@ from .errors import (
 FRAMES_PER_EMBED = 32            # logmel frames per strong-embedding frame
 EMBED_HOP_S = FRAMES_PER_EMBED * dsp.FRAME_HOP_S   # 0.32
 MIN_EMBED_S = 0.5                # shortest audio the embedders take
+# Largest strong-embedding size train_strong builds: a student's
+# embed_dim is a stored meta/ field that none of its tensors fixes.
+MAX_EMBED_DIM = 4096
 
 PSEUDO_WIN_S = 0.5
 PSEUDO_HOP_S = 0.1
@@ -46,12 +49,16 @@ class ClipRecord:
     wav_path: Path = None
     labels: tuple = ()
     events: tuple = ()
-    _waveform: object = None
+    _waveform: object = None    # audio given at construction, kept as is
 
     def load(self):
-        if self._waveform is None:
-            self._waveform = dsp.load_wav(self.wav_path)
-        return self._waveform
+        """The clip's audio: the waveform given at construction, else a
+        fresh read of ``wav_path``.  The record keeps nothing it reads, so
+        records held after training pin no audio; a training run keeps
+        each clip it reads until it returns (``_training_plan``)."""
+        if self._waveform is not None:
+            return self._waveform
+        return dsp.load_wav(self.wav_path)
 
 
 def load_manifest(path):
@@ -147,6 +154,11 @@ class _Embedder(nn.Module):
     OPTIONAL_META = ("embed_tap",)
     NULLABLE_META = ("embed_tap",)
 
+    @classmethod
+    def _stored_channels(cls, shapes):
+        return tuple(s[0] for s in
+                     cls.numbered_shapes(shapes, "backbone/conv{}/W"))
+
 
 class WeakModel(_Embedder):
     """Weak-label multi-label classifier with a pooled embedding.
@@ -167,6 +179,12 @@ class WeakModel(_Embedder):
                 nn.ReLU("fc_relu"),
                 nn.Linear(config.head_hidden, config.n_classes, "fc2", rng),
             ]))
+
+    @classmethod
+    def stored_sizes(cls, shapes):
+        return {"channels": cls._stored_channels(shapes),
+                "head_hidden": shapes["head/fc1/W"][1],
+                "n_classes": shapes["head/fc2/W"][1]}
 
     def logits(self, x):
         return self.forward(x)[0]
@@ -198,6 +216,12 @@ class StrongModel(_Embedder):
                 nn.Conv1d(config.embed_dim, config.n_classes, kernel=1,
                           name="cls", rng=rng),
             ]))
+
+    @classmethod
+    def stored_sizes(cls, shapes):
+        return {"channels": cls._stored_channels(shapes),
+                "embed_dim": shapes["neck/neck/W"][0],
+                "n_classes": shapes["classifier/cls/W"][0]}
 
     def features(self, x):
         """Pre-classifier embedding frames: (B, embed_dim, T//32)."""
@@ -247,8 +271,12 @@ def _class_weights(records, n_classes):
     return w / w.sum()
 
 
-def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
+def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
+                   audio=None):
     """Load + augment a batch; returns (x (B,1,T,64), targets, meta).
+
+    ``audio`` maps a record index to the waveform already read for it;
+    clips this call reads are added to it.
 
     Per clip the draws are: playback rate and gain (with ``augment``),
     the crop offset, SpecAugment (with ``augment``); then mixup across
@@ -263,10 +291,13 @@ def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
     for per-frame label mapping in strong training.
     """
     n_crop = cfg.crop_frames
+    audio = {} if audio is None else audio
     feats, targs, meta = [], [], []
     for i in idxs:
         r = records[i]
-        w = r.load()
+        if i not in audio:
+            audio[i] = r.load()
+        w = audio[i]
         rate = 1.0
         if cfg.augment:
             rate = float(rng.uniform(0.9, 1.1))
@@ -314,12 +345,15 @@ def _training_plan(records, n_classes, config, random_crop=True):
     """(batches, lr) for ``nn.fit``: each batch draws its clips with
     replacement, weighted by ``_class_weights``, and ``_prepare_batch``
     draws from the same RNG, seeded with ``config.seed``; the learning
-    rate follows the one-cycle schedule over the whole run."""
+    rate follows the one-cycle schedule over the whole run.  Each clip is
+    read once, on first draw, and kept until the batches are dropped at
+    the end of the run."""
     rng = np.random.default_rng(config.seed)
     weights = _class_weights(records, n_classes)
     steps_per_epoch = max(1, (len(records) + config.batch_size - 1)
                           // config.batch_size)
     total_steps = max(1, config.epochs * steps_per_epoch)
+    audio = {}
 
     def batches():
         for _ in range(steps_per_epoch):
@@ -327,7 +361,7 @@ def _training_plan(records, n_classes, config, random_crop=True):
                                                      len(records)),
                               replace=True, p=weights)
             yield _prepare_batch(records, idxs, n_classes, rng, config,
-                                 random_crop)
+                                 random_crop, audio)
 
     def lr(step):
         return nn.one_cycle_lr(step, total_steps, config.peak_lr,
@@ -472,6 +506,9 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
     """
     if len(pseudo_per_clip) != len(records):
         raise SeqshotError("pseudo labels missing for some clips")
+    if not 0 < student.config.embed_dim <= MAX_EMBED_DIM:
+        raise SeqshotError(f"student embed_dim {student.config.embed_dim} "
+                           f"is not in 1..{MAX_EMBED_DIM}")
     n_classes = student.config.n_classes
     model = StrongModel(replace(student.config, seed=config.seed))
     model.init_backbone_from(student)

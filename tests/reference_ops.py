@@ -1,0 +1,132 @@
+"""Reference implementations the fast paths are checked against.
+
+``EinsumConv1d``/``EinsumConv2d`` are the convolutions as ``np.stack``
+im2col plus ``einsum``, and ``two_pass_detector_loss`` is the detector
+step as one forward and two full backward passes (a probe pass for the
+norms, then a loss pass).  They are the definitions ``nn.Conv1d``,
+``nn.Conv2d`` and ``detector.detector_loss`` must agree with to rounding.
+"""
+
+import numpy as np
+
+from seqshot import detector, nn
+
+
+class EinsumConv1d(nn.Conv1d):
+    def _padding(self):
+        if self.causal:
+            return (self.kernel - 1) * self.dilation, 0
+        return self.pad, self.pad
+
+    def forward(self, x):
+        pl, pr = self._padding()
+        xp = np.pad(x, ((0, 0), (0, 0), (pl, pr)))
+        eff_k = (self.kernel - 1) * self.dilation + 1
+        t_out = (xp.shape[2] - eff_k) // self.stride + 1
+        span = self.stride * (t_out - 1) + 1
+        cols = np.stack(
+            [xp[:, :, j * self.dilation: j * self.dilation + span: self.stride]
+             for j in range(self.kernel)],
+            axis=2,
+        )  # (B, C_in, k, T_out)
+        y = np.einsum("oik,bikt->bot", self.params["W"], cols, optimize=True)
+        y += self.params["b"][:, None]
+        return y, (cols, x.shape)
+
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        cols, x_shape = cache
+        self.grads["W"] += np.einsum("bot,bikt->oik", dy, cols, optimize=True)
+        self.grads["b"] += dy.sum(axis=(0, 2))
+        pl, pr = self._padding()
+        dxp = np.zeros((x_shape[0], x_shape[1], x_shape[2] + pl + pr))
+        t_out = dy.shape[2]
+        span = self.stride * (t_out - 1) + 1
+        for j in range(self.kernel):
+            dxp[:, :, j * self.dilation: j * self.dilation + span: self.stride] += \
+                np.einsum("oi,bot->bit", self.params["W"][:, :, j], dy,
+                          optimize=True)
+        return dxp[:, :, pl: dxp.shape[2] - pr] if (pl or pr) else dxp
+
+
+class EinsumConv2d(nn.Conv2d):
+    def forward(self, x):
+        kt, kf = self.kernel
+        st, sf = self.stride
+        pt, pf = self.pad
+        xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (pf, pf)))
+        t_out = (xp.shape[2] - kt) // st + 1
+        f_out = (xp.shape[3] - kf) // sf + 1
+        tspan = st * (t_out - 1) + 1
+        fspan = sf * (f_out - 1) + 1
+        cols = np.stack(
+            [xp[:, :, jt: jt + tspan: st, jf: jf + fspan: sf]
+             for jt in range(kt) for jf in range(kf)],
+            axis=2,
+        )  # (B, C_in, kt*kf, T_out, F_out)
+        w2 = self.params["W"].reshape(self.c_out, self.c_in, kt * kf)
+        y = np.einsum("oiq,biqtf->botf", w2, cols, optimize=True)
+        y += self.params["b"][:, None, None]
+        return y, (cols, x.shape)
+
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        cols, x_shape = cache
+        kt, kf = self.kernel
+        st, sf = self.stride
+        pt, pf = self.pad
+        dw = np.einsum("botf,biqtf->oiq", dy, cols, optimize=True)
+        self.grads["W"] += dw.reshape(self.params["W"].shape)
+        self.grads["b"] += dy.sum(axis=(0, 2, 3))
+        dxp = np.zeros(
+            (x_shape[0], x_shape[1], x_shape[2] + 2 * pt, x_shape[3] + 2 * pf)
+        )
+        t_out, f_out = dy.shape[2], dy.shape[3]
+        tspan = st * (t_out - 1) + 1
+        fspan = sf * (f_out - 1) + 1
+        for jt in range(kt):
+            for jf in range(kf):
+                dxp[:, :, jt: jt + tspan: st, jf: jf + fspan: sf] += np.einsum(
+                    "oi,botf->bitf", self.params["W"][:, :, jt, jf], dy,
+                    optimize=True,
+                )
+        if pt or pf:
+            return dxp[:, :, pt: dxp.shape[2] - pt or None,
+                       pf: dxp.shape[3] - pf or None]
+        return dxp
+
+
+def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
+    """The detector step as a probe backward pass for the norms, then a
+    full backward pass of the loss; sets the parameter gradients."""
+    cfg = config or detector.MarginConfig()
+    labels = np.asarray(labels)
+    layer_names = cfg.layers(net)
+    logits, (cache,) = net.forward(x)
+    gap_signed = logits[:, 0] - logits[:, 1]
+    sign = np.where(labels == 1, 1.0, -1.0)
+    gap = sign * gap_signed
+    if frozen_norms is None:
+        net.graph.zero_grads()
+        probe = net.graph.backward(cache, detector._gap_seeds(labels))
+        norms = detector._feature_norms(probe.feature_grads, layer_names)
+    else:
+        norms = frozen_norms
+    b = len(labels)
+    margins = np.stack([gap / (norms[name] + cfg.eps) for name in layer_names])
+    hinge = np.maximum(0.0, cfg.gamma - margins)
+    margin_loss = float(hinge.mean())
+    active = (hinge > 0).astype(np.float64)
+    dgap_margin = -(active / np.stack([norms[n] + cfg.eps
+                                       for n in layer_names])).sum(axis=0) \
+        / hinge.size
+    p = 1.0 / (1.0 + np.exp(-gap_signed))
+    y = (labels == 1).astype(np.float64)
+    eps = 1e-12
+    bce = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
+    dgap_signed_bce = (p - y) / b
+    loss = cfg.margin_weight * margin_loss + cfg.bce_weight * bce
+    dgap_signed = cfg.margin_weight * sign * dgap_margin \
+        + cfg.bce_weight * dgap_signed_bce
+    net.graph.zero_grads()
+    net.graph.backward(cache, np.stack([dgap_signed, -dgap_signed], axis=1))
+    return loss, {"margin_loss": margin_loss, "bce": bce, "gap": gap,
+                  "margins": margins, "norms": norms}

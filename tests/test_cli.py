@@ -175,6 +175,10 @@ def _corrupt(path, fault):
         tensors["stray/W"] = np.zeros((2, 2))
     elif fault == "shape":
         tensors[param] = np.zeros(tensors[param].shape + (2,))
+    elif fault == "rank":       # every parameter loses its last dimension
+        for k in tensors:
+            if not k.startswith("meta/"):
+                tensors[k] = tensors[k][..., 0]
     else:   # the first meta tensor is one the loader needs
         del tensors[next(k for k in tensors if k.startswith("meta/"))]
     nn.write_checkpoint(path, kind, tensors)
@@ -186,6 +190,13 @@ def _argv(model, paths, root):
         (root / "empty.jsonl").write_text("")
         return ["pseudolabel", "--data", str(root / "empty.jsonl"),
                 "--model", str(paths["weak"]), "--out", str(root / "o")]
+    if model == "student":
+        (root / "empty.jsonl").write_text("")
+        (root / "pseudo").mkdir()
+        (root / "pseudo" / "pseudo_manifest.jsonl").write_text("")
+        return ["train-strong", "--data", str(root / "empty.jsonl"),
+                "--student", str(paths["weak"]),
+                "--pseudo", str(root / "pseudo"), "--out", str(root / "o")]
     if model == "delta":
         return ["enroll", "--shots", str(root / "shot.wav"),
                 "--weak", str(paths["weak"]), "--strong", str(paths["strong"]),
@@ -202,7 +213,7 @@ def _argv(model, paths, root):
 
 
 @pytest.mark.parametrize("fault", ["missing_tensor", "unknown_tensor",
-                                   "shape", "missing_meta"])
+                                   "shape", "rank", "missing_meta"])
 @pytest.mark.parametrize("model", ["weak", "strong", "delta", "detector"])
 def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
                                                fault):
@@ -227,6 +238,27 @@ def test_malformed_meta_value_is_runtime_error(tmp_path, capsys, key,
     tensors[key] = value
     nn.write_checkpoint(paths["weak"], kind, tensors)
     code, out = run(capsys, _argv("weak", paths, tmp_path))
+    assert code == 1 and out is None
+
+
+@pytest.mark.parametrize("model, key", [
+    ("weak", "head_hidden"),
+    ("strong", "embed_dim"),
+    ("delta", "hidden"),
+    ("detector", "proj_dim"),
+    ("detector", "n_conv"),
+    ("student", "embed_dim"),
+])
+def test_huge_meta_size_is_runtime_error(tmp_path, capsys, model, key):
+    # sizes are checked against the stored tensors before any allocation;
+    # a weak model's embed_dim, which no tensor fixes, when train-strong
+    # builds the strong model from it
+    paths = _write_models(tmp_path)
+    path = paths["weak" if model == "student" else model]
+    kind, tensors = nn.read_checkpoint(path)
+    tensors[f"meta/{key}"] = np.array([1e15])
+    nn.write_checkpoint(path, kind, tensors)
+    code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
 
 

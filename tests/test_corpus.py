@@ -86,7 +86,8 @@ def test_pretrain_dataset(tmp_path):
     cfg = corpus.PretrainConfig(n_classes=4, clips_per_class=3,
                                 clip_duration_s=6.0, seed=5)
     manifest = corpus.gen_pretrain_dataset(cfg, tmp_path)
-    records = [json.loads(l) for l in open(manifest)]
+    with open(manifest) as f:
+        records = [json.loads(l) for l in f]
     assert len(records) == 12
     classes = set()
     for r in records:

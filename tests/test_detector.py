@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from seqshot.errors import (
     EmptyInputError,
     ShapeError,
 )
+from reference_ops import two_pass_detector_loss
+from test_nn import assert_rel_close
 
 
 def make_toy_set(n_per_class=30, t=5, e=8, seed=0):
@@ -238,3 +242,68 @@ def test_clip_score_short_clip_uses_whole(toy_net):
     pos = next(s for s in train_set if s.label == 1)
     s = detector.clip_score_from_frames(net, pos.frames[:3], n_win_frames=5)
     assert 0.0 < s < 1.0
+
+
+# -- the fused step against the two-pass reference --------------------------------
+
+FUSED_CASES = {
+    "default": dict(),
+    "no_input_layer": dict(layer_set=("conv0", "conv2")),
+    "frozen_norms": dict(),
+    "no_bce": dict(bce_weight=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_step_matches_two_pass_reference(case):
+    rng = np.random.default_rng(21)
+    net = detector.DetectorNet(detector.DetectorConfig(embed_dim=6,
+                                                       proj_dim=5, seed=3))
+    for p in net.params().values():
+        p += 0.1 * rng.standard_normal(p.shape)
+    net.graph.mark_updated()
+    x = rng.standard_normal((7, 6, 9))
+    labels = np.array([1, 0, 0, 1, 0, 1, 0])
+    mcfg = detector.MarginConfig(**FUSED_CASES[case])
+    frozen = None
+    if case == "frozen_norms":
+        frozen = {k: v * rng.uniform(0.5, 2.0, v.shape) for k, v in
+                  detector.detector_loss(net, x, labels, mcfg)[1]["norms"].items()}
+
+    def run(loss_fn):
+        loss, details = loss_fn(net, x, labels, mcfg, frozen_norms=frozen)
+        return loss, details, {k: v.copy() for k, v in net.grads().items()}
+
+    loss, details, grads = run(detector.detector_loss)
+    ref_loss, ref_details, ref_grads = run(two_pass_detector_loss)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name in mcfg.layers(net):
+        assert_rel_close(details["norms"][name], ref_details["norms"][name])
+    for k in ref_grads:
+        assert_rel_close(grads[k], ref_grads[k])
+
+
+def test_margin_distance_leaves_param_grads_untouched():
+    net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
+    for g in net.grads().values():
+        g[...] = 7.0
+    detector.margin_distance(net, np.ones((2, 1)), 1, "input")
+    for g in net.grads().values():
+        np.testing.assert_array_equal(g, 7.0)
+
+
+def test_saturated_logits_score_and_train_without_warnings():
+    net = detector.DetectorNet(detector.DetectorConfig(embed_dim=6,
+                                                       proj_dim=4, seed=2))
+    net.params()["head/W"][...] *= 1e4
+    net.graph.mark_updated()
+    x = np.random.default_rng(3).standard_normal((8, 6, 5))
+    labels = np.array([1, 0] * 4)
+    gap = net.logits(x) @ np.array([1.0, -1.0])
+    assert gap.min() < -709            # exp(-gap) overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = net.score(x)
+        loss, details = detector.detector_loss(net, x, labels)
+    assert np.all((scores >= 0) & (scores <= 1))
+    assert np.isfinite(loss) and np.isfinite(details["bce"])

@@ -129,10 +129,12 @@ def test_report_csv(tmp_path):
     results = [fake_result(2.0, 0.8, 0.5), fake_result(4.0, 0.9, 0.6),
                fake_result(6.0, 0.7, 0.7)]
     per_ep, summary = evaluate.report(results, tmp_path / "out.csv")
-    rows = list(csv.DictReader(open(per_ep)))
+    with open(per_ep, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 3
     assert float(rows[0]["rel_improvement"]) == pytest.approx(0.6, abs=1e-3)
-    srows = list(csv.DictReader(open(summary)))
+    with open(summary, newline="") as f:
+        srows = list(csv.DictReader(f))
     assert [r["duration_bin"] for r in srows] == \
         ["[0, 3)", "[3, 5)", "[5, inf)"]
     assert all(r["n_episodes"] == "1" for r in srows)

@@ -13,6 +13,7 @@ from seqshot.errors import (
     VersionMismatchError,
 )
 from gradcheck import assert_grad_matches
+from reference_ops import EinsumConv1d, EinsumConv2d
 
 
 @pytest.fixture
@@ -309,11 +310,10 @@ def test_module_forward_backward_chain_graphs(rng):
     np.testing.assert_array_equal(y, y_ref)
     dy = rng.normal(size=y.shape)
     m.zero_grads()
-    dx = m.backward(cache, dy)
+    m.backward(cache, dy)       # skips the input gradient, which nothing reads
     grads = {k: v.copy() for k, v in m.grads().items()}
     m.zero_grads()
-    dx_ref = m.body.backward(c1, m.out.backward(c2, dy).dx).dx
-    np.testing.assert_array_equal(dx, dx_ref)
+    m.body.backward(c1, m.out.backward(c2, dy).dx)
     for k, v in m.grads().items():
         np.testing.assert_array_equal(grads[k], v)
 
@@ -438,3 +438,142 @@ def test_rejected_checkpoint_leaves_graph_untouched(tmp_path, fault):
         nn.load_params((kind, tensors), "tiny", lambda meta: m)
     for k, v in m.params().items():
         np.testing.assert_array_equal(v, before[k])
+
+
+# -- im2col GEMM convolutions against the einsum reference --------------------
+
+def assert_rel_close(a, b, tol=1e-12):
+    assert a.shape == b.shape
+    assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+
+
+def _graph_grads(graph, x, dy):
+    y, cache = graph.forward(x)
+    graph.zero_grads()
+    dx = graph.backward(cache, dy).dx
+    return y, dx, {k: v.copy() for k, v in graph.grads().items()}
+
+
+def assert_matches_reference(layers, ref_layers, x, rng):
+    """Same outputs, input gradients and parameter gradients as the
+    reference layers, from the same parameters."""
+    graph, ref = nn.Graph(layers), nn.Graph(ref_layers)
+    for k, v in ref.params().items():
+        v[...] = graph.params()[k]
+    y_ref, _ = ref.forward(x)
+    dy = rng.normal(size=y_ref.shape)
+    y, dx, grads = _graph_grads(graph, x, dy)
+    y_ref, dx_ref, grads_ref = _graph_grads(ref, x, dy)
+    assert_rel_close(y, y_ref)
+    assert_rel_close(dx, dx_ref)
+    for k in grads_ref:
+        assert_rel_close(grads[k], grads_ref[k])
+
+
+CONV1D_CASES = {
+    "causal": dict(kernel=3, causal=True),
+    "dilated": dict(kernel=3, dilation=2, causal=True),
+    "strided": dict(kernel=3, stride=2),
+    "padded": dict(kernel=2, pad=2),
+    "strided_dilated_padded": dict(kernel=3, stride=2, dilation=3, pad=1),
+    "kernel_1": dict(kernel=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV1D_CASES))
+def test_conv1d_gemm_matches_einsum_reference(rng, case):
+    kw = CONV1D_CASES[case]
+    layer = nn.Conv1d(3, 4, name="c", rng=rng, **kw)
+    ref = EinsumConv1d(3, 4, name="c", rng=rng, **kw)
+    assert_matches_reference([layer], [ref], rng.normal(size=(2, 3, 13)), rng)
+
+
+CONV2D_CASES = {
+    "backbone": dict(kernel=(2, 3), stride=(2, 2), pad=(0, 1)),
+    "strided": dict(kernel=(3, 2), stride=(2, 3)),
+    "padded": dict(kernel=(3, 3), pad=(2, 1)),
+    "kernel_1": dict(kernel=(1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV2D_CASES))
+def test_conv2d_gemm_matches_einsum_reference(rng, case):
+    kw = CONV2D_CASES[case]
+    layer = nn.Conv2d(2, 3, name="c", rng=rng, **kw)
+    ref = EinsumConv2d(2, 3, name="c", rng=rng, **kw)
+    assert_matches_reference([layer], [ref], rng.normal(size=(2, 2, 9, 8)),
+                             rng)
+
+
+def test_conv_stacks_match_einsum_reference(rng):
+    # each conv reads the previous one's output layout, forward and back
+    def stack1d(conv):
+        return [conv(3, 4, 1, "proj", rng),
+                conv(4, 4, 3, "c0", rng, causal=True), nn.ReLU("r0"),
+                conv(4, 4, 3, "c1", rng, dilation=2, causal=True),
+                nn.ReLU("r1"), nn.MeanOverTime("pool")]
+    assert_matches_reference(stack1d(nn.Conv1d), stack1d(EinsumConv1d),
+                             rng.normal(size=(3, 3, 9)), rng)
+
+    def stack2d(conv):
+        return [conv(1, 3, (2, 3), "c0", rng, stride=(2, 2), pad=(0, 1)),
+                nn.ReLU("r0"),
+                conv(3, 4, (2, 3), "c1", rng, stride=(2, 2), pad=(0, 1)),
+                nn.ReLU("r1"), nn.MeanOverFreq("fpool")]
+    assert_matches_reference(stack2d(nn.Conv2d), stack2d(EinsumConv2d),
+                             rng.normal(size=(2, 1, 16, 12)), rng)
+
+
+# -- backward switches ---------------------------------------------------------
+
+def _small_net(rng):
+    return nn.Graph([
+        nn.Conv2d(1, 3, (2, 3), "c0", rng, stride=(2, 2), pad=(0, 1)),
+        nn.ReLU("r0"),
+        nn.GlobalChannelPool("pool"),
+        nn.Linear(3, 2, "fc", rng),
+    ])
+
+
+def test_skipping_input_grad_leaves_param_grads_bitwise(rng):
+    g = _small_net(rng)
+    x = rng.normal(size=(2, 1, 8, 6))
+    y, cache = g.forward(x)
+    dy = rng.normal(size=y.shape)
+    g.zero_grads()
+    full = g.backward(cache, dy)
+    grads = {k: v.copy() for k, v in g.grads().items()}
+    g.zero_grads()
+    res = g.backward(cache, dy, input_grad=False)
+    assert full.dx is not None and res.dx is None
+    assert "input" not in res.feature_grads
+    for k, v in g.grads().items():
+        np.testing.assert_array_equal(v, grads[k])
+
+
+def test_skipping_param_grads_leaves_them_untouched(rng):
+    g = _small_net(rng)
+    x = rng.normal(size=(2, 1, 8, 6))
+    y, cache = g.forward(x)
+    dy = rng.normal(size=y.shape)
+    full = g.backward(cache, dy)
+    before = {k: v.copy() for k, v in g.grads().items()}
+    res = g.backward(cache, dy, param_grads=False)
+    np.testing.assert_array_equal(res.dx, full.dx)
+    for k, v in g.grads().items():
+        np.testing.assert_array_equal(v, before[k])
+
+
+def test_backward_params_from_output_grads(rng):
+    # the output gradients a full backward pass records give the same
+    # parameter gradients when fed back layer by layer
+    g = _small_net(rng)
+    x = rng.normal(size=(2, 1, 8, 6))
+    y, cache = g.forward(x)
+    g.zero_grads()
+    res = g.backward(cache, rng.normal(size=y.shape))
+    grads = {k: v.copy() for k, v in g.grads().items()}
+    g.zero_grads()
+    g.backward_params(cache, res.feature_grads)
+    for k, v in g.grads().items():
+        np.testing.assert_array_equal(v, grads[k])
