@@ -249,7 +249,8 @@ def logmel(w: Waveform):
     """(T, 64) log mel powers; T = ``frame_count(N)``.
 
     Frame t covers samples [160 t, 160 t + 400), so the log-mel of a
-    slice starting at sample 160 k equals rows k onward of the whole.
+    slice starting at sample 160 k equals rows k onward of the whole, bit
+    for bit for slices as long as a training crop (48 frames or more).
     """
     x = w.samples
     n_frames = frame_count(len(x))

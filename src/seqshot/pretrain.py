@@ -55,7 +55,8 @@ class ClipRecord:
         """The clip's audio: the waveform given at construction, else a
         fresh read of ``wav_path``.  The record keeps nothing it reads, so
         records held after training pin no audio; a training run keeps
-        each clip it reads until it returns (``_training_plan``)."""
+        each clip it reads, as audio or as log-mel, until it returns
+        (``_training_plan``)."""
         if self._waveform is not None:
             return self._waveform
         return dsp.load_wav(self.wav_path)
@@ -272,48 +273,52 @@ def _class_weights(records, n_classes):
 
 
 def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
-                   audio=None):
+                   clips=None):
     """Load + augment a batch; returns (x (B,1,T,64), targets, meta).
 
-    ``audio`` maps a record index to the waveform already read for it;
-    clips this call reads are added to it.
+    ``clips`` maps a record index to what the run keeps of that clip, and
+    clips this call reads are added to it: with ``augment`` the waveform,
+    without it the log-mel of the whole clip.
 
     Per clip the draws are: playback rate and gain (with ``augment``),
     the crop offset, SpecAugment (with ``augment``); then mixup across
-    the batch.  The crop is placed on the frame count the rate-changed
-    clip has, which follows from its sample count, and only the samples
-    under the crop are resampled and turned into log-mel frames.  The
-    batch therefore equals, bit for bit, cropping the log-mel of the
-    whole augmented clip.  A clip shorter than ``crop_frames`` is padded
-    at the end with log-floor frames.
+    the batch.  With ``augment`` the crop is placed on the frame count
+    the rate-changed clip has, which follows from its sample count, and
+    only the samples under the crop are resampled and turned into log-mel
+    frames.  Without it the crop is rows of the stored log-mel, which
+    equal the log-mel of the samples under the crop.  Either way the
+    batch equals, bit for bit, cropping the log-mel of the whole
+    (augmented) clip.  A clip shorter than ``crop_frames`` is padded at
+    the end with log-floor frames.
 
     meta holds (record_idx, rate, crop_off, valid_frames, mix_partner, lam)
     for per-frame label mapping in strong training.
     """
     n_crop = cfg.crop_frames
-    audio = {} if audio is None else audio
+    clips = {} if clips is None else clips
     feats, targs, meta = [], [], []
     for i in idxs:
         r = records[i]
-        if i not in audio:
-            audio[i] = r.load()
-        w = audio[i]
-        rate = 1.0
+        if i not in clips:
+            clips[i] = r.load() if cfg.augment else dsp.logmel(r.load())
+        clip = clips[i]
         if cfg.augment:
             rate = float(rng.uniform(0.9, 1.1))
             gain = float(rng.uniform(-20.0, 20.0))
-        n_frames = dsp.frame_count(dsp.resampled_length(len(w.samples), rate))
+            n_frames = dsp.frame_count(
+                dsp.resampled_length(len(clip.samples), rate))
+        else:
+            rate, n_frames = 1.0, clip.shape[0]
         off, valid = 0, min(n_frames, n_crop)
         if n_frames >= n_crop and random_crop:
             off = int(rng.integers(0, n_frames - n_crop + 1))
-        start = off * dsp.FRAME_HOP
-        stop = start + (valid - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN
         if cfg.augment:
-            w = dsp.augment_gain(dsp.augment_resample(w, rate, start, stop),
-                                 gain)
+            start = off * dsp.FRAME_HOP
+            stop = start + (valid - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN
+            m = dsp.logmel(dsp.augment_gain(
+                dsp.augment_resample(clip, rate, start, stop), gain))
         else:
-            w = dsp.Waveform(w.samples[start:stop], w.sample_rate)
-        m = dsp.logmel(w)
+            m = clip[off: off + valid]
         if valid < n_crop:
             pad = np.full((n_crop - valid, m.shape[1]), np.log(dsp.LOG_FLOOR))
             m = np.vstack([m, pad])
@@ -345,15 +350,22 @@ def _training_plan(records, n_classes, config, random_crop=True):
     """(batches, lr) for ``nn.fit``: each batch draws its clips with
     replacement, weighted by ``_class_weights``, and ``_prepare_batch``
     draws from the same RNG, seeded with ``config.seed``; the learning
-    rate follows the one-cycle schedule over the whole run.  Each clip is
-    read once, on first draw, and kept until the batches are dropped at
-    the end of the run."""
+    rate follows the one-cycle schedule over the whole run.
+
+    Each clip is read once, on first draw, and kept until the batches are
+    dropped at the end of the run: as its waveform with ``augment``, and
+    without it as its whole-clip log-mel, which every later crop slices.
+    A log-mel holds 64 values per 160 samples, 0.4 times the audio it
+    replaces, and computing it whole pays off once a clip is drawn about
+    ``clip_frames / crop_frames`` times (21 for 48-frame crops of 10 s
+    clips; whole-clip crops from the second draw).  Teacher runs draw each
+    clip far more often than that, so there is no switch."""
     rng = np.random.default_rng(config.seed)
     weights = _class_weights(records, n_classes)
     steps_per_epoch = max(1, (len(records) + config.batch_size - 1)
                           // config.batch_size)
     total_steps = max(1, config.epochs * steps_per_epoch)
-    audio = {}
+    clips = {}
 
     def batches():
         for _ in range(steps_per_epoch):
@@ -361,7 +373,7 @@ def _training_plan(records, n_classes, config, random_crop=True):
                                                      len(records)),
                               replace=True, p=weights)
             yield _prepare_batch(records, idxs, n_classes, rng, config,
-                                 random_crop, audio)
+                                 random_crop, clips)
 
     def lr(step):
         return nn.one_cycle_lr(step, total_steps, config.peak_lr,

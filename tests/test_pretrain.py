@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -262,12 +265,73 @@ def test_prepare_batch_computes_only_cropped_frames(monkeypatch):
         return m
 
     monkeypatch.setattr(dsp, "logmel", counting_logmel)
-    for augment in (True, False):
-        cfg = pretrain.TrainConfig(crop_frames=48, augment=augment,
-                                   spec_max_t=5)
-        pretrain._prepare_batch(recs, np.arange(len(recs)), 2,
-                                np.random.default_rng(0), cfg)
-    assert computed == [48] * (2 * len(recs))
+    cfg = pretrain.TrainConfig(crop_frames=48, augment=True, spec_max_t=5)
+    pretrain._prepare_batch(recs, np.arange(len(recs)), 2,
+                            np.random.default_rng(0), cfg)
+    assert computed == [48] * len(recs)
+
+
+@pytest.mark.parametrize("stage", ["weak", "strong"])
+def test_unaugmented_run_computes_one_whole_clip_logmel_per_clip(
+        monkeypatch, stage):
+    recs = make_records(3, dur_s=1.5)
+    mc = pretrain.ModelConfig(n_classes=2, seed=4, **TINY)
+    student = pretrain.WeakModel(mc)
+    psl = [pretrain.pseudo_label(student, r.load()) for r in recs]
+    logmel_inputs, drawn = [], set()
+    logmel, prepare = dsp.logmel, pretrain._prepare_batch
+
+    def spying_logmel(w):
+        logmel_inputs.append(w)
+        return logmel(w)
+
+    def spying_prepare(records, idxs, *args):
+        drawn.update(int(i) for i in idxs)
+        return prepare(records, idxs, *args)
+
+    monkeypatch.setattr(dsp, "logmel", spying_logmel)
+    monkeypatch.setattr(pretrain, "_prepare_batch", spying_prepare)
+    # 48-frame crops of 148-frame clips, several draws of each clip
+    cfg = pretrain.TrainConfig(epochs=4, batch_size=4, crop_frames=48,
+                               augment=False, seed=4)
+    if stage == "weak":
+        pretrain.train_weak(recs, 2, cfg, mc)
+    else:
+        pretrain.train_strong(student, recs, psl, cfg)
+    assert len(drawn) > 1
+    assert sorted(id(w) for w in logmel_inputs) == \
+        sorted(id(recs[i].load()) for i in drawn)
+
+
+def test_training_keeps_nothing_after_the_run(tmp_path, monkeypatch):
+    lines = []
+    for k, r in enumerate(make_records(2, dur_s=1.5)):
+        dsp.write_wav(tmp_path / f"{k}.wav", r.load())
+        lines.append(f'{{"wav": "{k}.wav", "labels": [{r.labels[0]}]}}')
+    (tmp_path / "m.jsonl").write_text("\n".join(lines))
+    recs = pretrain.load_manifest(tmp_path / "m.jsonl")
+    mc = pretrain.ModelConfig(n_classes=2, seed=6, **TINY)
+    cfg = pretrain.TrainConfig(epochs=2, batch_size=4, crop_frames=48,
+                               augment=False, seed=6)
+    student = pretrain.train_weak(recs, 2, cfg, mc)
+    psl = [pretrain.pseudo_label(student, r.load()) for r in recs]
+    stored = []
+    logmel = dsp.logmel
+
+    def keeping_logmel(w):
+        m = logmel(w)
+        stored.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(dsp, "logmel", keeping_logmel)
+    pretrain.train_weak(recs, 2, cfg, mc)
+    pretrain.train_strong(student, recs, psl, cfg)
+    gc.collect()
+    assert stored and all(ref() is None for ref in stored)
+    for r in recs:
+        assert r._waveform is None
+        assert not any(isinstance(v, (np.ndarray, dsp.Waveform))
+                       for v in vars(r).values())
 
 
 def test_label_out_of_range():
