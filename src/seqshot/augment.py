@@ -41,7 +41,8 @@ def crop_duration_s(duration_s, shot_duration_s=float("inf")):
 
 def _padded_sample_bounds(shot, onset_s, offset_s):
     """Sample bounds for [onset, offset), widened symmetrically to
-    ``crop_duration_s`` and clipped to the shot.
+    ``crop_duration_s`` and clipped to the shot.  Every training crop of
+    the segment, curated or time-shifted, is ``b - a`` samples long.
 
     This is not ``curation.embed_crop``, which widens at the end only,
     to the pooled embedder's 0.5 s: the detector's training crops are
@@ -81,7 +82,8 @@ class EmbeddingSequence:
 
 def time_shift_augment(shot: dsp.Waveform, segment, n, rng, embed_fn):
     """Re-crop the curated segment within bounds enlarged by 250 ms per
-    side and embed each crop; all outputs share one frame count."""
+    side and embed each crop; every crop has the curated crop's length
+    (``_padded_sample_bounds``), so all outputs share one frame count."""
     sr = shot.sample_rate
     dur = segment.offset_s - segment.onset_s
     if dur > shot.duration_s + 1e-9:
@@ -90,7 +92,8 @@ def time_shift_augment(shot: dsp.Waveform, segment, n, rng, embed_fn):
     lo = max(0.0, segment.onset_s - ENLARGE_S / 2)
     hi = min(shot.duration_s, segment.onset_s + dur + ENLARGE_S / 2)
     max_start = max(lo, hi - dur)
-    n_samples = int(round(dur * sr))
+    a, b = _padded_sample_bounds(shot, segment.onset_s, segment.offset_s)
+    n_samples = b - a
     out = []
     for _ in range(n):
         start = float(rng.uniform(lo, max_start)) if max_start > lo else lo

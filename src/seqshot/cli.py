@@ -25,38 +25,29 @@ def _emit(summary):
     sys.stdout.write("\n")
 
 
+# Config table keys are the fields of the library configs built from them.
 def _train_config(cfg):
-    t = cfg["train"]
-    return pretrain.TrainConfig(
-        epochs=t["epochs"], batch_size=t["batch_size"], seed=cfg["seed"],
-        peak_lr=t["peak_lr"], final_lr=t["final_lr"],
-        warmup_frac=t["warmup_frac"], weight_decay=t["weight_decay"],
-        crop_frames=t["crop_frames"], augment=t["augment"])
+    return pretrain.TrainConfig(seed=cfg["seed"], **cfg["train"])
 
 
 def _model_config(cfg, n_classes, channels=None):
     m = cfg["model"]
     return pretrain.ModelConfig(
-        n_classes=n_classes, channels=tuple(channels or m["channels"]),
-        head_hidden=m["head_hidden"], embed_dim=m["embed_dim"],
-        seed=cfg["seed"])
+        **{**m, "channels": tuple(channels or m["channels"])},
+        n_classes=n_classes, seed=cfg["seed"])
 
 
 def _detector_train_config(cfg):
-    d = cfg["detector"]
+    d = dict(cfg["detector"])
+    margin = {k: d.pop(k) for k in ("gamma", "margin_weight", "bce_weight")}
     return detector.DetectorTrainConfig(
-        epochs=d["epochs"], lr=d["lr"], weight_decay=d["weight_decay"],
-        margin=detector.MarginConfig(gamma=d["gamma"],
-                                     margin_weight=d["margin_weight"],
-                                     bce_weight=d["bce_weight"]))
+        **d, margin=detector.MarginConfig(**margin))
 
 
 def _augment_config(cfg, have_delta):
     a = cfg["augment"]
-    return augment.AugmentConfig(
-        n_time_shift=a["n_time_shift"],
-        n_delta=a["n_delta"] if have_delta else 0,
-        n_masked=a["n_masked"], n_shuffled=a["n_shuffled"])
+    return augment.AugmentConfig(**{**a, "n_delta": a["n_delta"]
+                                    if have_delta else 0})
 
 
 def _pretrained_models(args):
@@ -99,11 +90,7 @@ def _n_classes(cfg):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_synth_corpus(args, cfg):
-    c = cfg["corpus"]
-    spec = corpus.PretrainConfig(
-        n_classes=c["n_classes"], n_noise_classes=c["n_noise_classes"],
-        clips_per_class=c["clips_per_class"],
-        clip_duration_s=c["clip_duration_s"], seed=cfg["seed"])
+    spec = corpus.PretrainConfig(seed=cfg["seed"], **cfg["corpus"])
     manifest = corpus.gen_pretrain_dataset(spec, args.out)
     n_clips = sum(1 for line in manifest.read_text().splitlines()
                   if line.strip())

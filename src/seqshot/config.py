@@ -3,6 +3,7 @@ validated against a schema of known keys and echoed into output
 directories for reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -54,6 +55,12 @@ DEFAULTS = {
     },
 }
 
+MAY_BE_ZERO = {
+    "seed", "corpus.n_noise_classes", "train.warmup_frac",
+    "train.weight_decay", "distill.kd_weight", "augment.n_time_shift",
+    "augment.n_delta", "augment.n_masked", "augment.n_shuffled",
+    "detector.weight_decay", "detector.margin_weight", "detector.bce_weight"}
+
 
 def _merge(base, update, path=""):
     out = dict(base)
@@ -61,12 +68,10 @@ def _merge(base, update, path=""):
         full = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key: {full}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{full} must be a table, got {value!r}")
+        if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _merge(base[key], value, full + ".")
         else:
-            out[key] = value
+            out[key] = value          # a value for a table fails _check
     return out
 
 
@@ -89,14 +94,41 @@ def _apply_override(cfg, dotted):
         node = node[p]
     if parts[-1] not in node:
         raise ConfigError(f"unknown config key: {key}")
-    if isinstance(node[parts[-1]], dict):
-        raise ConfigError(f"{key} is a table, not a value")
     node[parts[-1]] = _parse_value(raw.strip())
     return cfg
 
 
+def _check(name, value, default):
+    """Raise ConfigError unless ``value`` has the type of ``default`` (an
+    int may stand for a float, a bool for nothing else; a list holds at
+    least one element of its default's element type) and every number in
+    it is finite and above 0, or at least 0 where ``MAY_BE_ZERO``."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a table, got {value!r}")
+        for key, sub in default.items():
+            _check(f"{name}.{key}" if name else key, value[key], sub)
+    elif isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, "
+                              f"got {value!r}")
+        for i, item in enumerate(value):
+            _check(f"{name}[{i}]", item, default[0])
+    elif isinstance(value, bool) != isinstance(default, bool) \
+            or not isinstance(value, (int, float) if isinstance(default, float)
+                              else type(default)):
+        raise ConfigError(f"{name} must be of type {type(default).__name__}"
+                          f", got {value!r}")
+    elif not isinstance(value, bool):
+        zero_ok = name in MAY_BE_ZERO
+        if not math.isfinite(value) or value < 0 or value == 0 and not zero_ok:
+            raise ConfigError(f"{name} must be above 0{' or 0' * zero_ok}, "
+                              f"got {value!r}")
+
+
 def load_config(path=None, overrides=(), seed=None):
-    """Defaults, overlaid by a JSON file, then KEY.SUBKEY=VALUE pairs."""
+    """Defaults, overlaid by a JSON file, then KEY.SUBKEY=VALUE pairs;
+    every value must pass ``_check`` against its default."""
     cfg = json.loads(json.dumps(DEFAULTS))     # deep copy
     if path is not None:
         try:
@@ -110,6 +142,7 @@ def load_config(path=None, overrides=(), seed=None):
         _apply_override(cfg, item)
     if seed is not None:
         cfg["seed"] = int(seed)
+    _check("", cfg, DEFAULTS)
     return cfg
 
 

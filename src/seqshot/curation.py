@@ -21,6 +21,14 @@ from .errors import CurationError, DegenerateInputError, EmptyInputError
 log = logging.getLogger(__name__)
 
 PERCENTILE = 0.15
+TAU = 0.5                # cosine-distance grouping threshold
+SMOOTH_FRAMES = 5        # median smoothing of loud decisions
+MERGE_GAP_S = 0.45       # runs closer than this merge
+MIN_DURATION_S = 0.1     # shorter runs are dropped
+LOUDNESS_MAX_ITERS = 5000
+LOUDNESS_TOL = 1e-8
+LOUDNESS_LR = 1.0
+LOUDNESS_L2 = 1e-4
 
 
 @dataclass
@@ -39,14 +47,6 @@ class Segment:
 
 
 @dataclass
-class CurationConfig:
-    tau: float = 0.5              # cosine-distance grouping threshold
-    smooth_frames: int = 5        # median smoothing of loud decisions
-    merge_gap_s: float = 0.45     # runs closer than this merge
-    min_duration_s: float = 0.1   # shorter runs are dropped
-
-
-@dataclass
 class LoudnessModel:
     weights: np.ndarray           # (64,)
     bias: float
@@ -56,13 +56,13 @@ class LoudnessModel:
         return frames @ self.weights + self.bias > 0.0
 
 
-def fit_loudness(shots, max_iters=5000, tol=1e-8, lr=1.0, l2=1e-4):
+def fit_loudness(shots):
     """Fit the loud/quiet logistic regression on pooled frames.
 
     The top/bottom 15 % of frames by linear-domain energy across all
     shots are the training labels; a wide loud quantile keeps every
     event note represented, not just the loudest one.  Gradient descent
-    runs to |dloss| < tol.
+    on the BCE plus an L2 penalty runs to |dloss| < LOUDNESS_TOL.
     """
     if not shots:
         raise EmptyInputError("no shots")
@@ -87,18 +87,14 @@ def fit_loudness(shots, max_iters=5000, tol=1e-8, lr=1.0, l2=1e-4):
     w = np.zeros(xs.shape[1])
     b = 0.0
     prev = np.inf
-    for _ in range(max_iters):
-        z = xs @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        loss = float(np.mean(
-            np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-        )) + 0.5 * l2 * float(w @ w)
-        if abs(prev - loss) < tol:
+    for _ in range(LOUDNESS_MAX_ITERS):
+        bce, g = pretrain.bce_with_logits(xs @ w + b, y)
+        loss = bce + 0.5 * LOUDNESS_L2 * float(w @ w)
+        if abs(prev - loss) < LOUDNESS_TOL:
             break
         prev = loss
-        g = (p - y) / len(y)
-        w -= lr * (xs.T @ g + l2 * w)
-        b -= lr * float(g.sum())
+        w -= LOUDNESS_LR * (xs.T @ g + LOUDNESS_L2 * w)
+        b -= LOUDNESS_LR * float(g.sum())
     # fold standardization into the raw-frame decision rule
     w_raw = w / sd
     b_raw = b - float((w * mu / sd).sum())
@@ -125,20 +121,18 @@ def _runs(mask):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def loud_segments(model: LoudnessModel, shot, shot_id=0,
-                  config: CurationConfig = None):
+def loud_segments(model: LoudnessModel, shot, shot_id=0):
     """Candidate segments for one shot's logmel, as a list of Segments."""
-    cfg = config or CurationConfig()
-    dec = _median_smooth(model.decide(shot), cfg.smooth_frames)
+    dec = _median_smooth(model.decide(shot), SMOOTH_FRAMES)
     runs = _runs(dec)
-    merge_gap = int(round(cfg.merge_gap_s / dsp.FRAME_HOP_S))
+    merge_gap = int(round(MERGE_GAP_S / dsp.FRAME_HOP_S))
     merged = []
     for s, e in runs:
         if merged and s - merged[-1][1] - 1 < merge_gap:
             merged[-1][1] = e
         else:
             merged.append([s, e])
-    min_frames = int(round(cfg.min_duration_s / dsp.FRAME_HOP_S))
+    min_frames = int(round(MIN_DURATION_S / dsp.FRAME_HOP_S))
     return [
         Segment(shot_id, s * dsp.FRAME_HOP_S, (e + 1) * dsp.FRAME_HOP_S)
         for s, e in merged
@@ -154,7 +148,7 @@ def _cosine_distance(a, b):
     return float(1.0 - (a @ b) / (na * nb))
 
 
-def match_across_shots(candidates, embed_fn, tau=0.5):
+def match_across_shots(candidates, embed_fn, tau=TAU):
     """Pick one span per shot by grouping candidates across shots.
 
     ``candidates``: list (per shot) of Segment lists; ``embed_fn``
@@ -262,22 +256,21 @@ def embed_crop(w: dsp.Waveform, seg: Segment):
     return dsp.Waveform(w.samples[a: b], w.sample_rate)
 
 
-def curate(shots_audio, embed_fn, config: CurationConfig = None):
+def curate(shots_audio, embed_fn):
     """Full curation for K enrollment shots.
 
     ``shots_audio``: list of Waveforms; ``embed_fn(waveform) -> vector``
     is the pooled embedder.  Returns (aligned segments, report dict).
     """
-    cfg = config or CurationConfig()
     logmels = [dsp.logmel(w) for w in shots_audio]
     model = fit_loudness(logmels)
-    candidates = [loud_segments(model, m, shot_id=s, config=cfg)
+    candidates = [loud_segments(model, m, shot_id=s)
                   for s, m in enumerate(logmels)]
 
     def seg_embed(seg: Segment):
         return embed_fn(embed_crop(shots_audio[seg.shot_id], seg))
 
-    matched = match_across_shots(candidates, seg_embed, tau=cfg.tau)
+    matched = match_across_shots(candidates, seg_embed)
     aligned, scores = align_to_exemplar(matched, logmels)
     report = {
         "shots": [

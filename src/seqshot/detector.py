@@ -245,14 +245,18 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
     return net
 
 
+SCAN_BATCH = 256                 # windows scored per forward pass
+
+
 def window_frame_count(window_s):
-    """Embedding frames produced by a crop of the given duration (at
-    least one log-mel window, 0.025 s)."""
+    """The scan window's frame count: the embedding frames a crop of
+    ``window_s`` (at least one log-mel window, 0.025 s) produces, and at
+    least one."""
     n = int(round(window_s * dsp.SAMPLE_RATE))
-    return dsp.frame_count(n) // pretrain.FRAMES_PER_EMBED
+    return max(1, dsp.frame_count(n) // pretrain.FRAMES_PER_EMBED)
 
 
-def stream_scores(net: DetectorNet, frames, n_win_frames, batch_size=256):
+def stream_scores(net: DetectorNet, frames, n_win_frames):
     """Sliding-window scores over precomputed embedding frames (T, E)
     at one-frame hops; list of (start_time_s, score)."""
     t = frames.shape[0]
@@ -262,8 +266,8 @@ def stream_scores(net: DetectorNet, frames, n_win_frames, batch_size=256):
             f"{n_win_frames}")
     starts = list(range(t - n_win_frames + 1))
     out = []
-    for b0 in range(0, len(starts), batch_size):
-        chunk = starts[b0: b0 + batch_size]
+    for b0 in range(0, len(starts), SCAN_BATCH):
+        chunk = starts[b0: b0 + SCAN_BATCH]
         x = np.stack([frames[s: s + n_win_frames]
                       for s in chunk]).transpose(0, 2, 1)
         scores = net.score(x)
@@ -272,8 +276,7 @@ def stream_scores(net: DetectorNet, frames, n_win_frames, batch_size=256):
     return out
 
 
-def detect_stream(net: DetectorNet, strong_model, w, window_s,
-                  batch_size=256):
+def detect_stream(net: DetectorNet, strong_model, w, window_s):
     """Score a long recording with a sliding window.
 
     The audio is embedded once; windows of the scan window's frame count
@@ -281,8 +284,7 @@ def detect_stream(net: DetectorNet, strong_model, w, window_s,
     Returns a list of (start_time_s, score) pairs.
     """
     frames = pretrain.embed_frames_normalized(strong_model, w)  # (T', E)
-    n_win_frames = max(1, window_frame_count(window_s))
-    return stream_scores(net, frames, n_win_frames, batch_size)
+    return stream_scores(net, frames, window_frame_count(window_s))
 
 
 def clip_score_from_frames(net: DetectorNet, frames, n_win_frames):

@@ -301,8 +301,8 @@ def spec_augment(m, rng, time_masks=2, freq_masks=2, max_t=20, max_f=8):
 MIXUP_ALPHA = 0.3
 
 
-def draw_mixup_lambda(rng, alpha=MIXUP_ALPHA):
-    return float(rng.beta(alpha, alpha))
+def draw_mixup_lambda(rng):
+    return float(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA))
 
 
 def mixup(a, b, labels_a, labels_b, lam):

@@ -178,8 +178,7 @@ class Enrollment:
 
 def enroll(shots, models: PretrainedModels, seeds,
            augment_config: augment.AugmentConfig = None,
-           train_config: detector.DetectorTrainConfig = None,
-           curation_config: curation.CurationConfig = None):
+           train_config: detector.DetectorTrainConfig = None):
     """Curate the shots once, then per seed ``s`` build a train set with
     ``default_rng(s)`` and train a detector with seed ``s``.  The scan
     window is the training crops' length, ``augment.crop_duration_s`` of
@@ -187,8 +186,7 @@ def enroll(shots, models: PretrainedModels, seeds,
     aug_cfg = augment_config or augment.AugmentConfig()
     train_cfg = train_config or detector.DetectorTrainConfig()
     segments, report = curation.curate(
-        shots, lambda w: pretrain.embed_pooled(models.weak, w),
-        curation_config)
+        shots, lambda w: pretrain.embed_pooled(models.weak, w))
     window_s = augment.crop_duration_s(segments[0].duration_s,
                                        min(w.duration_s for w in shots))
     detectors, train_items = [], []
@@ -206,8 +204,7 @@ def enroll(shots, models: PretrainedModels, seeds,
 
 def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
                 augment_config: augment.AugmentConfig = None,
-                train_config: detector.DetectorTrainConfig = None,
-                curation_config: curation.CurationConfig = None):
+                train_config: detector.DetectorTrainConfig = None):
     """Run the full protocol on one episode.
 
     Training phase: ``enroll`` from the enrollment shots, one detector
@@ -221,7 +218,7 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
              for i in range(len(episode.enrollment_wavs))]
     enrolled = enroll(shots, models,
                       [seed * 10007 + rep for rep in range(reps)],
-                      augment_config, train_config, curation_config)
+                      augment_config, train_config)
     n_win_frames = detector.window_frame_count(enrolled.window_s)
     centroid = np.mean([
         pretrain.embed_pooled(models.weak, curation.embed_crop(shot, seg))

@@ -13,20 +13,17 @@ from .. import nn
 
 
 def _encode(value):
-    """A meta field as stored: an int, a tuple of ints, or None as -1."""
-    return np.atleast_1d(np.asarray(-1 if value is None else value,
-                                    dtype=np.float64))
+    """A meta field as stored: an int or a tuple of ints."""
+    return np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
-def _decode(name, arr, as_tuple, nullable):
+def _decode(name, arr, as_tuple):
     """A stored meta field back as its value.  Raises FormatError unless
     it holds whole numbers >= 0, at least one, and exactly one for a
-    field that is not a tuple; -1 reads as None where ``nullable``."""
+    field that is not a tuple."""
     values = arr.reshape(-1)
     if values.size == 0 or (not as_tuple and values.size != 1):
         raise FormatError(f"meta/{name} holds {values.size} values")
-    if nullable and values[0] == -1:
-        return None
     if not np.all(np.isfinite(values) & (values >= 0)
                   & (values == np.floor(values))):
         raise FormatError(f"meta/{name} {values.tolist()} is negative or "
@@ -41,11 +38,10 @@ class Module:
     Subclasses set ``KIND`` (the checkpoint kind), ``CONFIG`` (the config
     class) and ``META`` (the fields stored as ``meta/<field>``, in file
     order; those in ``OPTIONAL_META`` may be missing from a checkpoint
-    and then take the config's default, those in ``NULLABLE_META`` may
-    be None), and pass their graphs, in file order, to ``__init__``,
-    which makes each an attribute.  Parameters are named
-    ``<graph>/<layer>/<param>``; a module of one graph leaves the graph
-    name out.
+    and are then absent from the fields ``from_meta`` gets), and pass
+    their graphs, in file order, to ``__init__``, which makes each an
+    attribute.  Parameters are named ``<graph>/<layer>/<param>``; a
+    module of one graph leaves the graph name out.
 
     ``forward``/``backward`` chain the graphs in order; a module whose
     graphs are not a chain overrides both.
@@ -58,7 +54,6 @@ class Module:
     CONFIG = None
     META = ()
     OPTIONAL_META = ()
-    NULLABLE_META = ()
 
     def __init__(self, config, **graphs):
         self.config = config
@@ -156,8 +151,7 @@ class Module:
                   if not k.startswith("meta/")}
 
         def build(meta):
-            fields = {f: _decode(f, meta[f"meta/{f}"], f in tuples,
-                                 f in cls.NULLABLE_META)
+            fields = {f: _decode(f, meta[f"meta/{f}"], f in tuples)
                       for f in cls.META if f"meta/{f}" in meta}
             try:
                 stored = cls.stored_sizes(shapes)

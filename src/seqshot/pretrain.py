@@ -36,6 +36,11 @@ MIN_EMBED_S = 0.5                # shortest audio the embedders take
 # Largest strong-embedding size train_strong builds: a student's
 # embed_dim is a stored meta/ field that none of its tensors fixes.
 MAX_EMBED_DIM = 4096
+# Backbone stage the embedding frames tap: frequency is flattened, not
+# pooled, so the spectral detail that separates same-vocabulary
+# sequences survives.  Embedder checkpoints store it as meta/embed_tap.
+EMBED_TAP = 3
+PSEUDO_BATCH = 128               # pseudo-label windows per forward pass
 
 PSEUDO_WIN_S = 0.5
 PSEUDO_HOP_S = 0.1
@@ -126,11 +131,6 @@ class ModelConfig:
     head_hidden: int = 128
     embed_dim: int = 64          # strong-embedding dim (1x1 neck output)
     seed: int = 0
-    # Backbone stage whose output provides the embedding frames: the
-    # frequency axis is flattened, not pooled, so the spectral detail
-    # that separates same-vocabulary sequences survives.  None taps the
-    # pre-classifier neck (fully frequency-pooled) instead.
-    embed_tap: int = 3
 
     @property
     def pooled_dim(self):
@@ -151,9 +151,18 @@ def _backbone_layers(cfg, rng):
 class _Embedder(nn.Module):
     CONFIG = ModelConfig
     META = ("n_classes", "channels", "head_hidden", "embed_dim", "embed_tap")
-    # checkpoints written before embed_tap existed load with the default tap
+    # checkpoints written before embed_tap existed load with EMBED_TAP
     OPTIONAL_META = ("embed_tap",)
-    NULLABLE_META = ("embed_tap",)
+
+    def meta(self):
+        return {f: EMBED_TAP if f == "embed_tap" else getattr(self.config, f)
+                for f in self.META}
+
+    @classmethod
+    def from_meta(cls, fields):
+        if fields.pop("embed_tap", EMBED_TAP) != EMBED_TAP:
+            raise FormatError(f"meta/embed_tap: only {EMBED_TAP} is read")
+        return super().from_meta(fields)
 
     @classmethod
     def _stored_channels(cls, shapes):
@@ -224,11 +233,6 @@ class StrongModel(_Embedder):
                 "embed_dim": shapes["neck/neck/W"][0],
                 "n_classes": shapes["classifier/cls/W"][0]}
 
-    def features(self, x):
-        """Pre-classifier embedding frames: (B, embed_dim, T//32)."""
-        h, _ = self.backbone.forward(x)
-        return self.neck.forward(h)[0]
-
     def init_backbone_from(self, weak: WeakModel):
         """Copy the (distilled) student's convolutional weights."""
         src = weak.backbone.params()
@@ -252,10 +256,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     crop_frames: int = 998
     augment: bool = True
-    spec_time_masks: int = 2
-    spec_freq_masks: int = 2
-    spec_max_t: int = 20
-    spec_max_f: int = 8
 
 
 def _class_weights(records, n_classes):
@@ -323,9 +323,7 @@ def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
             pad = np.full((n_crop - valid, m.shape[1]), np.log(dsp.LOG_FLOOR))
             m = np.vstack([m, pad])
         if cfg.augment:
-            m = dsp.spec_augment(m, rng, cfg.spec_time_masks,
-                                 cfg.spec_freq_masks, cfg.spec_max_t,
-                                 cfg.spec_max_f)
+            m = dsp.spec_augment(m, rng)
         feats.append(m)
         targs.append(multi_hot(r.labels, n_classes))
         meta.append({"idx": int(i), "rate": rate, "off": off, "valid": valid,
@@ -438,7 +436,7 @@ class PseudoStrongLabels:
     labels: np.ndarray            # (windows, classes) uint8
 
 
-def pseudo_label(model: WeakModel, w: dsp.Waveform, batch_size=128):
+def pseudo_label(model: WeakModel, w: dsp.Waveform):
     """Sigmoid predictions per 0.5 s window at 0.1 s hops, thresholded
     strictly above 0.5."""
     win = int(PSEUDO_WIN_S * dsp.SAMPLE_RATE)
@@ -450,8 +448,8 @@ def pseudo_label(model: WeakModel, w: dsp.Waveform, batch_size=128):
     frames_per_win = 1 + (win - dsp.FRAME_LEN) // dsp.FRAME_HOP   # 48
     hop_frames = hop // dsp.FRAME_HOP                             # 10
     out = np.zeros((n_win, model.config.n_classes), dtype=np.uint8)
-    for b0 in range(0, n_win, batch_size):
-        ids = range(b0, min(b0 + batch_size, n_win))
+    for b0 in range(0, n_win, PSEUDO_BATCH):
+        ids = range(b0, min(b0 + PSEUDO_BATCH, n_win))
         x = np.stack([m[j * hop_frames: j * hop_frames + frames_per_win]
                       for j in ids])[:, None, :, :]
         probs = sigmoid(model.logits(x))
@@ -566,24 +564,15 @@ def embed_pooled(model: WeakModel, w: dsp.Waveform):
 def embed_frames(model: StrongModel, w: dsp.Waveform):
     """(T//32, E) embedding sequence, one frame per 320 ms.
 
-    With the default config the frames tap an intermediate backbone
-    stage and flatten (channels x frequency); E = C_tap * F_tap.  With
-    ``embed_tap=None`` the frames are the pre-classifier neck features
-    (E = embed_dim), which pool frequency away entirely.
+    The frames tap backbone stage EMBED_TAP and flatten (channels x
+    frequency); E = C_tap * F_tap.
     """
-    x = _logmel_input(w)
-    tap = model.config.embed_tap
-    if tap is None:
-        feats = model.features(x)
-        return feats[0].T.copy()
-    if not 1 <= tap <= len(model.config.channels):
-        raise SeqshotError(f"embed_tap {tap} outside backbone depth")
-    h = x
-    for layer in model.backbone.layers[:2 * tap]:     # conv+relu per stage
+    h = _logmel_input(w)
+    if len(model.config.channels) < EMBED_TAP:
+        raise SeqshotError(f"backbone has no stage {EMBED_TAP} to tap")
+    for layer in model.backbone.layers[:2 * EMBED_TAP]:   # conv+relu per stage
         h, _ = layer.forward(h)
-    per_block = FRAMES_PER_EMBED // 2 ** tap
-    if per_block < 1:
-        raise SeqshotError(f"embed_tap {tap} below the 320 ms frame rate")
+    per_block = FRAMES_PER_EMBED // 2 ** EMBED_TAP
     t = h.shape[2] // per_block
     return np.stack([
         h[0, :, i * per_block: (i + 1) * per_block, :].mean(axis=1).reshape(-1)

@@ -148,6 +148,34 @@ def test_bad_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.fixture(scope="module")
+def three_clips(tmp_path_factory):
+    return corpus.gen_pretrain_dataset(
+        corpus.PretrainConfig(n_classes=3, n_noise_classes=1,
+                              clips_per_class=1, clip_duration_s=2.0),
+        tmp_path_factory.mktemp("three_clips"))
+
+
+@pytest.mark.parametrize("override", [
+    "train.epochs=abc",
+    "train.peak_lr=-1",
+    "train.batch_size=0",
+    "model.channels=5",
+    'train.augment="yes"',
+    "train.epochs=-1",
+], ids=["not_a_number", "negative_lr", "zero_batch", "not_a_list",
+        "string_bool", "negative_epochs"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, three_clips,
+                                         override):
+    # one epoch unless the override sets epochs itself: a value accepted
+    # by mistake then trains briefly and fails the assertions below
+    code, out = run(capsys, ["--set", "train.epochs=1", "--set", override,
+                             "pretrain", "--data", str(three_clips),
+                             "--out", str(tmp_path / "t")])
+    assert code == 2 and out is None
+    assert not (tmp_path / "t" / "teacher.ckpt").exists()
+
+
 # -- malformed checkpoints ----------------------------------------------------------
 
 TINY_CONFIG = pretrain.ModelConfig(n_classes=2, channels=(4, 6, 8, 10, 12),
@@ -239,6 +267,21 @@ def test_malformed_meta_value_is_runtime_error(tmp_path, capsys, key,
     nn.write_checkpoint(paths["weak"], kind, tensors)
     code, out = run(capsys, _argv("weak", paths, tmp_path))
     assert code == 1 and out is None
+
+
+@pytest.mark.parametrize("tap", [-1, 2, None])
+def test_strong_embed_tap_must_be_three_or_absent(tmp_path, capsys, tap):
+    # None: a checkpoint written before the tap was stored
+    paths = _write_models(tmp_path)
+    kind, tensors = nn.read_checkpoint(paths["strong"])
+    if tap is None:
+        del tensors["meta/embed_tap"]
+    else:
+        tensors["meta/embed_tap"] = np.array([tap])
+    nn.write_checkpoint(paths["strong"], kind, tensors)
+    code, out = run(capsys, _argv("strong", paths, tmp_path))
+    assert code == (0 if tap is None else 1)
+    assert (out is None) == (tap is not None)
 
 
 @pytest.mark.parametrize("model, key", [

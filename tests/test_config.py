@@ -1,9 +1,39 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from seqshot import config
+from seqshot import augment, config, corpus, detector, evaluate, pretrain
 from seqshot.errors import ConfigError
+
+
+def _fields(*classes):
+    return {f.name: f.default for cls in classes
+            for f in dataclasses.fields(cls)}
+
+
+def _params(fn):
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+
+@pytest.mark.parametrize("table, library", [
+    ("train", _fields(pretrain.TrainConfig)),
+    ("model", _fields(pretrain.ModelConfig)),
+    ("augment", _fields(augment.AugmentConfig)),
+    ("detector", _fields(detector.DetectorTrainConfig,
+                         detector.MarginConfig)),
+    ("corpus", _fields(corpus.PretrainConfig)),
+    ("distill", _params(pretrain.distill)),
+    ("evaluate", _params(evaluate.run_episode)),
+])
+def test_defaults_agree_with_library(table, library):
+    # the CLI keeps its own copy of each library default; distill.channels
+    # (the student's backbone) has no library default
+    cli_defaults = {k: tuple(v) if isinstance(v, list) else v
+                    for k, v in config.DEFAULTS[table].items()
+                    if (table, k) != ("distill", "channels")}
+    assert cli_defaults == {k: library[k] for k in cli_defaults}
 
 
 def test_defaults_returned_without_file():
@@ -69,3 +99,22 @@ def test_malformed_file(tmp_path):
     p.write_text("{nope")
     with pytest.raises(ConfigError):
         config.load_config(p)
+
+
+@pytest.mark.parametrize("override", [
+    "train.epochs=2.5", "train.augment=1", "detector.lr=0",
+    "detector.lr=Infinity", "model.channels=[]", "model.channels=[8,true]",
+    "seed=-1", "train=3",
+])
+def test_bad_values_rejected(override):
+    with pytest.raises(ConfigError):
+        config.load_config(overrides=[override])
+
+
+def test_edge_values_accepted():
+    cfg = config.load_config(overrides=["detector.lr=1",
+                                        "augment.n_delta=0",
+                                        "train.warmup_frac=0",
+                                        "corpus.n_noise_classes=0"])
+    assert cfg["detector"]["lr"] == 1
+    assert cfg["augment"]["n_delta"] == 0

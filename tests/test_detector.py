@@ -213,7 +213,8 @@ def test_window_frame_count():
     assert detector.window_frame_count(0.5) == 1
     assert detector.window_frame_count(3.2) == 9
     assert detector.window_frame_count(1.0) == 3
-    assert detector.window_frame_count(0.025) == 0    # one log-mel window
+    # one log-mel window embeds to no frame; the scan window keeps one
+    assert detector.window_frame_count(0.025) == 1
 
 
 def test_stream_scores_localize_pattern(toy_net):

@@ -70,10 +70,6 @@ def test_embed_frames_shape_and_hop():
     # 3.2 s -> 318 logmel frames -> 9 embedding frames; the stage-3 tap
     # flattens 8 channels x 8 freq bins
     assert frames.shape == (9, 64)
-    # the neck tap pools frequency away and returns embed_dim features
-    neck_model = pretrain.StrongModel(pretrain.ModelConfig(
-        n_classes=2, embed_tap=None, **TINY))
-    assert pretrain.embed_frames(neck_model, tone(440, 3.2)).shape == (9, 8)
 
 
 def test_embed_frames_concat_property():
@@ -156,7 +152,7 @@ def test_training_deterministic(tmp_path):
 
     def run(path):
         cfg = pretrain.TrainConfig(epochs=1, batch_size=4, crop_frames=98,
-                                   augment=True, spec_max_t=5, seed=1)
+                                   augment=True, seed=1)
         pretrain.train_weak(recs, 2, cfg, mc).save(path)
         return path.read_bytes()
 
@@ -183,9 +179,7 @@ def _reference_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
             pad = np.full((n_crop - t, m.shape[1]), np.log(dsp.LOG_FLOOR))
             m, off, valid = np.vstack([m, pad]), 0, t
         if cfg.augment:
-            m = dsp.spec_augment(m, rng, cfg.spec_time_masks,
-                                 cfg.spec_freq_masks, cfg.spec_max_t,
-                                 cfg.spec_max_f)
+            m = dsp.spec_augment(m, rng)
         feats.append(m)
         targs.append(pretrain.multi_hot(records[i].labels, n_classes))
         meta.append({"idx": int(i), "rate": rate, "off": off, "valid": valid,
@@ -230,8 +224,7 @@ def test_prepare_batch_equals_whole_clip_crop(augment, random_crop,
                                               crop_frames):
     # 150 and 300 frames pad the short clips (300 pads them all)
     recs = _batch_records()
-    cfg = pretrain.TrainConfig(crop_frames=crop_frames, augment=augment,
-                               spec_max_t=5)
+    cfg = pretrain.TrainConfig(crop_frames=crop_frames, augment=augment)
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(3):
         idxs = rng_a.choice(len(recs), size=4)
@@ -245,7 +238,7 @@ def test_prepare_batch_equals_whole_clip_crop(augment, random_crop,
 
 def test_prepare_batch_rate_exactly_one():
     recs = _batch_records()
-    cfg = pretrain.TrainConfig(crop_frames=60, augment=True, spec_max_t=5)
+    cfg = pretrain.TrainConfig(crop_frames=60, augment=True)
     idxs = np.arange(len(recs))
     got = pretrain._prepare_batch(recs, idxs, 2, _UnitRate(5), cfg)
     want = _reference_batch(recs, idxs, 2, _UnitRate(5), cfg)
@@ -265,7 +258,7 @@ def test_prepare_batch_computes_only_cropped_frames(monkeypatch):
         return m
 
     monkeypatch.setattr(dsp, "logmel", counting_logmel)
-    cfg = pretrain.TrainConfig(crop_frames=48, augment=True, spec_max_t=5)
+    cfg = pretrain.TrainConfig(crop_frames=48, augment=True)
     pretrain._prepare_batch(recs, np.arange(len(recs)), 2,
                             np.random.default_rng(0), cfg)
     assert computed == [48] * len(recs)
