@@ -8,6 +8,8 @@ strong events the generator wrote down.
 Runs in a few minutes on a laptop:  python3 demos/01_pretrain_pipeline.py
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from seqshot import corpus, pretrain
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
 work = Path(tempfile.mkdtemp(prefix="seqshot_demo1_"))
+atexit.register(shutil.rmtree, work)   # removed at exit, on an error too
 print(f"working in {work}")
 
 # 1. a 6-class corpus (4 motif families + pink/babble bursts), 8 clips each

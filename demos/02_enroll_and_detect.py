@@ -10,7 +10,9 @@ evaluation clip with the scan window the enrollment decided.
 Runs in a few minutes on a laptop:  python3 demos/02_enroll_and_detect.py
 """
 
+import atexit
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from seqshot import augment, corpus, detector, dsp, evaluate, pretrain
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
 work = Path(tempfile.mkdtemp(prefix="seqshot_demo2_"))
+atexit.register(shutil.rmtree, work)   # removed at exit, on an error too
 print(f"working in {work}")
 
 # -- pretraining (tiny, just enough to give embeddings some structure) -----
@@ -43,8 +46,8 @@ shots = [dsp.load_wav(work / "ep" / e["wav"]) for e in desc["enrollment"]]
 # training set from the positives alone, train the margin detector --------
 models = evaluate.PretrainedModels(weak=weak, strong=strong, delta=None,
                                    donor_pairs=[])
-aug = augment.AugmentConfig(n_time_shift=6, n_delta=0, n_masked=6,
-                            n_shuffled=6)
+# no Δ-encoder (delta=None), so no Δ positives
+aug = augment.AugmentConfig(n_time_shift=6, n_masked=6, n_shuffled=6)
 dtc = detector.DetectorTrainConfig(epochs=60)
 enrolled = evaluate.enroll(shots, models, seeds=[0], augment_config=aug,
                            train_config=dtc)

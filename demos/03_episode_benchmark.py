@@ -8,6 +8,8 @@ plus the no-negative-audio audit result.
 Runs in a few minutes on a laptop:  python3 demos/03_episode_benchmark.py
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from seqshot import augment, corpus, detector, evaluate, pretrain
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
 work = Path(tempfile.mkdtemp(prefix="seqshot_demo3_"))
+atexit.register(shutil.rmtree, work)   # removed at exit, on an error too
 print(f"working in {work}")
 
 # tiny pretraining shared across all episodes (frozen before any is seen)
@@ -34,8 +37,7 @@ models = evaluate.PretrainedModels(weak=weak, strong=strong,
                                    delta=None, donor_pairs=[])
 print("pretraining done")
 
-aug = augment.AugmentConfig(n_time_shift=4, n_delta=0, n_masked=4,
-                            n_shuffled=4)
+aug = augment.AugmentConfig(n_time_shift=4, n_masked=4, n_shuffled=4)
 dtc = detector.DetectorTrainConfig(epochs=60, seed=0)
 
 results = []

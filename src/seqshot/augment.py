@@ -107,15 +107,17 @@ def time_shift_augment(shot: dsp.Waveform, segment, n, rng, embed_fn):
 
 # -- delta encoder ---------------------------------------------------------------
 
+DELTA_LR = 1e-3                  # fixed AdamW learning rate
+DELTA_WEIGHT_DECAY = 0.0
+DELTA_HOLDOUT_FRAC = 0.2         # share of frames held out for holdout_l1
+DELTA_BATCH = 256                # frames per Δ-encoder training step
+
+
 @dataclass
 class DeltaConfig:
     z_dim: int = 16
     hidden: int = 128
     epochs: int = 300
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    holdout_frac: float = 0.2
-    batch_size: int = 256
     seed: int = 0
 
 
@@ -198,8 +200,7 @@ def train_delta(pairs, config: DeltaConfig = None):
     # t+1 of the same pair, so z cannot smuggle frame content through
     clean_rows, deg_rows, base_rows, tgt_rows = [], [], [], []
     for c, d in pairs:
-        cf = c.frames if isinstance(c, EmbeddingSequence) else np.asarray(c)
-        df = d.frames if isinstance(d, EmbeddingSequence) else np.asarray(d)
+        cf, df = c.frames, d.frames
         if cf.shape != df.shape:
             raise ShapeError(f"pair length mismatch: {cf.shape} vs {df.shape}")
         clean_rows.append(cf)
@@ -212,7 +213,7 @@ def train_delta(pairs, config: DeltaConfig = None):
     tgt = np.vstack(tgt_rows)
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(clean))
-    n_hold = max(1, int(cfg.holdout_frac * len(clean)))
+    n_hold = max(1, int(DELTA_HOLDOUT_FRAC * len(clean)))
     hold, train = perm[:n_hold], perm[n_hold:]
     if len(train) == 0:
         train = hold
@@ -220,8 +221,8 @@ def train_delta(pairs, config: DeltaConfig = None):
 
     def batches():
         order = rng.permutation(len(train))
-        for b0 in range(0, len(order), cfg.batch_size):
-            yield train[order[b0: b0 + cfg.batch_size]]
+        for b0 in range(0, len(order), DELTA_BATCH):
+            yield train[order[b0: b0 + DELTA_BATCH]]
 
     def step_loss(idx):
         recon, cache = model.forward(clean[idx], deg[idx], base[idx])
@@ -230,7 +231,7 @@ def train_delta(pairs, config: DeltaConfig = None):
         return float(np.mean(np.abs(resid)))
 
     model.loss_curve = nn.fit(model, cfg.epochs, batches, step_loss,
-                              lambda step: cfg.lr, cfg.weight_decay)
+                              lambda step: DELTA_LR, DELTA_WEIGHT_DECAY)
     recon_hold = model.apply(base[hold], clean[hold], deg[hold])
     model.holdout_l1 = float(np.mean(np.abs(recon_hold - tgt[hold])))
     model.holdout_identity_l1 = float(np.mean(np.abs(base[hold] - tgt[hold])))
@@ -252,9 +253,7 @@ def delta_augment(model: DeltaEncoder, target: EmbeddingSequence, donor_pair,
     output by the same constant.  The donor pair is used as given, since
     its clean-to-degraded difference is the deformation itself.
     """
-    clean, deg = donor_pair
-    cf = clean.frames if isinstance(clean, EmbeddingSequence) else np.asarray(clean)
-    df = deg.frames if isinstance(deg, EmbeddingSequence) else np.asarray(deg)
+    cf, df = donor_pair[0].frames, donor_pair[1].frames
     if cf.shape != df.shape:
         raise ShapeError("donor pair not time-aligned")
     t = target.frames.shape[0]
@@ -318,9 +317,13 @@ class AugmentConfig:
 def build_train_set(shots, segments, embed_fn, delta_model, donor_pairs,
                     config: AugmentConfig, rng):
     """D_train from curated segments only: positives (curated, shifted,
-    delta) and synthesized negatives (masked, shuffled)."""
+    delta) and synthesized negatives (masked, shuffled).  Delta
+    positives are made only when a ``delta_model`` is given, and it
+    needs at least one donor pair."""
     if not segments:
         raise EmptyInputError("no curated segments")
+    if delta_model is not None and not donor_pairs:
+        raise EmptyInputError("a delta encoder needs at least one donor pair")
     out = []
     for shot, seg in zip(shots, segments):
         sr = shot.sample_rate
@@ -332,7 +335,7 @@ def build_train_set(shots, segments, embed_fn, delta_model, donor_pairs,
         out.append(curated)
         out.extend(time_shift_augment(shot, seg, config.n_time_shift, rng,
                                       embed_fn))
-        if config.n_delta > 0:
+        if delta_model is not None and config.n_delta > 0:
             donor = donor_pairs[int(rng.integers(0, len(donor_pairs)))]
             out.extend(delta_augment(delta_model, curated, donor,
                                      config.n_delta, rng))

@@ -6,6 +6,7 @@ files, degenerate data), 2 usage or configuration errors.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -38,16 +39,13 @@ def _model_config(cfg, n_classes, channels=None):
 
 
 def _detector_train_config(cfg):
-    d = dict(cfg["detector"])
-    margin = {k: d.pop(k) for k in ("gamma", "margin_weight", "bce_weight")}
+    # one flat table for two configs: MarginConfig takes its own fields
+    margin = {f.name for f in dataclasses.fields(detector.MarginConfig)}
+    d = cfg["detector"]
     return detector.DetectorTrainConfig(
-        **d, margin=detector.MarginConfig(**margin))
-
-
-def _augment_config(cfg, have_delta):
-    a = cfg["augment"]
-    return augment.AugmentConfig(**{**a, "n_delta": a["n_delta"]
-                                    if have_delta else 0})
+        **{k: v for k, v in d.items() if k not in margin},
+        margin=detector.MarginConfig(
+            **{k: v for k, v in d.items() if k in margin}))
 
 
 def _pretrained_models(args):
@@ -172,7 +170,7 @@ def cmd_enroll(args, cfg):
     models = _pretrained_models(args)
     shots = [dsp.load_wav(p) for p in args.shots]
     enrolled = evaluate.enroll(shots, models, [cfg["seed"]],
-                               _augment_config(cfg, models.delta is not None),
+                               augment.AugmentConfig(**cfg["augment"]),
                                _detector_train_config(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,7 +206,7 @@ def cmd_detect(args, cfg):
 
 def cmd_evaluate(args, cfg):
     models = _pretrained_models(args)
-    aug_cfg = _augment_config(cfg, models.delta is not None)
+    aug_cfg = augment.AugmentConfig(**cfg["augment"])
     results = []
     for ep_dir in args.episodes:
         descriptor = Path(ep_dir) / "episode.json"

@@ -1,58 +1,41 @@
 """Run configuration: JSON file plus dotted command-line overrides,
 validated against a schema of known keys and echoed into output
-directories for reproducibility."""
+directories for reproducibility.  The defaults are read from the
+library configs each table feeds."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
+from . import augment, corpus, detector, evaluate, pretrain
 from .errors import ConfigError
+
+
+def _table(*classes):
+    """The settable fields of library configs and their defaults: every
+    field whose default is not ``None``, less ``seed``, which the run
+    seed sets.  A tuple default becomes a list, as JSON holds it."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple)
+            else f.default
+            for cls in classes for f in dataclasses.fields(cls)
+            if f.name != "seed" and f.default is not None
+            and f.default is not dataclasses.MISSING}
+
 
 DEFAULTS = {
     "seed": 0,
-    "corpus": {
-        "n_classes": 12,
-        "n_noise_classes": 2,
-        "clips_per_class": 42,
-        "clip_duration_s": 10.0,
-    },
-    "model": {
-        "channels": [16, 32, 48, 64, 128],
-        "head_hidden": 128,
-        "embed_dim": 64,
-    },
-    "train": {
-        "epochs": 30,
-        "batch_size": 32,
-        "peak_lr": 0.01,
-        "final_lr": 0.0001,
-        "warmup_frac": 0.1,
-        "weight_decay": 0.0001,
-        "crop_frames": 998,
-        "augment": True,
-    },
+    "corpus": _table(corpus.PretrainConfig),
+    "model": _table(pretrain.ModelConfig),
+    "train": _table(pretrain.TrainConfig),
     "distill": {
-        "temperature": 2.0,
-        "kd_weight": 0.5,
-        "channels": [8, 16, 24, 32, 64],
+        "temperature": pretrain.KD_TEMPERATURE,
+        "kd_weight": pretrain.KD_WEIGHT,
+        "channels": [8, 16, 24, 32, 64],      # the student's backbone
     },
-    "augment": {
-        "n_time_shift": 8,
-        "n_delta": 8,
-        "n_masked": 8,
-        "n_shuffled": 8,
-    },
-    "detector": {
-        "epochs": 200,
-        "lr": 0.001,
-        "weight_decay": 0.0001,
-        "gamma": 1.0,
-        "margin_weight": 1.0,
-        "bce_weight": 0.1,
-    },
-    "evaluate": {
-        "reps": 10,
-    },
+    "augment": _table(augment.AugmentConfig),
+    "detector": _table(detector.DetectorTrainConfig, detector.MarginConfig),
+    "evaluate": {"reps": evaluate.REPS},
 }
 
 MAY_BE_ZERO = {

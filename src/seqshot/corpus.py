@@ -212,15 +212,17 @@ def render_scene(motif, spec: SceneSpec, rng):
 
 # -- pretraining dataset ---------------------------------------------------------------
 
+EVENT_DURATION_RANGE = (1.5, 4.0)  # motif lengths and noise-burst lengths, s
+EVENT_SNR_DB_RANGE = (12.0, 25.0)  # each event over the clip's noise floor
+SECOND_EVENT_PROB = 0.2            # share of clips that hold a second class
+
+
 @dataclass
 class PretrainConfig:
     n_classes: int = 12
     n_noise_classes: int = 2          # pink burst + babble burst
     clips_per_class: int = 42
     clip_duration_s: float = 10.0
-    event_duration_range: tuple = (1.5, 4.0)
-    snr_db_range: tuple = (12.0, 25.0)
-    second_event_prob: float = 0.2
     seed: int = 0
 
 
@@ -250,7 +252,7 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
         gen_motif_family(
             family_seed=config.seed * 1000 + 17 * c + 3,
             n_sequences=6,
-            length_range=config.event_duration_range,
+            length_range=EVENT_DURATION_RANGE,
             family_id=c,
         )
         for c in range(n_fam)
@@ -261,7 +263,7 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
     for cls in range(config.n_classes):
         for _ in range(config.clips_per_class):
             classes = [cls]
-            if rng.uniform() < config.second_event_prob:
+            if rng.uniform() < SECOND_EVENT_PROB:
                 other = int(rng.integers(0, config.n_classes - 1))
                 if other >= cls:
                     other += 1
@@ -285,7 +287,7 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
                     ev = synth_motif(motif).samples
                 else:
                     kind = "pink" if c == n_fam else "babble"
-                    dur = float(rng.uniform(*config.event_duration_range))
+                    dur = float(rng.uniform(*EVENT_DURATION_RANGE))
                     ev = _noise_event(rng, kind, dur)
                 if t + dur > config.clip_duration_s - 0.2:
                     if not placements:     # always fit at least one event
@@ -296,7 +298,7 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
                 t += dur + float(rng.uniform(0.5, 1.5))
                 k += 1
             for c, insert, ev, dur in placements:
-                snr = rng.uniform(*config.snr_db_range)
+                snr = rng.uniform(*EVENT_SNR_DB_RANGE)
                 i0 = int(insert * sr)
                 ev = ev[: n - i0]
                 sig_power = float(np.mean(ev ** 2))

@@ -82,10 +82,12 @@ class DetectorNet(nn.Module):
 
 # -- normalized margin ----------------------------------------------------------
 
+MARGIN_EPS = 1e-6                # norm regularizer in the denominator
+
+
 @dataclass
 class MarginConfig:
     gamma: float = 1.0            # target normalized margin
-    eps: float = 1e-6             # norm regularizer in the denominator
     margin_weight: float = 1.0
     bce_weight: float = 0.1
     layer_set: tuple = None       # default: input + every conv output
@@ -112,7 +114,7 @@ def _feature_norms(feature_grads, layer_names):
             for name in layer_names}
 
 
-def margin_distance(net: DetectorNet, x, true_class, layer, eps=1e-6):
+def margin_distance(net: DetectorNet, x, true_class, layer, eps=MARGIN_EPS):
     """Normalized margin of one input at one feature map.
 
     (f_true - f_other) / (||d(f_true - f_other)/d feature||_F + eps);
@@ -164,13 +166,13 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
         norms = frozen_norms
 
     b = len(labels)
-    margins = np.stack([gap / (norms[name] + cfg.eps)
+    margins = np.stack([gap / (norms[name] + MARGIN_EPS)
                         for name in layer_names])     # (L, B)
     hinge = np.maximum(0.0, cfg.gamma - margins)
     margin_loss = float(hinge.mean())
     # d margin_loss / d gap, norms frozen
     active = (hinge > 0).astype(np.float64)
-    dgap_margin = -(active / np.stack([norms[n] + cfg.eps
+    dgap_margin = -(active / np.stack([norms[n] + MARGIN_EPS
                                        for n in layer_names])).sum(axis=0) \
         / hinge.size
 
@@ -197,12 +199,14 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
 
 # -- training and streaming detection ---------------------------------------------
 
+TRAIN_BATCH = 128                # items per detector training step
+
+
 @dataclass
 class DetectorTrainConfig:
     epochs: int = 200
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    batch_size: int = 128
     seed: int = 0
     margin: MarginConfig = field(default_factory=MarginConfig)
 
@@ -234,8 +238,8 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
 
     def batches():
         order = rng.permutation(len(train_set))
-        for b0 in range(0, len(order), cfg.batch_size):
-            yield order[b0: b0 + cfg.batch_size]
+        for b0 in range(0, len(order), TRAIN_BATCH):
+            yield order[b0: b0 + TRAIN_BATCH]
 
     def step_loss(idx):
         return detector_loss(net, x_all[idx], labels[idx], cfg.margin)[0]

@@ -145,6 +145,9 @@ class Episode:
         return np.array([it.label for it in self.eval_items])
 
 
+REPS = 10                        # detectors trained per episode
+
+
 @dataclass
 class PretrainedModels:
     """Everything frozen before any episode is seen."""
@@ -202,7 +205,7 @@ def enroll(shots, models: PretrainedModels, seeds,
     return Enrollment(segments, report, window_s, detectors, train_items)
 
 
-def run_episode(episode: Episode, models: PretrainedModels, reps=10, seed=0,
+def run_episode(episode: Episode, models: PretrainedModels, reps=REPS, seed=0,
                 augment_config: augment.AugmentConfig = None,
                 train_config: detector.DetectorTrainConfig = None):
     """Run the full protocol on one episode.

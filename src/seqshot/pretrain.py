@@ -42,6 +42,11 @@ MAX_EMBED_DIM = 4096
 EMBED_TAP = 3
 PSEUDO_BATCH = 128               # pseudo-label windows per forward pass
 
+# Distillation: the student's loss weights the teacher's tempered
+# logits by KD_WEIGHT and the ground-truth labels by 1 - KD_WEIGHT.
+KD_TEMPERATURE = 2.0
+KD_WEIGHT = 0.5
+
 PSEUDO_WIN_S = 0.5
 PSEUDO_HOP_S = 0.1
 PSEUDO_THRESHOLD = 0.5
@@ -381,7 +386,7 @@ def _training_plan(records, n_classes, config, random_crop=True):
 
 def train_weak(records, n_classes, config: TrainConfig,
                model_config: ModelConfig = None, teacher=None,
-               temperature=2.0, kd_weight=0.5):
+               temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
     """Train the weak-label multi-label classifier.
 
     With ``teacher`` set this is distillation: the loss becomes
@@ -422,7 +427,7 @@ def train_weak(records, n_classes, config: TrainConfig,
 
 
 def distill(teacher, student_config: ModelConfig, records, config: TrainConfig,
-            temperature=2.0, kd_weight=0.5):
+            temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
     """Train a student against teacher logits + ground-truth labels."""
     return train_weak(records, teacher.config.n_classes, config,
                       model_config=student_config, teacher=teacher,

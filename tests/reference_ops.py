@@ -111,11 +111,12 @@ def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
     else:
         norms = frozen_norms
     b = len(labels)
-    margins = np.stack([gap / (norms[name] + cfg.eps) for name in layer_names])
+    margins = np.stack([gap / (norms[name] + detector.MARGIN_EPS)
+                        for name in layer_names])
     hinge = np.maximum(0.0, cfg.gamma - margins)
     margin_loss = float(hinge.mean())
     active = (hinge > 0).astype(np.float64)
-    dgap_margin = -(active / np.stack([norms[n] + cfg.eps
+    dgap_margin = -(active / np.stack([norms[n] + detector.MARGIN_EPS
                                        for n in layer_names])).sum(axis=0) \
         / hinge.size
     p = 1.0 / (1.0 + np.exp(-gap_signed))

@@ -187,10 +187,14 @@ def test_shuffle_negative_t10_swaps_halves():
 
 # -- training-set assembly ----------------------------------------------------------
 
+def ramp_shots(n):
+    return [dsp.Waveform(np.arange(2 * 16000, dtype=float) / 1e6, 16000)
+            for _ in range(n)]
+
+
 def test_build_train_set_counts(shift_delta):
     model, pairs = shift_delta
-    shots = [dsp.Waveform(np.arange(2 * 16000, dtype=float) / 1e6, 16000)
-             for _ in range(3)]
+    shots = ramp_shots(3)
     segments = [curation.Segment(i, 0.5, 1.3) for i in range(3)]
     out = augment.build_train_set(shots, segments, fake_embed, model,
                                   pairs, augment.AugmentConfig(),
@@ -204,6 +208,29 @@ def test_build_train_set_counts(shift_delta):
                        "masked": 24, "shuffled": 24}
     lengths = {s.frames.shape[0] for s in out}
     assert lengths == {6}
+
+
+def test_build_train_set_without_delta_encoder():
+    # no Δ-encoder, no Δ positives, whatever the configured count
+    shots = ramp_shots(3)
+    segments = [curation.Segment(i, 0.5, 1.3) for i in range(3)]
+    out = augment.build_train_set(shots, segments, fake_embed, None, [],
+                                  augment.AugmentConfig(),
+                                  np.random.default_rng(0))
+    by_prov = {p: sum(1 for s in out if s.provenance == p)
+               for p in augment.PROVENANCES}
+    assert by_prov == {"curated": 3, "time_shift": 24, "delta": 0,
+                       "masked": 24, "shuffled": 24}
+
+
+def test_build_train_set_delta_encoder_needs_donors(shift_delta):
+    model, _ = shift_delta
+    shots = ramp_shots(1)
+    with pytest.raises(EmptyInputError, match="donor"):
+        augment.build_train_set(shots, [curation.Segment(0, 0.5, 1.3)],
+                                fake_embed, model, [],
+                                augment.AugmentConfig(),
+                                np.random.default_rng(0))
 
 
 def test_build_train_set_empty():

@@ -28,12 +28,33 @@ def _params(fn):
     ("evaluate", _params(evaluate.run_episode)),
 ])
 def test_defaults_agree_with_library(table, library):
-    # the CLI keeps its own copy of each library default; distill.channels
-    # (the student's backbone) has no library default
+    # each table is read from the library config it feeds;
+    # distill.channels (the student's backbone) has no library default
     cli_defaults = {k: tuple(v) if isinstance(v, list) else v
                     for k, v in config.DEFAULTS[table].items()
                     if (table, k) != ("distill", "channels")}
     assert cli_defaults == {k: library[k] for k in cli_defaults}
+
+
+TABLE_KEYS = {
+    "corpus": {"n_classes", "n_noise_classes", "clips_per_class",
+               "clip_duration_s"},
+    "model": {"channels", "head_hidden", "embed_dim"},
+    "train": {"epochs", "batch_size", "peak_lr", "final_lr", "warmup_frac",
+              "weight_decay", "crop_frames", "augment"},
+    "distill": {"temperature", "kd_weight", "channels"},
+    "augment": {"n_time_shift", "n_delta", "n_masked", "n_shuffled"},
+    "detector": {"epochs", "lr", "weight_decay", "gamma", "margin_weight",
+                 "bce_weight"},
+    "evaluate": {"reps"},
+}
+
+
+def test_table_keys_are_pinned():
+    # the 30 settable values: a new field of a library config is a new CLI
+    # option, so it must show up here, not slip into the tables unseen
+    assert set(config.DEFAULTS) == {"seed", *TABLE_KEYS}
+    assert {t: set(config.DEFAULTS[t]) for t in TABLE_KEYS} == TABLE_KEYS
 
 
 def test_defaults_returned_without_file():
