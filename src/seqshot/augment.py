@@ -7,7 +7,6 @@ ever reads non-target audio.
 """
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,9 +18,9 @@ from .errors import (
     FormatError,
     SeqshotError,
     ShapeError,
-    TruncatedFileError,
-    VersionMismatchError,
+    decoding,
 )
+from .nn.checkpoint import read_exact, read_header, write_header
 
 PROVENANCES = ("curated", "time_shift", "delta", "masked", "shuffled")
 
@@ -355,30 +354,25 @@ SEQ_VERSION = 1
 def write_embedding_sequence(path, seq: EmbeddingSequence):
     frames = np.ascontiguousarray(seq.frames, dtype="<f4")
     with open(path, "wb") as f:
-        f.write(SEQ_MAGIC)
-        f.write(struct.pack("<III", SEQ_VERSION, frames.shape[0],
-                            frames.shape[1]))
+        write_header(f, SEQ_MAGIC, SEQ_VERSION, *frames.shape)
         f.write(frames.tobytes())
-        f.write(struct.pack("<BB", seq.label,
-                            PROVENANCES.index(seq.provenance)))
+        f.write(bytes([seq.label, PROVENANCES.index(seq.provenance)]))
 
 
 def read_embedding_sequence(path):
+    """Raises FormatError for a label other than 0 or 1, an unknown
+    provenance or a non-finite frame, besides the header's errors."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != SEQ_MAGIC:
-            raise FormatError(f"bad magic {magic!r}")
-        head = f.read(12)
-        if len(head) != 12:
-            raise TruncatedFileError("sequence header truncated")
-        version, t, e = struct.unpack("<III", head)
-        if version != SEQ_VERSION:
-            raise VersionMismatchError(f"sequence version {version}")
-        raw = f.read(4 * t * e + 2)
-        if len(raw) != 4 * t * e + 2:
-            raise TruncatedFileError("sequence payload truncated")
+        t, e = read_header(f, SEQ_MAGIC, SEQ_VERSION, 2)
+        raw = read_exact(f, 4 * t * e + 2)
     frames = np.frombuffer(raw[:-2], dtype="<f4").reshape(t, e)
     label, prov = raw[-2], raw[-1]
+    if label > 1:
+        raise FormatError(f"{path}: label {label} is not 0 or 1")
+    if prov >= len(PROVENANCES):
+        raise FormatError(f"{path}: unknown provenance {prov}")
+    if not np.all(np.isfinite(frames)):
+        raise FormatError(f"{path}: non-finite embedding frames")
     return EmbeddingSequence(frames.astype(np.float64), label=int(label),
                              provenance=PROVENANCES[prov])
 
@@ -398,5 +392,7 @@ def save_train_set(directory, seqs):
 
 def load_train_set(directory):
     directory = Path(directory)
-    entries = json.loads((directory / "manifest.json").read_text())
-    return [read_embedding_sequence(directory / e["file"]) for e in entries]
+    manifest = directory / "manifest.json"
+    with decoding(manifest):
+        return [read_embedding_sequence(directory / e["file"])
+                for e in json.loads(manifest.read_text())]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augment, config, corpus, detector, dsp, evaluate, pretrain
-from .errors import ConfigError, FormatError, SeqshotError
+from .errors import ConfigError, FormatError, SeqshotError, decoding
 
 log = logging.getLogger("seqshot")
 
@@ -68,11 +68,8 @@ def _pretrained_models(args):
 
 def _window_s(path):
     """The scan window an ``enrollment.json`` records."""
-    try:
+    with decoding(path):
         window_s = json.loads(Path(path).read_text())["window_s"]
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-            TypeError) as e:
-        raise FormatError(f"{path}: no enrollment window_s ({e!r})") from e
     if isinstance(window_s, bool) or not isinstance(window_s, (int, float)) \
             or not math.isfinite(window_s) or window_s <= 0:
         raise FormatError(f"{path}: window_s {window_s!r} is not a finite "
@@ -149,11 +146,12 @@ def cmd_train_strong(args, cfg):
     records = pretrain.load_manifest(args.data)
     student = pretrain.WeakModel.load(args.student)
     pseudo_dir = Path(args.pseudo)
-    entries = [json.loads(line) for line in
-               (pseudo_dir / "pseudo_manifest.jsonl").read_text().splitlines()
-               if line.strip()]
-    pseudo = [pretrain.read_pseudo_labels(pseudo_dir / e["pseudo"])
-              for e in entries]
+    manifest = pseudo_dir / "pseudo_manifest.jsonl"
+    with decoding(manifest):
+        pseudo = [pretrain.read_pseudo_labels(
+                      pseudo_dir / json.loads(line)["pseudo"])
+                  for line in manifest.read_text().splitlines()
+                  if line.strip()]
     model = pretrain.train_strong(student, records, pseudo,
                                   _train_config(cfg))
     out = Path(args.out)

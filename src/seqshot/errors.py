@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SeqshotError(Exception):
     """Base class for all errors raised by seqshot."""
@@ -47,3 +49,14 @@ class StaleCacheError(SeqshotError):
 
 class ConfigError(SeqshotError):
     """Run configuration contains unknown keys or invalid values."""
+
+
+@contextmanager
+def decoding(path):
+    """Re-raise what decoding the file ``path`` raises (ValueError, which
+    covers bad JSON and bad UTF-8, KeyError, IndexError, TypeError) as a
+    FormatError naming it.  OSError and SeqshotError pass through."""
+    try:
+        yield
+    except (ValueError, KeyError, IndexError, TypeError) as e:
+        raise FormatError(f"{path}: {e!r}") from e

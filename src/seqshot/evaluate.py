@@ -18,7 +18,8 @@ from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from . import augment, curation, detector, dsp, pretrain
-from .errors import DegenerateInputError, EmptyInputError, ShapeError
+from .errors import (DegenerateInputError, EmptyInputError, ShapeError,
+                     decoding)
 
 log = logging.getLogger(__name__)
 
@@ -120,12 +121,14 @@ class Episode:
 
     def __init__(self, descriptor_path):
         descriptor_path = Path(descriptor_path)
-        desc = json.loads(descriptor_path.read_text())
+        with decoding(descriptor_path):
+            desc = json.loads(descriptor_path.read_text())
+            self.enrollment_wavs = [e["wav"] for e in desc["enrollment"]]
+            self.eval_items = [EvalItem(e["wav"], int(e["label"]))
+                               for e in desc["eval"]]
+            self.target_duration_s = float(desc.get("target_duration_s",
+                                                    0.0))
         self.root = descriptor_path.parent
-        self.enrollment_wavs = [e["wav"] for e in desc["enrollment"]]
-        self.eval_items = [EvalItem(e["wav"], int(e["label"]))
-                           for e in desc["eval"]]
-        self.target_duration_s = float(desc.get("target_duration_s", 0.0))
         self.phase = "train"
         self.audit = []
 

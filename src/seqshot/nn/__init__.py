@@ -23,7 +23,7 @@ from .layers import (
 )
 from .graph import Graph, BackwardResult
 from .optim import adamw_init, adamw_step, one_cycle_lr
-from .checkpoint import write_checkpoint, read_checkpoint, load_params
+from .checkpoint import write_checkpoint, read_checkpoint
 from .module import Module, fit
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "one_cycle_lr",
     "write_checkpoint",
     "read_checkpoint",
-    "load_params",
     "Module",
     "fit",
 ]

@@ -1,35 +1,65 @@
-"""Checkpoint file format.
+"""Binary file framing, and the checkpoint format.
 
-Layout (little-endian throughout):
-  magic "SQCK" | u32 version=1 | u32 tag_len | tag utf-8 | u32 n_tensors
+Every binary file seqshot writes (checkpoints SQCK, pseudo-labels SQPL,
+embedding sequences SQES) starts with one header, little-endian:
+  magic (4 bytes) | u32 version | u32 sizes[n]
+written by ``write_header`` and read by ``read_header``; ``read_exact``
+reads a payload.
+
+Checkpoint layout (magic "SQCK", version 1, no sizes):
+  header | u32 tag_len | tag utf-8 | u32 n_tensors
   then per tensor: u32 name_len | name utf-8 | u32 rank | u32 dims[rank]
   | f32 data (row-major)
 """
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from ..errors import (
-    FormatError,
-    TruncatedFileError,
-    UnknownTensorError,
-    VersionMismatchError,
-)
+from ..errors import (FormatError, TruncatedFileError, VersionMismatchError,
+                      decoding)
 
 MAGIC = b"SQCK"
 VERSION = 1
 
 
-def _read_exact(f, n):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"expected {n} bytes, got {len(buf)}")
-    return buf
+def read_exact(f, n):
+    """The next ``n`` bytes of the open file ``f``.  TruncatedFileError is
+    raised before reading when fewer are left, so a size read from a
+    malformed file cannot make the reader allocate more than the file
+    holds."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncatedFileError(f"expected {n} bytes, {left} left")
+    return f.read(n)
+
+
+def write_header(f, magic, version, *sizes):
+    f.write(magic)
+    f.write(struct.pack(f"<{1 + len(sizes)}I", version, *sizes))
+
+
+def read_header(f, magic, version, n_sizes):
+    """Check a header's magic and version; returns its ``n_sizes`` sizes.
+
+    Raises FormatError for another magic, VersionMismatchError for another
+    version, and TruncatedFileError when the file ends inside the header.
+    """
+    found = f.read(len(magic))
+    if found != magic:
+        raise FormatError(f"bad magic {found!r}, expected {magic!r}")
+    found, *sizes = struct.unpack(f"<{1 + n_sizes}I",
+                                  read_exact(f, 4 * (1 + n_sizes)))
+    if found != version:
+        raise VersionMismatchError(f"{magic.decode()} version {found} != "
+                                   f"{version}")
+    return sizes
 
 
 def _read_u32(f):
-    return struct.unpack("<I", _read_exact(f, 4))[0]
+    return struct.unpack("<I", read_exact(f, 4))[0]
 
 
 def _write_str(f, s):
@@ -40,14 +70,13 @@ def _write_str(f, s):
 
 def _read_str(f):
     n = _read_u32(f)
-    return _read_exact(f, n).decode("utf-8")
+    return read_exact(f, n).decode("utf-8")
 
 
 def write_checkpoint(path, kind, tensors):
     """Write a name->array dict; data is stored as f32 little-endian."""
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
+        write_header(f, MAGIC, VERSION)
         _write_str(f, kind)
         f.write(struct.pack("<I", len(tensors)))
         for name, arr in tensors.items():
@@ -61,13 +90,8 @@ def write_checkpoint(path, kind, tensors):
 
 def read_checkpoint(path):
     """Read a checkpoint; returns (kind, name->float64 array dict)."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = _read_u32(f)
-        if version != VERSION:
-            raise VersionMismatchError(f"checkpoint version {version} != {VERSION}")
+    with open(path, "rb") as f, decoding(path):   # names not UTF-8
+        read_header(f, MAGIC, VERSION, 0)
         kind = _read_str(f)
         n = _read_u32(f)
         tensors = {}
@@ -75,52 +99,8 @@ def read_checkpoint(path):
             name = _read_str(f)
             rank = _read_u32(f)
             dims = tuple(_read_u32(f) for _ in range(rank))
-            count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            raw = _read_exact(f, 4 * count)
+            raw = read_exact(f, 4 * math.prod(dims))
             tensors[name] = (
                 np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
             )
     return kind, tensors
-
-
-def load_params(checkpoint, kind, build, meta_keys=()):
-    """Load a checkpoint into a freshly built model, checking every tensor.
-
-    ``checkpoint`` is the (kind, tensors) pair ``read_checkpoint`` returns.
-    ``build(meta)`` gets the ``meta/`` tensors and returns the model to
-    fill: anything with ``params()`` (name -> array, written in place) and
-    ``mark_updated()``.  Nothing is written unless every check passes.
-    Returns the model.
-
-    Raises FormatError when the kind is not ``kind`` (None accepts any),
-    when one of ``meta_keys`` is missing, when a tensor's shape differs
-    from its parameter's, or when a parameter has no tensor; and
-    UnknownTensorError for a tensor that is neither a parameter nor
-    ``meta/``.
-    """
-    found, tensors = checkpoint
-    if kind is not None and found != kind:
-        raise FormatError(f"checkpoint kind {found!r}, expected {kind!r}")
-    meta = {k: v for k, v in tensors.items() if k.startswith("meta/")}
-    missing = sorted(set(meta_keys) - set(meta))
-    if missing:
-        raise FormatError(f"checkpoint missing meta tensors: {missing}")
-    model = build(meta)
-    params = model.params()
-    for name, arr in tensors.items():
-        if name in meta:
-            continue
-        if name not in params:
-            raise UnknownTensorError(f"unknown tensor {name!r}")
-        if params[name].shape != arr.shape:
-            raise FormatError(
-                f"tensor {name!r} shape {arr.shape} != {params[name].shape}"
-            )
-    missing = sorted(set(params) - set(tensors))
-    if missing:
-        raise FormatError(f"checkpoint missing tensors: {missing}")
-    for name, arr in params.items():
-        arr[...] = tensors[name]
-    model.mark_updated()
-    return model
-

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, UnknownTensorError, decoding
 
 # calls go through the package, so a wrapper set on ``nn`` (a profiler,
 # say) sees every optimizer step and checkpoint read or write
@@ -137,37 +137,51 @@ class Module:
 
     @classmethod
     def load(cls, path):
-        """Load through ``nn.load_params``, which checks every tensor.
-
-        Every ``meta/`` size must equal what the stored tensors fix
-        (``stored_sizes``), or FormatError is raised before the module is
-        built, so a checkpoint cannot make the loader allocate more than
-        the tensors it holds.
-        """
+        """The one checkpoint loader.  FormatError is raised for another
+        kind, a missing or malformed ``META`` field, a size that differs
+        from what the stored tensors fix (``stored_sizes``, compared before
+        the module is built, so a checkpoint cannot make the loader
+        allocate more than the tensors it holds) and a missing or
+        misshapen parameter; UnknownTensorError for any other tensor."""
+        kind, tensors = nn.read_checkpoint(path)
+        if kind != cls.KIND:
+            raise FormatError(f"checkpoint kind {kind!r}, expected "
+                              f"{cls.KIND!r}")
+        meta = {k[len("meta/"):]: v for k, v in tensors.items()
+                if k.startswith("meta/")}
+        stray = sorted(set(meta) - set(cls.META))
+        if stray:
+            raise UnknownTensorError(f"unknown tensor meta/{stray[0]}")
+        missing = sorted(set(cls.META) - set(cls.OPTIONAL_META) - set(meta))
+        if missing:
+            raise FormatError(f"checkpoint missing meta tensors: {missing}")
         tuples = {f.name for f in dataclasses.fields(cls.CONFIG)
                   if f.type is tuple}
-        checkpoint = nn.read_checkpoint(path)
-        shapes = {k: v.shape for k, v in checkpoint[1].items()
+        fields = {f: _decode(f, meta[f], f in tuples)
+                  for f in cls.META if f in meta}
+        shapes = {k: v.shape for k, v in tensors.items()
                   if not k.startswith("meta/")}
-
-        def build(meta):
-            fields = {f: _decode(f, meta[f"meta/{f}"], f in tuples)
-                      for f in cls.META if f"meta/{f}" in meta}
-            try:
-                stored = cls.stored_sizes(shapes)
-            except KeyError as e:
-                raise FormatError(f"checkpoint missing tensor {e}") from None
-            except IndexError:
-                raise FormatError("checkpoint tensor of too low a rank") \
-                    from None
-            for f, value in stored.items():
-                if f in fields and fields[f] != value:
-                    raise FormatError(f"meta/{f} {fields[f]} does not match "
-                                      f"the stored tensors ({value})")
-            return cls.from_meta(fields)
-        required = tuple(f"meta/{f}" for f in cls.META
-                         if f not in cls.OPTIONAL_META)
-        return nn.load_params(checkpoint, cls.KIND, build, required)
+        with decoding(path):    # a tensor it needs missing or of low rank
+            stored = cls.stored_sizes(shapes)
+        for f, value in stored.items():
+            if f in fields and fields[f] != value:
+                raise FormatError(f"meta/{f} {fields[f]} does not match "
+                                  f"the stored tensors ({value})")
+        model = cls.from_meta(fields)
+        params = model.params()
+        for name, shape in shapes.items():
+            if name not in params:
+                raise UnknownTensorError(f"unknown tensor {name!r}")
+            if params[name].shape != shape:
+                raise FormatError(
+                    f"tensor {name!r} shape {shape} != {params[name].shape}")
+        missing = sorted(set(params) - set(shapes))
+        if missing:
+            raise FormatError(f"checkpoint missing tensors: {missing}")
+        for name, arr in params.items():
+            arr[...] = tensors[name]
+        model.mark_updated()
+        return model
 
 
 def fit(module, epochs, batches, step_loss, lr, weight_decay):

@@ -15,20 +15,14 @@ and floor(T/32) frames come out.
 """
 
 import json
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp, nn
-from .errors import (
-    EmptyInputError,
-    FormatError,
-    SeqshotError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import EmptyInputError, FormatError, SeqshotError, decoding
+from .nn.checkpoint import read_exact, read_header, write_header
 
 FRAMES_PER_EMBED = 32            # logmel frames per strong-embedding frame
 EMBED_HOP_S = FRAMES_PER_EMBED * dsp.FRAME_HOP_S   # 0.32
@@ -76,15 +70,16 @@ def load_manifest(path):
     """Read a JSON-lines dataset manifest; wav paths resolve relative to it."""
     path = Path(path)
     records = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        r = json.loads(line)
-        records.append(ClipRecord(
-            wav_path=path.parent / r["wav"],
-            labels=tuple(r["labels"]),
-            events=tuple(tuple(e) for e in r.get("events", ())),
-        ))
+    with decoding(path):
+        for line in path.read_text().splitlines():
+            if not line.strip():
+                continue
+            r = json.loads(line)
+            records.append(ClipRecord(
+                wav_path=path.parent / r["wav"],
+                labels=tuple(r["labels"]),
+                events=tuple(tuple(e) for e in r.get("events", ())),
+            ))
     return records
 
 
@@ -467,29 +462,15 @@ PSEUDO_VERSION = 1
 
 
 def write_pseudo_labels(path, psl: PseudoStrongLabels):
-    packed = np.packbits(psl.labels.reshape(-1))
     with open(path, "wb") as f:
-        f.write(PSEUDO_MAGIC)
-        f.write(struct.pack("<III", PSEUDO_VERSION, psl.labels.shape[0],
-                            psl.labels.shape[1]))
-        f.write(packed.tobytes())
+        write_header(f, PSEUDO_MAGIC, PSEUDO_VERSION, *psl.labels.shape)
+        f.write(np.packbits(psl.labels.reshape(-1)).tobytes())
 
 
 def read_pseudo_labels(path):
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != PSEUDO_MAGIC:
-            raise FormatError(f"bad magic {magic!r}")
-        head = f.read(12)
-        if len(head) != 12:
-            raise TruncatedFileError("pseudo-label header truncated")
-        version, n_win, n_cls = struct.unpack("<III", head)
-        if version != PSEUDO_VERSION:
-            raise VersionMismatchError(f"pseudo-label version {version}")
-        need = (n_win * n_cls + 7) // 8
-        raw = f.read(need)
-        if len(raw) != need:
-            raise TruncatedFileError("pseudo-label payload truncated")
+        n_win, n_cls = read_header(f, PSEUDO_MAGIC, PSEUDO_VERSION, 2)
+        raw = read_exact(f, (n_win * n_cls + 7) // 8)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: n_win * n_cls]
     return PseudoStrongLabels(labels=bits.reshape(n_win, n_cls))
 
@@ -521,10 +502,14 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
     """
     if len(pseudo_per_clip) != len(records):
         raise SeqshotError("pseudo labels missing for some clips")
+    n_classes = student.config.n_classes
+    for psl in pseudo_per_clip:
+        if psl.labels.shape[0] == 0 or psl.labels.shape[1] != n_classes:
+            raise SeqshotError(f"pseudo labels of shape {psl.labels.shape} "
+                               f"for a {n_classes}-class student")
     if not 0 < student.config.embed_dim <= MAX_EMBED_DIM:
         raise SeqshotError(f"student embed_dim {student.config.embed_dim} "
                            f"is not in 1..{MAX_EMBED_DIM}")
-    n_classes = student.config.n_classes
     model = StrongModel(replace(student.config, seed=config.seed))
     model.init_backbone_from(student)
     batches, lr = _training_plan(records, n_classes, config, random_crop=False)

@@ -260,6 +260,16 @@ def test_sequence_file_errors(tmp_path):
     (tmp_path / "u.sqes").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(FormatError):
         augment.read_embedding_sequence(tmp_path / "u.sqes")
+    # the payload ends with the label byte, then the provenance byte; the
+    # first frame's first value sits right after the 16-byte header
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    for name, bad in [
+            ("provenance", raw[:-1] + bytes([len(augment.PROVENANCES)])),
+            ("label", raw[:-2] + bytes([2]) + raw[-1:]),
+            ("nan", raw[:16] + nan + raw[20:])]:
+        (tmp_path / f"{name}.sqes").write_bytes(bad)
+        with pytest.raises(FormatError):
+            augment.read_embedding_sequence(tmp_path / f"{name}.sqes")
 
 
 def test_train_set_roundtrip(tmp_path):

@@ -207,6 +207,8 @@ def _corrupt(path, fault):
         for k in tensors:
             if not k.startswith("meta/"):
                 tensors[k] = tensors[k][..., 0]
+    elif fault == "stray_meta":
+        tensors["meta/stray"] = np.array([1.0])
     else:   # the first meta tensor is one the loader needs
         del tensors[next(k for k in tensors if k.startswith("meta/"))]
     nn.write_checkpoint(path, kind, tensors)
@@ -241,7 +243,8 @@ def _argv(model, paths, root):
 
 
 @pytest.mark.parametrize("fault", ["missing_tensor", "unknown_tensor",
-                                   "shape", "rank", "missing_meta"])
+                                   "shape", "rank", "missing_meta",
+                                   "stray_meta"])
 @pytest.mark.parametrize("model", ["weak", "strong", "delta", "detector"])
 def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
                                                fault):
@@ -367,6 +370,51 @@ def test_malformed_enrollment_is_runtime_error(tmp_path, capsys, text):
     (tmp_path / "enrollment.json").write_text(text)
     code, out = run(capsys, argv)
     assert code == 1 and out is None
+
+
+def _malformed_json_argv(case, root):
+    """A command whose named JSON input is malformed, the path of that
+    input, and nothing else wrong before the command reads it."""
+    paths = _write_models(root)
+    if case in ("manifest_not_json", "manifest_without_wav"):
+        bad = root / "data.jsonl"
+        bad.write_text("not json\n" if case == "manifest_not_json"
+                       else json.dumps({"labels": [0]}) + "\n")
+        return ["pretrain", "--data", str(bad), "--out", str(root / "o")], bad
+    if case == "pseudo_manifest_without_pseudo":
+        (root / "empty.jsonl").write_text("")
+        (root / "pseudo").mkdir()
+        bad = root / "pseudo" / "pseudo_manifest.jsonl"
+        bad.write_text(json.dumps({"wav": "a.wav"}) + "\n")
+        return ["train-strong", "--data", str(root / "empty.jsonl"),
+                "--student", str(paths["weak"]), "--pseudo",
+                str(root / "pseudo"), "--out", str(root / "o")], bad
+    models = ["--weak", str(paths["weak"]), "--strong", str(paths["strong"])]
+    if case == "donor_manifest_not_json":
+        (root / "donors").mkdir()
+        bad = root / "donors" / "manifest.json"
+        bad.write_text("{")
+        return ["enroll", "--shots", str(root / "shot.wav"), *models,
+                "--delta", str(paths["delta"]), "--donors",
+                str(root / "donors"), "--out", str(root / "o")], bad
+    (root / "episode").mkdir()
+    bad = root / "episode" / "episode.json"
+    bad.write_text(json.dumps({"enrollment": [{"wav": "e0.wav"}]}))
+    return ["evaluate", "--episodes", str(root / "episode"), *models,
+            "--out", str(root / "o")], bad
+
+
+@pytest.mark.parametrize("case", [
+    "manifest_not_json", "manifest_without_wav",
+    "pseudo_manifest_without_pseudo", "donor_manifest_not_json",
+    "episode_without_eval"])
+def test_malformed_json_input_is_runtime_error(tmp_path, capsys, caplog,
+                                               case):
+    argv, bad = _malformed_json_argv(case, tmp_path)
+    code, out = run(capsys, argv)
+    assert code == 1 and out is None
+    assert any(r.levelname == "ERROR" and str(bad) in r.getMessage()
+               for r in caplog.records)
 
 
 @pytest.mark.parametrize("given", ["delta", "donors"])

@@ -421,7 +421,9 @@ def test_checkpoint_unknown_tensor(tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["missing", "shape", "unknown"])
-def test_rejected_checkpoint_leaves_graph_untouched(tmp_path, fault):
+def test_load_refuses_bad_parameter_tensor(tmp_path, fault):
+    # ``load`` builds a fresh module and returns it only once every tensor
+    # has passed, so a refused file leaves no model, whole or in part
     path = tmp_path / "m.sqck"
     Tiny(TinyConfig(seed=3)).save(path)
     kind, tensors = nn.read_checkpoint(path)
@@ -431,13 +433,10 @@ def test_rejected_checkpoint_leaves_graph_untouched(tmp_path, fault):
         tensors["out/head/b"] = np.zeros(5)
     else:
         tensors["stray/W"] = np.zeros(2)
-    m = Tiny(TinyConfig(seed=7))
-    before = {k: v.copy() for k, v in m.params().items()}
+    nn.write_checkpoint(path, kind, tensors)
     expected = UnknownTensorError if fault == "unknown" else FormatError
     with pytest.raises(expected):
-        nn.load_params((kind, tensors), "tiny", lambda meta: m)
-    for k, v in m.params().items():
-        np.testing.assert_array_equal(v, before[k])
+        Tiny.load(path)
 
 
 # -- im2col GEMM convolutions against the einsum reference --------------------

@@ -482,3 +482,17 @@ def test_pseudo_count_mismatch(toy_weak):
     student, recs = toy_weak
     with pytest.raises(SeqshotError):
         pretrain.train_strong(student, recs, [], pretrain.TrainConfig())
+
+
+@pytest.mark.parametrize("shape", [(16, 3), (0, 2)],
+                         ids=["other_class_count", "no_window"])
+def test_pseudo_labels_must_fit_the_student(toy_weak, shape):
+    # labels another model wrote, or that hold no window, are refused
+    # before training starts
+    student, recs = toy_weak
+    assert student.config.n_classes == 2
+    psl = [pretrain.PseudoStrongLabels(labels=np.zeros(shape, np.uint8))
+           for _ in recs]
+    with pytest.raises(SeqshotError, match="pseudo labels of shape"):
+        pretrain.train_strong(student, recs, psl,
+                              pretrain.TrainConfig(epochs=1, crop_frames=98))
