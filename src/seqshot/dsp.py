@@ -4,12 +4,21 @@ Audio is mono float64 in [-1, 1] at 16 kHz after loading.  Logmel
 features are (T, 64) float64 arrays: 25 ms Hann windows at 10 ms hops,
 FFT size 512, 64 HTK-mel triangular filters spanning 0-8000 Hz with
 unit peak, natural log with a 1e-6 floor.
+
+Both resamplers are the same 16-tap Kaiser-windowed sinc, its kernel rows
+interpolated from one table.  A file's integer sample rate is resampled by
+exact phase: the step sr / 16000 is a fraction p / q, so only q kernel
+rows occur, and they are made once per file.  Playback-speed changes take
+float rates and interpolate a kernel row per output sample.  Log-mels are
+computed in blocks of frames, so their temporaries stay small.
 """
 
+import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from .errors import (
@@ -27,11 +36,15 @@ N_MELS = 64
 FRAME_HOP_S = FRAME_HOP / SAMPLE_RATE
 FRAME_LEN_S = FRAME_LEN / SAMPLE_RATE
 LOG_FLOOR = 1e-6
+MIN_FILE_RATE = 8000      # Hz; load_wav refuses header rates outside
+MAX_FILE_RATE = 192000    # [MIN_FILE_RATE, MAX_FILE_RATE]
 
 _SINC_HALF_TAPS = 8   # 16-tap windowed-sinc resampler
 _SINC_GRID = 4096     # fractional positions tabulated per kernel row
-_RESAMPLE_BLOCK = 1 << 16   # output samples per block; bounds peak memory
+_RESAMPLE_BLOCK = 1 << 13   # output samples per block (1 MiB temporaries)
 _KAISER_BETA = 8.0
+_LOGMEL_BLOCK = 256   # frames per log-mel block
+_LOGMEL_EXACT_FRAMES = 48   # see logmel: slices this long are bit-exact
 
 
 @dataclass
@@ -52,7 +65,11 @@ class Waveform:
 # -- WAV I/O -----------------------------------------------------------------
 
 def load_wav(path):
-    """Load a PCM16 RIFF/WAVE file: mono-mixed, resampled to 16 kHz."""
+    """Load a PCM16 RIFF/WAVE file: mono-mixed, resampled to 16 kHz.
+
+    A header rate outside ``MIN_FILE_RATE``-``MAX_FILE_RATE`` Hz is an
+    UnsupportedFormatError, raised before the samples are read.
+    """
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
@@ -66,6 +83,11 @@ def load_wav(path):
                 )
             n_ch = f.getnchannels()
             sr = f.getframerate()
+            if not MIN_FILE_RATE <= sr <= MAX_FILE_RATE:
+                raise UnsupportedFormatError(
+                    f"{path}: sample rate {sr} Hz outside "
+                    f"{MIN_FILE_RATE}-{MAX_FILE_RATE} Hz"
+                )
             raw = f.readframes(f.getnframes())
     except wave.Error as e:
         msg = str(e)
@@ -74,14 +96,16 @@ def load_wav(path):
         raise FormatError(f"{path}: {msg}") from e
     except EOFError as e:
         raise FormatError(f"{path}: truncated header") from e
-    x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    x = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    del raw
+    x /= 32768.0
     if n_ch > 1:
         x = x[: len(x) - len(x) % n_ch].reshape(-1, n_ch).mean(axis=1)
     if len(x) < 1:
         raise EmptyInputError(f"{path}: no samples")
     if sr != SAMPLE_RATE:
-        x = _resample(x, sr / SAMPLE_RATE)
-    return Waveform(np.clip(x, -1.0, 1.0), SAMPLE_RATE)
+        x = _resample_rate(x, sr)
+    return Waveform(np.clip(x, -1.0, 1.0, out=x), SAMPLE_RATE)
 
 
 def write_wav(path, w: Waveform):
@@ -138,6 +162,18 @@ def _sinc_table(step, half):
     return cutoff * np.sinc(cutoff * ug) * _kaiser(ug, half)
 
 
+def _kernel_rows(table, frac):
+    """Kernel rows at fractional positions ``frac`` in [0, 1): linear
+    interpolation between ``table`` rows, renormalized to sum to 1 so
+    constant signals are preserved exactly."""
+    scaled = frac * _SINC_GRID
+    lo = scaled.astype(np.int64)
+    blend = (scaled - lo)[:, None]
+    kern = table[lo] * (1.0 - blend) + table[lo + 1] * blend
+    kern /= kern.sum(axis=1, keepdims=True)
+    return kern
+
+
 def _output_range(start, stop, n):
     stop = n if stop is None else stop
     if not 0 <= start < stop <= n:
@@ -145,37 +181,67 @@ def _output_range(start, stop, n):
     return stop
 
 
-def _resample(x, step, start=0, stop=None):
-    """Windowed-sinc resample: output[n] = x(n * step), step in input samples.
+def _filter(x, step, start, stop, taps_at):
+    """Outputs ``start`` to ``stop`` (default: the end) of resampling ``x``
+    by ``step`` input samples per output.
 
-    16-tap Kaiser-windowed sinc, kernel renormalized per output sample so
-    constant signals are preserved exactly.  Only outputs ``start`` to
-    ``stop`` (default: the end) are computed; each depends on its own
-    position alone, so a range equals the same slice of the whole output.
-    Outputs are filled in blocks of ``_RESAMPLE_BLOCK`` samples, so memory
-    does not grow with the signal's length beyond the input and output.
+    ``taps_at(n)`` gives, for the output indices ``n``, the input sample
+    each is centred on (``base``) and its kernel rows; output n is the
+    dot of ``x[base - 7 : base + 9]`` with its row, so each output depends
+    on its own position alone and a range equals the same slice of the
+    whole output.  Outputs are filled in blocks of ``_RESAMPLE_BLOCK``
+    samples, so memory does not grow with the signal's length beyond the
+    input and output.
     """
     n_out = resampled_length(len(x), step)
     if n_out < 1:
         raise EmptyInputError("resampled signal would be empty")
     stop = _output_range(start, stop, n_out)
     half = _SINC_HALF_TAPS
-    table = _sinc_table(step, half)
-    taps = np.arange(-half + 1, half + 1)          # 16 taps
-    xp = np.pad(x, (half, half + 1))
+    # windows[b] holds x[b - 7 : b + 9], the taps around input sample b
+    windows = sliding_window_view(np.pad(x, (half, half + 1)), 2 * half)[1:]
     out = np.empty(stop - start)
     for b0 in range(start, stop, _RESAMPLE_BLOCK):
         b1 = min(b0 + _RESAMPLE_BLOCK, stop)
-        pos = np.arange(b0, b1) * step
-        base = np.floor(pos).astype(np.int64)
-        scaled = (pos - base) * _SINC_GRID
-        lo = scaled.astype(np.int64)
-        blend = (scaled - lo)[:, None]
-        kern = table[lo] * (1.0 - blend) + table[lo + 1] * blend
-        kern /= kern.sum(axis=1, keepdims=True)
-        idx = base[:, None] + taps[None, :]
-        out[b0 - start: b1 - start] = (xp[idx + half] * kern).sum(axis=1)
+        base, kern = taps_at(np.arange(b0, b1))
+        out[b0 - start: b1 - start] = (windows[base] * kern).sum(axis=1)
     return out
+
+
+def _resample(x, step, start=0, stop=None):
+    """Windowed-sinc resample: output[n] = x(n * step), step in input samples.
+
+    16-tap Kaiser-windowed sinc; each output's kernel row is interpolated
+    from the table at the fractional part of its float position.
+    """
+    table = _sinc_table(step, _SINC_HALF_TAPS)
+
+    def taps_at(n):
+        pos = n * step
+        base = np.floor(pos).astype(np.int64)
+        return base, _kernel_rows(table, pos - base)
+    return _filter(x, step, start, stop, taps_at)
+
+
+def _resample_rate(x, sr):
+    """``_resample(x, sr / 16000)`` for an integer rate ``sr``, by exact
+    phase.
+
+    With sr / 16000 = p / q in lowest terms, output n sits at input
+    sample (n p) // q plus the phase ((n p) % q) / q.  Only q kernel rows
+    occur (160 at 44.1 kHz, 1 at 48 kHz), so they are interpolated from
+    the same table once per call.  Outputs differ from ``_resample``'s
+    only where its float position n * step rounds: by under 1e-9.
+    """
+    g = math.gcd(sr, SAMPLE_RATE)
+    p, q = sr // g, SAMPLE_RATE // g
+    step = sr / SAMPLE_RATE
+    rows = _kernel_rows(_sinc_table(step, _SINC_HALF_TAPS), np.arange(q) / q)
+
+    def taps_at(n):
+        base, phase = np.divmod(n * p, q)
+        return base, rows[phase]
+    return _filter(x, step, 0, None, taps_at)
 
 
 def augment_resample(w: Waveform, rate_factor, start=0, stop=None):
@@ -251,6 +317,10 @@ def logmel(w: Waveform):
     Frame t covers samples [160 t, 160 t + 400), so the log-mel of a
     slice starting at sample 160 k equals rows k onward of the whole, bit
     for bit for slices as long as a training crop (48 frames or more).
+    Frames are taken in blocks of ``_LOGMEL_BLOCK``, a tail shorter than
+    48 joining the block before it: each block is such a slice, so the
+    result equals the one-pass formula bit for bit, and the spectra held
+    at once stay a few hundred frames long.
     """
     x = w.samples
     n_frames = frame_count(len(x))
@@ -258,10 +328,15 @@ def logmel(w: Waveform):
         x, shape=(n_frames, FRAME_LEN),
         strides=(x.strides[0] * FRAME_HOP, x.strides[0]),
     )
-    spec = np.fft.rfft(frames * _WINDOW, n=FFT_SIZE, axis=1)
-    power = spec.real ** 2 + spec.imag ** 2
-    mel_power = power @ _FILTERBANK.T
-    return np.log(mel_power + LOG_FLOOR)
+    starts = list(range(0, n_frames, _LOGMEL_BLOCK))
+    if len(starts) > 1 and n_frames - starts[-1] < _LOGMEL_EXACT_FRAMES:
+        starts.pop()
+    out = np.empty((n_frames, N_MELS))
+    for t0, t1 in zip(starts, starts[1:] + [n_frames]):
+        spec = np.fft.rfft(frames[t0:t1] * _WINDOW, n=FFT_SIZE, axis=1)
+        power = spec.real ** 2 + spec.imag ** 2
+        np.log(power @ _FILTERBANK.T + LOG_FLOOR, out=out[t0:t1])
+    return out
 
 
 # -- Signal-domain augmentations ----------------------------------------------

@@ -4,7 +4,7 @@ Every binary file seqshot writes (checkpoints SQCK, pseudo-labels SQPL,
 embedding sequences SQES) starts with one header, little-endian:
   magic (4 bytes) | u32 version | u32 sizes[n]
 written by ``write_header`` and read by ``read_header``; ``read_exact``
-reads a payload.
+reads a payload.  Their errors name the file (``f.name``).
 
 Checkpoint layout (magic "SQCK", version 1, no sizes):
   header | u32 tag_len | tag utf-8 | u32 n_tensors
@@ -32,7 +32,8 @@ def read_exact(f, n):
     holds."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
-        raise TruncatedFileError(f"expected {n} bytes, {left} left")
+        raise TruncatedFileError(f"{f.name}: expected {n} bytes, "
+                                 f"{left} left")
     return f.read(n)
 
 
@@ -49,12 +50,13 @@ def read_header(f, magic, version, n_sizes):
     """
     found = f.read(len(magic))
     if found != magic:
-        raise FormatError(f"bad magic {found!r}, expected {magic!r}")
+        raise FormatError(f"{f.name}: bad magic {found!r}, expected "
+                          f"{magic!r}")
     found, *sizes = struct.unpack(f"<{1 + n_sizes}I",
                                   read_exact(f, 4 * (1 + n_sizes)))
     if found != version:
-        raise VersionMismatchError(f"{magic.decode()} version {found} != "
-                                   f"{version}")
+        raise VersionMismatchError(f"{f.name}: {magic.decode()} version "
+                                   f"{found} != {version}")
     return sizes
 
 

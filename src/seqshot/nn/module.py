@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 
-from ..errors import FormatError, UnknownTensorError, decoding
+from ..errors import FormatError, SeqshotError, UnknownTensorError
 
 # calls go through the package, so a wrapper set on ``nn`` (a profiler,
 # say) sees every optimizer step and checkpoint read or write
@@ -142,8 +142,16 @@ class Module:
         from what the stored tensors fix (``stored_sizes``, compared before
         the module is built, so a checkpoint cannot make the loader
         allocate more than the tensors it holds) and a missing or
-        misshapen parameter; UnknownTensorError for any other tensor."""
-        kind, tensors = nn.read_checkpoint(path)
+        misshapen parameter; UnknownTensorError for any other tensor.
+        Every error names ``path``."""
+        kind, tensors = nn.read_checkpoint(path)    # its errors name path
+        try:
+            return cls._from_tensors(kind, tensors)
+        except SeqshotError as e:
+            raise type(e)(f"{path}: {e}") from e
+
+    @classmethod
+    def _from_tensors(cls, kind, tensors):
         if kind != cls.KIND:
             raise FormatError(f"checkpoint kind {kind!r}, expected "
                               f"{cls.KIND!r}")
@@ -161,8 +169,10 @@ class Module:
                   for f in cls.META if f in meta}
         shapes = {k: v.shape for k, v in tensors.items()
                   if not k.startswith("meta/")}
-        with decoding(path):    # a tensor it needs missing or of low rank
+        try:
             stored = cls.stored_sizes(shapes)
+        except (KeyError, IndexError) as e:  # a tensor missing or of low rank
+            raise FormatError(f"stored tensors: {e!r}") from e
         for f, value in stored.items():
             if f in fields and fields[f] != value:
                 raise FormatError(f"meta/{f} {fields[f]} does not match "

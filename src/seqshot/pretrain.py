@@ -67,7 +67,8 @@ class ClipRecord:
 
 
 def load_manifest(path):
-    """Read a JSON-lines dataset manifest; wav paths resolve relative to it."""
+    """Read a JSON-lines dataset manifest; wav paths resolve relative to it.
+    A label that is not a JSON integer >= 0 is a FormatError."""
     path = Path(path)
     records = []
     with decoding(path):
@@ -75,9 +76,13 @@ def load_manifest(path):
             if not line.strip():
                 continue
             r = json.loads(line)
+            labels = tuple(r["labels"])
+            if not all(type(c) is int and c >= 0 for c in labels):
+                raise FormatError(f"{path}: labels {r['labels']!r} are not "
+                                  f"all integers >= 0")
             records.append(ClipRecord(
                 wav_path=path.parent / r["wav"],
-                labels=tuple(r["labels"]),
+                labels=labels,
                 events=tuple(tuple(e) for e in r.get("events", ())),
             ))
     return records

@@ -5,11 +5,24 @@ im2col plus ``einsum``, and ``two_pass_detector_loss`` is the detector
 step as one forward and two full backward passes (a probe pass for the
 norms, then a loss pass).  They are the definitions ``nn.Conv1d``,
 ``nn.Conv2d`` and ``detector.detector_loss`` must agree with to rounding.
+``logmel_one_pass`` is the log-mel of every frame at once, which the
+block-wise ``dsp.logmel`` must equal bit for bit.
 """
 
 import numpy as np
 
-from seqshot import detector, nn
+from seqshot import detector, dsp, nn
+
+
+def logmel_one_pass(w):
+    x = w.samples
+    frames = np.lib.stride_tricks.as_strided(
+        x, shape=(dsp.frame_count(len(x)), dsp.FRAME_LEN),
+        strides=(x.strides[0] * dsp.FRAME_HOP, x.strides[0]),
+    )
+    spec = np.fft.rfft(frames * dsp._WINDOW, n=dsp.FFT_SIZE, axis=1)
+    power = spec.real ** 2 + spec.imag ** 2
+    return np.log(power @ dsp._FILTERBANK.T + dsp.LOG_FLOOR)
 
 
 class EinsumConv1d(nn.Conv1d):

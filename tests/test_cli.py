@@ -6,6 +6,8 @@ import pytest
 from seqshot import (augment, cli, corpus, curation, detector, dsp, nn,
                      pretrain)
 
+from test_dsp import write_pcm16_header
+
 TINY_MODEL = [
     "--set", "model.channels=[4,6,8,10,12]",
     "--set", "model.head_hidden=16",
@@ -252,6 +254,50 @@ def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
     _corrupt(paths[model], fault)
     code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
+
+
+def _logged_error(caplog, text):
+    """An ERROR record holds ``text``, and no record carries a traceback."""
+    assert not any(r.exc_info for r in caplog.records)
+    return any(r.levelname == "ERROR" and text in r.getMessage()
+               for r in caplog.records)
+
+
+def test_checkpoint_error_names_the_file(tmp_path, capsys, caplog):
+    paths = _write_models(tmp_path)
+    _corrupt(paths["weak"], "unknown_tensor")
+    dsp.write_wav(tmp_path / "shot.wav", dsp.Waveform(np.zeros(16000)))
+    code, out = run(capsys, ["enroll", "--shots", str(tmp_path / "shot.wav"),
+                             "--weak", str(paths["weak"]),
+                             "--strong", str(paths["strong"]),
+                             "--out", str(tmp_path / "o")])
+    assert code == 1 and out is None
+    assert _logged_error(caplog, f"{paths['weak']}: unknown tensor")
+
+
+@pytest.mark.parametrize("rate", [0, 1, 384000])
+def test_wav_rate_outside_range_is_runtime_error(tmp_path, capsys, caplog,
+                                                 rate):
+    argv = _argv("detector", _write_models(tmp_path), tmp_path)
+    write_pcm16_header(tmp_path / "rec.wav", rate, np.zeros(1000))
+    code, out = run(capsys, argv)
+    assert code == 1 and out is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert _logged_error(caplog, f"{tmp_path / 'rec.wav'}: sample rate "
+                                 f"{rate} Hz")
+
+
+@pytest.mark.parametrize("labels", [[-1], ["x"], [0, True]],
+                         ids=["negative", "string", "bool"])
+def test_manifest_label_must_be_integer(tmp_path, capsys, caplog, labels):
+    dsp.write_wav(tmp_path / "a.wav", dsp.Waveform(np.zeros(16000)))
+    manifest = tmp_path / "data.jsonl"
+    manifest.write_text(json.dumps({"wav": "a.wav", "labels": labels}) + "\n")
+    code, out = run(capsys, ["pretrain", "--data", str(manifest),
+                             "--out", str(tmp_path / "t")])
+    assert code == 1 and out is None
+    assert _logged_error(caplog, f"{manifest}: labels")
+    assert not (tmp_path / "t" / "teacher.ckpt").exists()
 
 
 @pytest.mark.parametrize("key, value", [

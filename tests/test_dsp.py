@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from seqshot.errors import (
     ShapeError,
     UnsupportedFormatError,
 )
+
+from reference_ops import logmel_one_pass
 
 
 @pytest.fixture
@@ -86,6 +91,45 @@ def test_load_unsupported_width(tmp_path):
         dsp.load_wav(p)
 
 
+def write_pcm16_header(path, rate, samples):
+    """A mono PCM16 WAV whose header declares ``rate``, written by hand
+    (``wave`` refuses to write a rate of 0)."""
+    data = np.asarray(samples, dtype="<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+@pytest.mark.parametrize("rate, ok", [
+    (0, False), (1, False), (7999, False), (8000, True),
+    (192000, True), (192001, False), (384000, False),
+])
+def test_load_refuses_rate_outside_range(tmp_path, rate, ok):
+    p = tmp_path / "r.wav"
+    write_pcm16_header(p, rate, np.full(4000, 1000))
+    if ok:
+        w = dsp.load_wav(p)
+        assert len(w.samples) == dsp.resampled_length(4000, rate / 16000)
+    else:
+        with pytest.raises(UnsupportedFormatError, match=re.escape(str(p))):
+            dsp.load_wav(p)
+
+
+@pytest.mark.parametrize("rate", [22050, 44100, 48000])
+def test_load_wav_agrees_with_float_step_resampler(tmp_path, rng, rate):
+    # load_wav resamples by exact phase; the float-step path rounds
+    # n * step, which moves its outputs by ~1e-10
+    x = 0.3 * rng.standard_normal(2 * rate)
+    p = tmp_path / "x.wav"
+    dsp.write_wav(p, dsp.Waveform(x, sample_rate=rate))
+    pcm = np.clip(np.round(x * 32767.0), -32768, 32767) / 32768.0
+    want = np.clip(dsp._resample(pcm, rate / 16000), -1.0, 1.0)
+    got = dsp.load_wav(p).samples
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 # -- resampling -------------------------------------------------------------------
 
 def test_resample_identity():
@@ -133,7 +177,8 @@ def test_resample_output_range_checked():
 
 
 def test_resample_blocks_equal_one_pass(rng, monkeypatch):
-    # 44.1 kHz -> 16 kHz, the load_wav path, over several output blocks
+    # 44.1 kHz -> 16 kHz by the float-step path of augment_resample, over
+    # several output blocks
     x = 0.3 * rng.standard_normal(44100)
     step = 44100 / 16000
     monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 1 << 20)
@@ -143,6 +188,17 @@ def test_resample_blocks_equal_one_pass(rng, monkeypatch):
     np.testing.assert_array_equal(dsp._resample(x, step), one_pass)
     np.testing.assert_array_equal(dsp._resample(x, step, 999, 12001),
                                   one_pass[999:12001])
+
+
+@pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
+def test_file_rate_blocks_equal_one_pass(rng, monkeypatch, rate):
+    # the exact-phase path load_wav takes, over several output blocks
+    x = 0.3 * rng.standard_normal(rate)
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 1 << 20)
+    one_pass = dsp._resample_rate(x, rate)
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 999)
+    assert len(one_pass) > 10 * dsp._RESAMPLE_BLOCK
+    np.testing.assert_array_equal(dsp._resample_rate(x, rate), one_pass)
 
 
 # -- logmel ----------------------------------------------------------------------
@@ -202,6 +258,16 @@ def test_logmel_of_hop_aligned_slice_is_rows_of_whole(tmp_path, source):
         part = dsp.logmel(dsp.Waveform(x[160 * k: 160 * k + n]))
         assert part.shape[0] == dsp.frame_count(n) >= 48
         np.testing.assert_array_equal(part, whole[k: k + part.shape[0]])
+
+
+@pytest.mark.parametrize("n_frames", [1, 47, 100, 256, 303, 512, 8998])
+def test_logmel_blocks_equal_one_pass(rng, n_frames):
+    # below one block, whole blocks, a tail of 47 frames (303) and a tail
+    # of 38 (8998), both shorter than 48 and so joined to the block before
+    x = 0.1 * rng.standard_normal(400 + 160 * (n_frames - 1) + 77)
+    w = dsp.Waveform(x)
+    assert dsp.frame_count(len(x)) == n_frames
+    np.testing.assert_array_equal(dsp.logmel(w), logmel_one_pass(w))
 
 
 def test_logmel_monotone_in_power(rng):
