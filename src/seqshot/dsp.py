@@ -101,7 +101,7 @@ def load_wav(path):
     x /= 32768.0
     if n_ch > 1:
         x = x[: len(x) - len(x) % n_ch].reshape(-1, n_ch).mean(axis=1)
-    if len(x) < 1:
+    if resampled_length(len(x), sr / SAMPLE_RATE) < 1:   # none at 16 kHz
         raise EmptyInputError(f"{path}: no samples")
     if sr != SAMPLE_RATE:
         x = _resample_rate(x, sr)

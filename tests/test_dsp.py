@@ -116,6 +116,14 @@ def test_load_refuses_rate_outside_range(tmp_path, rate, ok):
             dsp.load_wav(p)
 
 
+@pytest.mark.parametrize("rate, n", [(16000, 0), (192000, 5)])
+def test_load_without_samples_at_16k_names_file(tmp_path, rate, n):
+    p = tmp_path / "short.wav"
+    write_pcm16_header(p, rate, np.full(n, 1000))
+    with pytest.raises(EmptyInputError, match=re.escape(str(p))):
+        dsp.load_wav(p)
+
+
 @pytest.mark.parametrize("rate", [22050, 44100, 48000])
 def test_load_wav_agrees_with_float_step_resampler(tmp_path, rng, rate):
     # load_wav resamples by exact phase; the float-step path rounds
