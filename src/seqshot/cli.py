@@ -77,6 +77,14 @@ def _window_s(path):
     return window_s
 
 
+def _save_trained(model, out, name, records):
+    """Save a trained embedder as ``out/name`` and print its summary."""
+    path = Path(out) / name
+    model.save(path)
+    _emit({"checkpoint": str(path), "clips": len(records),
+           "final_loss": model.loss_curve[-1] if model.loss_curve else None})
+
+
 def _n_classes(cfg):
     # total classes; the last n_noise_classes of them are noise bursts
     return cfg["corpus"]["n_classes"]
@@ -97,12 +105,7 @@ def cmd_pretrain(args, cfg):
     records = pretrain.load_manifest(args.data)
     model = pretrain.train_weak(records, _n_classes(cfg), _train_config(cfg),
                                 _model_config(cfg, _n_classes(cfg)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "teacher.ckpt"
-    model.save(path)
-    _emit({"checkpoint": str(path), "clips": len(records),
-           "final_loss": model.loss_curve[-1] if model.loss_curve else None})
+    _save_trained(model, args.out, "teacher.ckpt", records)
 
 
 def cmd_distill(args, cfg):
@@ -114,19 +117,13 @@ def cmd_distill(args, cfg):
                              _train_config(cfg),
                              temperature=cfg["distill"]["temperature"],
                              kd_weight=cfg["distill"]["kd_weight"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "student.ckpt"
-    model.save(path)
-    _emit({"checkpoint": str(path), "clips": len(records),
-           "final_loss": model.loss_curve[-1] if model.loss_curve else None})
+    _save_trained(model, args.out, "student.ckpt", records)
 
 
 def cmd_pseudolabel(args, cfg):
     records = pretrain.load_manifest(args.data)
     model = pretrain.WeakModel.load(args.model)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     entries, total, positive = [], 0, 0
     for i, r in enumerate(records):
         psl = pretrain.pseudo_label(model, r.load())
@@ -148,18 +145,20 @@ def cmd_train_strong(args, cfg):
     pseudo_dir = Path(args.pseudo)
     manifest = pseudo_dir / "pseudo_manifest.jsonl"
     with decoding(manifest):
-        pseudo = [pretrain.read_pseudo_labels(
-                      pseudo_dir / json.loads(line)["pseudo"])
-                  for line in manifest.read_text().splitlines()
-                  if line.strip()]
+        entries = [json.loads(line)
+                   for line in manifest.read_text().splitlines()
+                   if line.strip()]
+        pseudo = [pretrain.read_pseudo_labels(pseudo_dir / e["pseudo"])
+                  for e in entries]
+        wavs = [Path(e["wav"]).resolve() for e in entries]
+    for i, (wav, r) in enumerate(zip(wavs, records)):
+        if wav != r.wav_path.resolve():
+            raise FormatError(f"{manifest}: entry {i} labels {wav}, but "
+                              f"clip {i} of {args.data} is "
+                              f"{r.wav_path.resolve()}")
     model = pretrain.train_strong(student, records, pseudo,
                                   _train_config(cfg))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "strong.ckpt"
-    model.save(path)
-    _emit({"checkpoint": str(path), "clips": len(records),
-           "final_loss": model.loss_curve[-1] if model.loss_curve else None})
+    _save_trained(model, args.out, "strong.ckpt", records)
 
 
 def cmd_enroll(args, cfg):
@@ -171,7 +170,6 @@ def cmd_enroll(args, cfg):
                                augment.AugmentConfig(**cfg["augment"]),
                                _detector_train_config(cfg))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     enrolled.detectors[0].save(out / "detector.ckpt")
     enrollment = {
         "window_s": enrolled.window_s,

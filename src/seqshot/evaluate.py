@@ -18,8 +18,8 @@ from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from . import augment, curation, detector, dsp, pretrain
-from .errors import (DegenerateInputError, EmptyInputError, ShapeError,
-                     decoding)
+from .errors import (DegenerateInputError, EmptyInputError, FormatError,
+                     ShapeError, decoding)
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +116,8 @@ class Episode:
     Every waveform read is logged as (phase, kind, index); the phase is
     set by the runner ('train' while building the detector, 'eval'
     while scoring) so tests can assert evaluation audio is never read
-    during training.
+    during training.  An eval label that is not the JSON integer 0 or 1
+    is a FormatError naming the descriptor.
     """
 
     def __init__(self, descriptor_path):
@@ -124,10 +125,14 @@ class Episode:
         with decoding(descriptor_path):
             desc = json.loads(descriptor_path.read_text())
             self.enrollment_wavs = [e["wav"] for e in desc["enrollment"]]
-            self.eval_items = [EvalItem(e["wav"], int(e["label"]))
+            self.eval_items = [EvalItem(e["wav"], e["label"])
                                for e in desc["eval"]]
             self.target_duration_s = float(desc.get("target_duration_s",
                                                     0.0))
+        for it in self.eval_items:
+            if type(it.label) is not int or it.label not in (0, 1):
+                raise FormatError(f"{descriptor_path}: eval label "
+                                  f"{it.label!r} is not 0 or 1")
         self.root = descriptor_path.parent
         self.phase = "train"
         self.audit = []

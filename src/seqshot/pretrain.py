@@ -9,9 +9,11 @@ topologies that matter:
   StrongModel  same conv stack -> frequency-only pooling -> 1x1 conv neck
                -> 1x1 conv classifier (one logit vector per 320 ms)
 
-The conv stack halves the time axis five times with non-overlapping
-kernels, so one output frame covers exactly 32 logmel frames (320 ms)
-and floor(T/32) frames come out.
+The conv stack halves the time axis once per stage with non-overlapping
+kernels.  A StrongModel is refused unless it has exactly five stages, so
+one output frame covers exactly 32 logmel frames (320 ms), floor(T/32)
+frames come out, and each training batch's frame targets, fixed before
+the forward pass, line up with them.
 """
 
 import json
@@ -60,7 +62,7 @@ class ClipRecord:
         fresh read of ``wav_path``.  The record keeps nothing it reads, so
         records held after training pin no audio; a training run keeps
         each clip it reads, as audio or as log-mel, until it returns
-        (``_training_plan``)."""
+        (``_fit``)."""
         if self._waveform is not None:
             return self._waveform
         return dsp.load_wav(self.wav_path)
@@ -217,6 +219,11 @@ class StrongModel(_Embedder):
     KIND = "strong"
 
     def __init__(self, config: ModelConfig):
+        if 2 ** len(config.channels) != FRAMES_PER_EMBED:
+            raise SeqshotError(
+                f"strong model of {len(config.channels)} stages: one output "
+                f"frame per {FRAMES_PER_EMBED} log-mel frames takes "
+                f"{FRAMES_PER_EMBED.bit_length() - 1} stride-2 stages")
         rng = np.random.default_rng(config.seed + 1)
         super().__init__(
             config,
@@ -277,9 +284,15 @@ def _class_weights(records, n_classes):
     return w / w.sum()
 
 
-def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
+def _prepare_batch(records, idxs, targets, rng, cfg, random_crop=True,
                    clips=None):
-    """Load + augment a batch; returns (x (B,1,T,64), targets, meta).
+    """Load + augment a batch; returns (x (B,1,T,64), y).
+
+    ``targets(i, rate, off, valid)`` gives the target of record ``i``
+    cropped at log-mel frame ``off`` of the clip played at ``rate``, with
+    ``valid`` frames of audio before the padding; it is called once per
+    item, in batch order, and every item's target has the same shape.
+    ``y`` stacks them, mixed with the features.
 
     ``clips`` maps a record index to what the run keeps of that clip, and
     clips this call reads are added to it: with ``augment`` the waveform,
@@ -287,7 +300,8 @@ def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
 
     Per clip the draws are: playback rate and gain (with ``augment``),
     the crop offset, SpecAugment (with ``augment``); then mixup across
-    the batch.  With ``augment`` the crop is placed on the frame count
+    the batch, which gives each item's features and target the same
+    weight.  With ``augment`` the crop is placed on the frame count
     the rate-changed clip has, which follows from its sample count, and
     only the samples under the crop are resampled and turned into log-mel
     frames.  Without it the crop is rows of the stored log-mel, which
@@ -295,16 +309,13 @@ def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
     batch equals, bit for bit, cropping the log-mel of the whole
     (augmented) clip.  A clip shorter than ``crop_frames`` is padded at
     the end with log-floor frames.
-
-    meta holds (record_idx, rate, crop_off, valid_frames, mix_partner, lam)
-    for per-frame label mapping in strong training.
     """
     n_crop = cfg.crop_frames
     clips = {} if clips is None else clips
-    feats, targs, meta = [], [], []
+    feats, targs = [], []
     for i in idxs:
-        r = records[i]
         if i not in clips:
+            r = records[i]
             clips[i] = r.load() if cfg.augment else dsp.logmel(r.load())
         clip = clips[i]
         if cfg.augment:
@@ -330,41 +341,46 @@ def _prepare_batch(records, idxs, n_classes, rng, cfg, random_crop=True,
         if cfg.augment:
             m = dsp.spec_augment(m, rng)
         feats.append(m)
-        targs.append(multi_hot(r.labels, n_classes))
-        meta.append({"idx": int(i), "rate": rate, "off": off, "valid": valid,
-                     "partner": None, "lam": 1.0})
+        targs.append(targets(int(i), rate, off, valid))
     # mixup within the batch
     if cfg.augment and len(idxs) > 1:
         perm = rng.permutation(len(idxs))
         lams = [dsp.draw_mixup_lambda(rng) for _ in idxs]
-        mixed_f, mixed_t = [], []
-        for k, (j, lam) in enumerate(zip(perm, lams)):
-            f, t = dsp.mixup(feats[k], feats[j], targs[k], targs[j], lam)
-            mixed_f.append(f)
-            mixed_t.append(t)
-            meta[k]["partner"] = int(j)
-            meta[k]["lam"] = lam
-        feats, targs = mixed_f, mixed_t
+        mixed = [dsp.mixup(feats[k], feats[j], targs[k], targs[j], lam)
+                 for k, (j, lam) in enumerate(zip(perm, lams))]
+        feats, targs = zip(*mixed)
     x = np.stack(feats)[:, None, :, :]
-    return x, np.stack(targs), meta
+    # C order: the loss sums its terms in memory order, so a target's
+    # layout (a transposed frame target, say) would move it by rounding
+    return x, np.ascontiguousarray(np.stack(targs))
 
 
-def _training_plan(records, n_classes, config, random_crop=True):
-    """(batches, lr) for ``nn.fit``: each batch draws its clips with
-    replacement, weighted by ``_class_weights``, and ``_prepare_batch``
-    draws from the same RNG, seeded with ``config.seed``; the learning
-    rate follows the one-cycle schedule over the whole run.
+def _fit(model, records, targets, config, random_crop=True, teacher=None,
+         temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
+    """Train ``model`` on ``_prepare_batch`` batches of ``records`` with
+    ``targets``; returns it with ``.loss_curve`` set.
 
-    Each clip is read once, on first draw, and kept until the batches are
-    dropped at the end of the run: as its waveform with ``augment``, and
-    without it as its whole-clip log-mel, which every later crop slices.
-    A log-mel holds 64 values per 160 samples, 0.4 times the audio it
-    replaces, and computing it whole pays off once a clip is drawn about
+    The loss is BCE between the logits and the batch targets; with
+    ``teacher`` set it becomes kd_weight * tau^2 * KL(sigma(t/tau) ||
+    sigma(s/tau)) per class plus (1 - kd_weight) * BCE.
+
+    Each batch draws its clips with replacement, weighted by
+    ``_class_weights``, and ``_prepare_batch`` draws from the same RNG,
+    seeded with ``config.seed``; the learning rate follows the one-cycle
+    schedule over the whole run.
+
+    Each clip is read once, on first draw, and kept until the run
+    returns: as its waveform with ``augment``, and without it as its
+    whole-clip log-mel, which every later crop slices.  A log-mel holds
+    64 values per 160 samples, 0.4 times the audio it replaces, and
+    computing it whole pays off once a clip is drawn about
     ``clip_frames / crop_frames`` times (21 for 48-frame crops of 10 s
     clips; whole-clip crops from the second draw).  Teacher runs draw each
     clip far more often than that, so there is no switch."""
+    if not records:
+        raise EmptyInputError("empty dataset")
     rng = np.random.default_rng(config.seed)
-    weights = _class_weights(records, n_classes)
+    weights = _class_weights(records, model.config.n_classes)
     steps_per_epoch = max(1, (len(records) + config.batch_size - 1)
                           // config.batch_size)
     total_steps = max(1, config.epochs * steps_per_epoch)
@@ -375,26 +391,35 @@ def _training_plan(records, n_classes, config, random_crop=True):
             idxs = rng.choice(len(records), size=min(config.batch_size,
                                                      len(records)),
                               replace=True, p=weights)
-            yield _prepare_batch(records, idxs, n_classes, rng, config,
+            yield _prepare_batch(records, idxs, targets, rng, config,
                                  random_crop, clips)
 
     def lr(step):
         return nn.one_cycle_lr(step, total_steps, config.peak_lr,
                                config.final_lr, config.warmup_frac)
-    return batches, lr
+
+    def step_loss(batch):
+        x, y = batch
+        logits, cache = model.forward(x)
+        loss, dlogits = bce_with_logits(logits, y)
+        if teacher is not None:
+            kd, d_kd = kd_binary_kl(teacher.forward(x)[0], logits,
+                                    temperature)
+            loss = kd_weight * kd + (1 - kd_weight) * loss
+            dlogits = kd_weight * d_kd + (1 - kd_weight) * dlogits
+        model.backward(cache, dlogits)
+        return loss
+
+    model.loss_curve = nn.fit(model, config.epochs, batches, step_loss, lr,
+                              config.weight_decay)
+    return model
 
 
 def train_weak(records, n_classes, config: TrainConfig,
                model_config: ModelConfig = None, teacher=None,
                temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
-    """Train the weak-label multi-label classifier.
-
-    With ``teacher`` set this is distillation: the loss becomes
-    kd_weight * tau^2 * KL(sigma(t/tau) || sigma(s/tau)) per class plus
-    (1 - kd_weight) * BCE(labels).
-    """
-    if not records:
-        raise EmptyInputError("empty dataset")
+    """Train the weak-label multi-label classifier on clip multi-hots;
+    with ``teacher`` set this is distillation (``_fit``)."""
     for r in records:
         if any(c >= n_classes for c in r.labels):
             raise SeqshotError("label id exceeds n_classes")
@@ -404,26 +429,11 @@ def train_weak(records, n_classes, config: TrainConfig,
         raise SeqshotError("model/dataset class count mismatch")
     if teacher is not None and teacher.config.n_classes != n_classes:
         raise SeqshotError("teacher class count mismatch")
-    model = WeakModel(model_config)
-    batches, lr = _training_plan(records, n_classes, config)
-
-    def step_loss(batch):
-        x, y, _ = batch
-        logits, cache = model.forward(x)
-        if teacher is None:
-            loss, dlogits = bce_with_logits(logits, y)
-        else:
-            t_logits, _ = teacher.forward(x)
-            kd, d_kd = kd_binary_kl(t_logits, logits, temperature)
-            bce, d_bce = bce_with_logits(logits, y)
-            loss = kd_weight * kd + (1 - kd_weight) * bce
-            dlogits = kd_weight * d_kd + (1 - kd_weight) * d_bce
-        model.backward(cache, dlogits)
-        return loss
-
-    model.loss_curve = nn.fit(model, config.epochs, batches, step_loss, lr,
-                              config.weight_decay)
-    return model
+    return _fit(WeakModel(model_config), records,
+                lambda i, rate, off, valid: multi_hot(records[i].labels,
+                                                      n_classes),
+                config, teacher=teacher, temperature=temperature,
+                kd_weight=kd_weight)
 
 
 def distill(teacher, student_config: ModelConfig, records, config: TrainConfig,
@@ -502,8 +512,9 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
                  config: TrainConfig):
     """Train the frame-level model from pseudo-strong labels.
 
-    The conv backbone starts from the student's weights; loss is
-    per-output-frame BCE against the nearest pseudo window.
+    The conv backbone starts from the student's weights, so the student
+    needs the strong model's five stages; loss is per-output-frame BCE
+    against the nearest pseudo window.
     """
     if len(pseudo_per_clip) != len(records):
         raise SeqshotError("pseudo labels missing for some clips")
@@ -517,29 +528,11 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
                            f"is not in 1..{MAX_EMBED_DIM}")
     model = StrongModel(replace(student.config, seed=config.seed))
     model.init_backbone_from(student)
-    batches, lr = _training_plan(records, n_classes, config, random_crop=False)
-
-    def step_loss(batch):
-        x, _, meta = batch
-        logits, cache = model.forward(x)
-        n_out = logits.shape[2]
-        y = np.zeros((len(meta), n_classes, n_out))
-        for k, mt in enumerate(meta):
-            t_self = _frame_targets(pseudo_per_clip[mt["idx"]], n_out,
-                                    mt["rate"], mt["off"], mt["valid"])
-            if mt["partner"] is not None and mt["lam"] < 1.0:
-                pm = meta[mt["partner"]]
-                t_mix = _frame_targets(pseudo_per_clip[pm["idx"]], n_out,
-                                       pm["rate"], pm["off"], pm["valid"])
-                t_self = mt["lam"] * t_self + (1 - mt["lam"]) * t_mix
-            y[k] = t_self.T
-        loss, dlogits = bce_with_logits(logits, y)
-        model.backward(cache, dlogits)
-        return loss
-
-    model.loss_curve = nn.fit(model, config.epochs, batches, step_loss, lr,
-                              config.weight_decay)
-    return model
+    n_out = config.crop_frames // FRAMES_PER_EMBED
+    return _fit(model, records,
+                lambda i, rate, off, valid: _frame_targets(
+                    pseudo_per_clip[i], n_out, rate, off, valid).T,
+                config, random_crop=False)
 
 
 # -- embedding extraction ----------------------------------------------------------------
@@ -563,8 +556,6 @@ def embed_frames(model: StrongModel, w: dsp.Waveform):
     frequency); E = C_tap * F_tap.
     """
     h = _logmel_input(w)
-    if len(model.config.channels) < EMBED_TAP:
-        raise SeqshotError(f"backbone has no stage {EMBED_TAP} to tap")
     for layer in model.backbone.layers[:2 * EMBED_TAP]:   # conv+relu per stage
         h, _ = layer.forward(h)
     per_block = FRAMES_PER_EMBED // 2 ** EMBED_TAP

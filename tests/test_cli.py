@@ -476,3 +476,101 @@ def test_half_given_delta_flags_are_usage_error(tmp_path, capsys, command,
              else ["--donors", str(tmp_path / "donors")])
     code, out = run(capsys, argv)
     assert code == 2 and out is None
+
+
+# -- pseudo-labels belong to their clips; the strong model's stage count ------
+
+def _student(root, channels):
+    """An untrained student for the 3-class ``three_clips`` corpus."""
+    path = root / "student.ckpt"
+    pretrain.WeakModel(pretrain.ModelConfig(
+        n_classes=3, channels=channels, head_hidden=16,
+        embed_dim=8)).save(path)
+    return path
+
+
+def _pseudolabel_and_train_strong(capsys, root, student, labelled, data):
+    """Pseudo-label the clips of manifest ``labelled`` with ``student``,
+    then train a strong model on the clips of ``data`` from those labels."""
+    code, _ = run(capsys, ["pseudolabel", "--data", str(labelled),
+                           "--model", str(student),
+                           "--out", str(root / "psl")])
+    assert code == 0
+    return run(capsys, ["--set", "train.epochs=1", "train-strong",
+                        "--data", str(data), "--student", str(student),
+                        "--pseudo", str(root / "psl"),
+                        "--out", str(root / "strong")])
+
+
+@pytest.mark.parametrize("order", ["same", "reversed"])
+def test_train_strong_matches_pseudo_labels_to_clips(tmp_path, capsys,
+                                                     caplog, three_clips,
+                                                     order):
+    data = three_clips
+    if order == "reversed":
+        entries = map(json.loads, three_clips.read_text().splitlines())
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({**r, "wav": str(three_clips.parent / r["wav"])})
+            + "\n" for r in reversed(list(entries))))
+    student = _student(tmp_path, (4, 6, 8, 10, 12))
+    code, out = _pseudolabel_and_train_strong(capsys, tmp_path, student,
+                                              three_clips, data)
+    made = (tmp_path / "strong" / "strong.ckpt").exists()
+    if order == "same":
+        assert code == 0 and made
+    else:
+        assert code == 1 and out is None and not made
+        assert _logged_error(
+            caplog, f"{tmp_path / 'psl' / 'pseudo_manifest.jsonl'}: entry 0")
+
+
+def test_train_strong_from_three_stage_student_is_runtime_error(
+        tmp_path, capsys, caplog, three_clips):
+    student = _student(tmp_path, (4, 6, 8))
+    code, out = _pseudolabel_and_train_strong(capsys, tmp_path, student,
+                                              three_clips, three_clips)
+    assert code == 1 and out is None
+    assert not (tmp_path / "strong" / "strong.ckpt").exists()
+    assert _logged_error(caplog, "strong model of 3 stages")
+
+
+def test_train_strong_on_empty_data_is_runtime_error(tmp_path, capsys):
+    # an empty manifest and an empty pseudo manifest agree on every clip
+    code, out = run(capsys, _argv("student", _write_models(tmp_path),
+                                  tmp_path))
+    assert code == 1 and out is None
+    assert not (tmp_path / "o" / "strong.ckpt").exists()
+
+
+def test_detect_with_three_stage_strong_checkpoint_names_the_file(
+        tmp_path, capsys, caplog):
+    paths = _write_models(tmp_path)
+    kind, tensors = nn.read_checkpoint(paths["strong"])
+    tensors = {k: v for k, v in tensors.items()
+               if not k.startswith(("backbone/conv3/", "backbone/conv4/"))}
+    tensors["meta/channels"] = np.array([4, 6, 8])
+    tensors["neck/neck/W"] = tensors["neck/neck/W"][:, :8]
+    nn.write_checkpoint(paths["strong"], kind, tensors)
+    code, out = run(capsys, _argv("detector", paths, tmp_path))
+    assert code == 1 and out is None
+    assert _logged_error(caplog,
+                         f"{paths['strong']}: strong model of 3 stages")
+
+
+@pytest.mark.parametrize("label", [2, True])
+def test_evaluate_episode_label_must_be_zero_or_one(tmp_path, capsys,
+                                                    caplog, label):
+    paths = _write_models(tmp_path)
+    (tmp_path / "episode").mkdir()
+    descriptor = tmp_path / "episode" / "episode.json"
+    descriptor.write_text(json.dumps({
+        "enrollment": [{"wav": "e0.wav"}],
+        "eval": [{"wav": "p.wav", "label": label}]}))
+    code, out = run(capsys, ["evaluate", "--episodes",
+                             str(tmp_path / "episode"),
+                             "--weak", str(paths["weak"]),
+                             "--strong", str(paths["strong"]),
+                             "--out", str(tmp_path / "o")])
+    assert code == 1 and out is None
+    assert _logged_error(caplog, f"{descriptor}: eval label")

@@ -1,11 +1,13 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from seqshot import (augment, corpus, curation, detector, dsp, evaluate,
                      pretrain)
-from seqshot.errors import DegenerateInputError, EmptyInputError
+from seqshot.errors import (DegenerateInputError, EmptyInputError,
+                            FormatError)
 
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
@@ -158,6 +160,17 @@ def tiny_models():
                                          "curated"))]
     return evaluate.PretrainedModels(weak=weak, strong=strong, delta=delta,
                                      donor_pairs=donors)
+
+
+@pytest.mark.parametrize("label", [2, -1, 1.7, "1", True, None])
+def test_episode_label_must_be_zero_or_one(tmp_path, label):
+    descriptor = tmp_path / "episode.json"
+    descriptor.write_text(json.dumps({
+        "enrollment": [{"wav": "e0.wav"}],
+        "eval": [{"wav": "p.wav", "label": 1}, {"wav": "n.wav", "label": 0},
+                 {"wav": "x.wav", "label": label}]}))
+    with pytest.raises(FormatError, match=f"{descriptor}: eval label"):
+        evaluate.Episode(descriptor)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -159,11 +160,11 @@ def test_training_deterministic(tmp_path):
     assert run(tmp_path / "a.ckpt") == run(tmp_path / "b.ckpt")
 
 
-def _reference_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
+def _reference_batch(records, idxs, targets, rng, cfg, random_crop=True):
     """The batch built the direct way: resample and log-mel each whole
     clip, then crop or pad its frames; the draws are in the same order."""
     n_crop = cfg.crop_frames
-    feats, targs, meta = [], [], []
+    feats, targs = [], []
     for i in idxs:
         w, rate = records[i].load(), 1.0
         if cfg.augment:
@@ -181,18 +182,30 @@ def _reference_batch(records, idxs, n_classes, rng, cfg, random_crop=True):
         if cfg.augment:
             m = dsp.spec_augment(m, rng)
         feats.append(m)
-        targs.append(pretrain.multi_hot(records[i].labels, n_classes))
-        meta.append({"idx": int(i), "rate": rate, "off": off, "valid": valid,
-                     "partner": None, "lam": 1.0})
+        targs.append(targets(int(i), rate, off, valid))
     if cfg.augment and len(idxs) > 1:
         perm = rng.permutation(len(idxs))
         lams = [dsp.draw_mixup_lambda(rng) for _ in idxs]
         mixed = [dsp.mixup(feats[k], feats[j], targs[k], targs[j], lam)
                  for k, (j, lam) in enumerate(zip(perm, lams))]
         feats, targs = [f for f, _ in mixed], [t for _, t in mixed]
-        for k, (j, lam) in enumerate(zip(perm, lams)):
-            meta[k].update(partner=int(j), lam=lam)
-    return np.stack(feats)[:, None, :, :], np.stack(targs), meta
+    return np.stack(feats)[:, None, :, :], np.stack(targs)
+
+
+def _crop_targets(records, batch_size):
+    """A ``targets`` function and the crops it is called with.
+
+    Each target holds the clip's multi-hot, a one-hot of the item's batch
+    position (so mixup's partner and weight show in the mixed target) and
+    the crop (record, rate, offset, valid frames)."""
+    crops = []
+
+    def targets(i, rate, off, valid):
+        position = np.eye(batch_size)[len(crops)]
+        crops.append((i, rate, off, valid))
+        return np.concatenate([pretrain.multi_hot(records[i].labels, 2),
+                               position, [i, rate, off, valid]])
+    return targets, crops
 
 
 class _UnitRate:
@@ -229,22 +242,30 @@ def test_prepare_batch_equals_whole_clip_crop(augment, random_crop,
     for _ in range(3):
         idxs = rng_a.choice(len(recs), size=4)
         rng_b.choice(len(recs), size=4)
-        got = pretrain._prepare_batch(recs, idxs, 2, rng_a, cfg, random_crop)
-        want = _reference_batch(recs, idxs, 2, rng_b, cfg, random_crop)
+        got_targets, got_crops = _crop_targets(recs, 4)
+        want_targets, want_crops = _crop_targets(recs, 4)
+        got = pretrain._prepare_batch(recs, idxs, got_targets, rng_a, cfg,
+                                      random_crop)
+        want = _reference_batch(recs, idxs, want_targets, rng_b, cfg,
+                                random_crop)
+        assert len(got) == 2
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        assert got_crops == want_crops
 
 
 def test_prepare_batch_rate_exactly_one():
     recs = _batch_records()
     cfg = pretrain.TrainConfig(crop_frames=60, augment=True)
     idxs = np.arange(len(recs))
-    got = pretrain._prepare_batch(recs, idxs, 2, _UnitRate(5), cfg)
-    want = _reference_batch(recs, idxs, 2, _UnitRate(5), cfg)
-    assert all(m["rate"] == 1.0 for m in got[2])
+    got_targets, got_crops = _crop_targets(recs, len(recs))
+    want_targets, want_crops = _crop_targets(recs, len(recs))
+    got = pretrain._prepare_batch(recs, idxs, got_targets, _UnitRate(5), cfg)
+    want = _reference_batch(recs, idxs, want_targets, _UnitRate(5), cfg)
+    assert all(rate == 1.0 for _, rate, _, _ in got_crops)
     np.testing.assert_array_equal(got[0], want[0])
-    assert got[2] == want[2]
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got_crops == want_crops
 
 
 def test_prepare_batch_computes_only_cropped_frames(monkeypatch):
@@ -259,9 +280,61 @@ def test_prepare_batch_computes_only_cropped_frames(monkeypatch):
 
     monkeypatch.setattr(dsp, "logmel", counting_logmel)
     cfg = pretrain.TrainConfig(crop_frames=48, augment=True)
-    pretrain._prepare_batch(recs, np.arange(len(recs)), 2,
+    pretrain._prepare_batch(recs, np.arange(len(recs)),
+                            _crop_targets(recs, len(recs))[0],
                             np.random.default_rng(0), cfg)
     assert computed == [48] * len(recs)
+
+
+def test_strong_frame_targets_under_mixup(monkeypatch):
+    # each train_strong batch is replayed with position tags as targets,
+    # which read out every item's mixup partner j and weight lam
+    recs = _batch_records()
+    rng = np.random.default_rng(3)
+    psl = [pretrain.PseudoStrongLabels(labels=rng.integers(
+               0, 2, size=((len(r.load().samples) - 8000) // 1600 + 1, 2),
+               dtype=np.uint8)) for r in recs]
+    student = pretrain.WeakModel(pretrain.ModelConfig(n_classes=2, seed=3,
+                                                      **TINY))
+    cfg = pretrain.TrainConfig(epochs=2, batch_size=4, crop_frames=96,
+                               augment=True, seed=3)
+    prepare, batches = pretrain._prepare_batch, []
+
+    def spying_prepare(records, idxs, targets, rng, *args):
+        crops, replay = [], copy.deepcopy(rng)
+
+        def logging_targets(i, rate, off, valid):
+            crops.append((i, rate, off, valid))
+            return targets(i, rate, off, valid)
+        x, y = prepare(records, idxs, logging_targets, rng, *args)
+        tags = prepare(records, idxs, _crop_targets(records, len(idxs))[0],
+                       replay, *args)[1][:, 2: 2 + len(idxs)]
+        batches.append((crops, y, tags))
+        return x, y
+
+    monkeypatch.setattr(pretrain, "_prepare_batch", spying_prepare)
+    pretrain.train_strong(student, recs, psl, cfg)
+    mixed = 0
+    for crops, y, tags in batches:
+        t = [pretrain._frame_targets(psl[i], 3, rate, off, valid).T
+             for i, rate, off, valid in crops]
+        assert y.shape == (len(crops), 2, 3)
+        for k, tag in enumerate(tags):
+            lam = tag[k]
+            j = int(np.argmax(np.where(np.arange(len(tag)) == k, -1, tag)))
+            if tag[j] == 0:         # mixed with itself
+                j = k
+            mixed += j != k and 0 < lam < 1 and not np.array_equal(t[k], t[j])
+            np.testing.assert_allclose(y[k], lam * t[k] + (1 - lam) * t[j],
+                                       rtol=0, atol=1e-12)
+    assert len(batches) == 4 and mixed > 0
+
+
+def test_strong_model_needs_five_stages():
+    for channels in [(4, 6, 8), (4, 6, 8, 10), (4, 6, 8, 10, 12, 14)]:
+        with pytest.raises(SeqshotError, match=f"{len(channels)} stages"):
+            pretrain.StrongModel(pretrain.ModelConfig(
+                n_classes=2, channels=channels, head_hidden=16, embed_dim=8))
 
 
 @pytest.mark.parametrize("stage", ["weak", "strong"])
