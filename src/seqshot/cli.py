@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -129,7 +130,10 @@ def cmd_pseudolabel(args, cfg):
         psl = pretrain.pseudo_label(model, r.load())
         name = f"psl_{i:05d}.sqpl"
         pretrain.write_pseudo_labels(out / name, psl)
-        entries.append({"wav": str(r.wav_path), "pseudo": name})
+        # relative to the pseudo directory, which train-strong resolves
+        # it against, wherever either command runs
+        entries.append({"wav": os.path.relpath(r.wav_path, out),
+                        "pseudo": name})
         total += psl.labels.size
         positive += int(psl.labels.sum())
     with open(out / "pseudo_manifest.jsonl", "w") as f:
@@ -150,7 +154,7 @@ def cmd_train_strong(args, cfg):
                    if line.strip()]
         pseudo = [pretrain.read_pseudo_labels(pseudo_dir / e["pseudo"])
                   for e in entries]
-        wavs = [Path(e["wav"]).resolve() for e in entries]
+        wavs = [(pseudo_dir / e["wav"]).resolve() for e in entries]
     for i, (wav, r) in enumerate(zip(wavs, records)):
         if wav != r.wav_path.resolve():
             raise FormatError(f"{manifest}: entry {i} labels {wav}, but "

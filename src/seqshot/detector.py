@@ -107,11 +107,31 @@ def _gap_seeds(labels):
     return seeds
 
 
-def _feature_norms(feature_grads, layer_names):
-    """Per-sample Frobenius norm of each requested feature-map gradient."""
-    return {name: np.sqrt(np.sum(feature_grads[name] ** 2,
-                                 axis=tuple(range(1, feature_grads[name].ndim))))
-            for name in layer_names}
+def _item_dots(a, b):
+    """Per-item sum of a * b over all axes but the first."""
+    return np.einsum("ij,ij->i", a.reshape(len(a), -1), b.reshape(len(b), -1))
+
+
+def _gap_norms(net, feature_grads, layer_names):
+    """Per-item Frobenius norm of the gap gradient at each named feature
+    map, from a gradient pass that stopped at the projection.  The
+    projection is 1x1, so the input gradient at frame t is W^T g_t (W the
+    P x E projection, g_t its output gradient) and its squared norm is
+    g_t^T (W W^T) g_t: the (B, T, E) input gradient is never built."""
+    norms = {}
+    for name in layer_names:
+        if name == "input":
+            proj = net.graph.layers[0]
+            w = proj.params["W"][:, :, 0]                 # (P, E)
+            g = feature_grads[proj.name].transpose(0, 2, 1)   # (B, T, P)
+            gw = g.reshape(-1, len(w)) @ (w @ w.T)
+            sq = _item_dots(gw.reshape(g.shape), g)
+        else:
+            g = feature_grads[name]
+            g = g.transpose(0, *range(2, g.ndim), 1)      # memory order
+            sq = _item_dots(g, g)
+        norms[name] = np.sqrt(sq)
+    return norms
 
 
 def margin_distance(net: DetectorNet, x, true_class, layer, eps=MARGIN_EPS):
@@ -144,53 +164,45 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
     One forward and one backward pass per step.  Items do not interact
     and the norms are constants, so at every layer's output the loss
     gradient of item b is a scalar c_b = dloss/dgap_b times the gradient
-    of its gap f_true - f_other.  One input-gradient pass seeded with the
-    gaps gives the norms and those gradients; the parameter gradients
-    then come from the gap gradients scaled by c_b.  The first layer's
-    input gradient is computed only when a norm needs it.
+    of its gap f_true - f_other.  One gradient pass seeded with the gaps,
+    stopping at the projection, gives the norms (``_gap_norms``) and
+    those gradients; the parameter gradients then come from the gap
+    gradients scaled by c_b.
     """
     cfg = config or MarginConfig()
     labels = np.asarray(labels)
+    b = len(labels)
     layer_names = cfg.layers(net)
     logits, (cache,) = net.forward(x)
+    seeds = _gap_seeds(labels)
+    sign = seeds[:, 0]
     gap_signed = logits[:, 0] - logits[:, 1]          # f_target - f_nontarget
-    sign = np.where(labels == 1, 1.0, -1.0)
     gap = sign * gap_signed                           # f_true - f_other
 
-    probe = net.graph.backward(
-        cache, _gap_seeds(labels), param_grads=False,
-        input_grad=frozen_norms is None and "input" in layer_names)
-    if frozen_norms is None:
-        norms = _feature_norms(probe.feature_grads, layer_names)
-    else:
-        norms = frozen_norms
+    probe = net.graph.backward(cache, seeds, param_grads=False,
+                               input_grad=False)
+    grads = probe.feature_grads
+    norms = _gap_norms(net, grads, layer_names) if frozen_norms is None \
+        else frozen_norms
 
-    b = len(labels)
-    margins = np.stack([gap / (norms[name] + MARGIN_EPS)
-                        for name in layer_names])     # (L, B)
+    denom = np.stack([norms[name] for name in layer_names]) + MARGIN_EPS
+    margins = gap / denom                             # (L, B)
     hinge = np.maximum(0.0, cfg.gamma - margins)
     margin_loss = float(hinge.mean())
     # d margin_loss / d gap, norms frozen
-    active = (hinge > 0).astype(np.float64)
-    dgap_margin = -(active / np.stack([norms[n] + MARGIN_EPS
-                                       for n in layer_names])).sum(axis=0) \
-        / hinge.size
+    dgap_margin = -((hinge > 0) / denom).sum(axis=0) / hinge.size
 
     p = expit(gap_signed)
-    y = (labels == 1).astype(np.float64)
-    eps = 1e-12
-    bce = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    dgap_signed_bce = (p - y) / b
+    y = labels == 1
+    bce = float(-np.mean(np.log(np.where(y, p, 1 - p) + 1e-12)))
 
     loss = cfg.margin_weight * margin_loss + cfg.bce_weight * bce
     dgap = cfg.margin_weight * dgap_margin \
-        + cfg.bce_weight * sign * dgap_signed_bce    # c_b
-    output_grads = {}
-    for layer in net.graph.layers:
-        if layer.params:
-            g = probe.feature_grads[layer.name]
-            output_grads[layer.name] = dgap.reshape(-1, *[1] * (g.ndim - 1)) * g
-    net.graph.zero_grads()
+        + cfg.bce_weight * sign * ((p - y) / b)     # c_b
+    output_grads = {
+        layer.name: dgap.reshape(-1, *[1] * (grads[layer.name].ndim - 1))
+        * grads[layer.name] for layer in net.graph.layers if layer.params}
+    net.zero_grads()
     net.graph.backward_params(cache, output_grads)
     details = {"margin_loss": margin_loss, "bce": bce, "gap": gap,
                "margins": margins, "norms": norms}

@@ -148,18 +148,36 @@ def resampled_length(n_samples, step):
     return int(round(n_samples / step))
 
 
-def _sinc_table(step, half):
-    """Kernel rows on a fine grid of fractional positions, (grid + 1, 16).
+def _build_sinc_table(cutoff):
+    """Kernel rows on a fine grid of fractional positions, (grid + 1, 16),
+    for a low-pass ``cutoff`` (1 = Nyquist).
 
     The kernel row depends on the output position only through its
     fractional part, so rows are tabulated here and interpolated
     (direct evaluation per sample is orders slower).
     """
-    cutoff = min(1.0, 1.0 / step)
+    half = _SINC_HALF_TAPS
     taps = np.arange(-half + 1, half + 1)
     fgrid = np.arange(_SINC_GRID + 1) / _SINC_GRID
     ug = fgrid[:, None] - taps[None, :]             # offsets in (-8, 8]
     return cutoff * np.sinc(cutoff * ug) * _kaiser(ug, half)
+
+
+_unit_sinc_table = None
+
+
+def _sinc_table(step):
+    """The kernel table for resampling by ``step`` input samples per
+    output.  Its cutoff is 1 for every step of 1 or less; that table is
+    built once and shared, read-only."""
+    global _unit_sinc_table
+    cutoff = min(1.0, 1.0 / step)
+    if cutoff < 1.0:
+        return _build_sinc_table(cutoff)
+    if _unit_sinc_table is None:
+        _unit_sinc_table = _build_sinc_table(1.0)
+        _unit_sinc_table.flags.writeable = False
+    return _unit_sinc_table
 
 
 def _kernel_rows(table, frac):
@@ -214,7 +232,7 @@ def _resample(x, step, start=0, stop=None):
     16-tap Kaiser-windowed sinc; each output's kernel row is interpolated
     from the table at the fractional part of its float position.
     """
-    table = _sinc_table(step, _SINC_HALF_TAPS)
+    table = _sinc_table(step)
 
     def taps_at(n):
         pos = n * step
@@ -236,7 +254,7 @@ def _resample_rate(x, sr):
     g = math.gcd(sr, SAMPLE_RATE)
     p, q = sr // g, SAMPLE_RATE // g
     step = sr / SAMPLE_RATE
-    rows = _kernel_rows(_sinc_table(step, _SINC_HALF_TAPS), np.arange(q) / q)
+    rows = _kernel_rows(_sinc_table(step), np.arange(q) / q)
 
     def taps_at(n):
         base, phase = np.divmod(n * p, q)

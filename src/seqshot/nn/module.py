@@ -48,6 +48,9 @@ class Module:
 
     ``stored_sizes`` says which ``META`` sizes the stored tensors fix;
     ``load`` compares them before it builds (allocates) anything.
+
+    All parameters are held in one flat array, ``flat_params``, and their
+    gradients in another, ``flat_grads``; the layers keep views of them.
     """
 
     KIND = None
@@ -60,6 +63,16 @@ class Module:
         self.graphs = graphs
         for name, graph in graphs.items():
             setattr(self, name, graph)
+        held = [(layer, key) for graph in graphs.values()
+                for layer in graph.layers for key in layer.params]
+        sizes = [layer.params[key].size for layer, key in held]
+        self.flat_params = np.empty(sum(sizes))
+        self.flat_grads = np.empty(sum(sizes))
+        end = 0
+        for (layer, key), size in zip(held, sizes):
+            layer.bind(key, self.flat_params[end: end + size],
+                       self.flat_grads[end: end + size])
+            end += size
 
     def forward(self, x):
         """Run the graphs in order; returns (output, cache)."""
@@ -96,8 +109,7 @@ class Module:
         return self._named("grads")
 
     def zero_grads(self):
-        for graph in self.graphs.values():
-            graph.zero_grads()
+        self.flat_grads.fill(0.0)
 
     def mark_updated(self):
         """Invalidate outstanding forward caches after a parameter write."""
@@ -200,11 +212,14 @@ def fit(module, epochs, batches, step_loss, lr, weight_decay):
     Each epoch iterates ``batches()``.  Per batch the gradients are
     zeroed, ``step_loss(batch)`` runs forward and backward and returns
     the loss, and one AdamW step is taken at learning rate ``lr(step)``,
-    with ``step`` counting batches from 0 over the whole run.  A
+    with ``step`` counting batches from 0 over the whole run.  The step
+    updates the flat parameter array as one tensor: AdamW acts element
+    by element, so this equals a step per parameter bit for bit.  A
     ``step_loss`` that keeps no reference to its activations frees them
     before the next batch is built.
     """
-    params = module.params()
+    params = {"flat": module.flat_params}
+    grads = {"flat": module.flat_grads}
     state = nn.adamw_init(params)
     curve, step = [], 0
     for _ in range(epochs):
@@ -212,8 +227,7 @@ def fit(module, epochs, batches, step_loss, lr, weight_decay):
         for batch in batches():
             module.zero_grads()
             loss = step_loss(batch)
-            nn.adamw_step(params, module.grads(), state, lr(step),
-                          weight_decay)
+            nn.adamw_step(params, grads, state, lr(step), weight_decay)
             module.mark_updated()
             total += loss
             n += 1

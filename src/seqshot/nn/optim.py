@@ -37,10 +37,17 @@ def adamw_step(params, grads, state, lr, weight_decay=0.0,
         m *= b1
         m += (1 - b1) * g
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g2 = (1 - b2) * g
+        g2 *= g
+        v += g2
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), in two temporaries
+        den = np.divide(v, 1 - b2 ** t, out=g2)
+        np.sqrt(den, out=den)
+        den += eps
+        step = m / (1 - b1 ** t)
+        step *= lr
+        step /= den
+        p -= step
     return state
 
 

@@ -374,6 +374,9 @@ def _run_pipeline(root, episode_dir, capsys):
     wavs = sorted((root / "data" / "wavs").iterdir())
     outs["wav"] = wavs[0].read_bytes()
     outs["teacher"] = (root / "t" / "teacher.ckpt").read_bytes()
+    outs["strong"] = (root / "s" / "strong.ckpt").read_bytes()
+    for path in sorted((root / "p").glob("*.sqpl")):
+        outs[path.name] = path.read_bytes()
     outs["detector"] = (root / "e" / "detector.ckpt").read_bytes()
     outs["enrollment"] = (root / "e" / "enrollment.json").read_bytes()
     outs["report"] = (root / "r" / "episodes.csv").read_bytes()

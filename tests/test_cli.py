@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -523,6 +524,26 @@ def test_train_strong_matches_pseudo_labels_to_clips(tmp_path, capsys,
         assert code == 1 and out is None and not made
         assert _logged_error(
             caplog, f"{tmp_path / 'psl' / 'pseudo_manifest.jsonl'}: entry 0")
+
+
+def test_pseudo_labels_train_strong_from_another_directory(
+        tmp_path, capsys, monkeypatch, three_clips):
+    # each command names the manifest and the pseudo directory relative to
+    # its own working directory, at different depths
+    student = _student(tmp_path, (4, 6, 8, 10, 12))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b" / "c").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "a")
+    code, _ = run(capsys, ["pseudolabel", "--data", os.path.relpath(three_clips),
+                           "--model", str(student), "--out", "psl"])
+    assert code == 0
+    monkeypatch.chdir(tmp_path / "b" / "c")
+    code, _ = run(capsys, ["--set", "train.epochs=1", "train-strong",
+                           "--data", os.path.relpath(three_clips),
+                           "--student", str(student),
+                           "--pseudo", "../../a/psl", "--out", "strong"])
+    assert code == 0
+    assert (tmp_path / "b" / "c" / "strong" / "strong.ckpt").exists()
 
 
 def test_train_strong_from_three_stage_student_is_runtime_error(

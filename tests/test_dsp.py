@@ -175,6 +175,18 @@ def test_resample_output_range_equals_slice(rng, rate):
         np.testing.assert_array_equal(part, whole[start:stop])
 
 
+@pytest.mark.parametrize("rate", [0.9, 0.97])
+def test_resample_shares_one_table_at_cutoff_one(rng, monkeypatch, rate):
+    # every rate of 1 or less low-passes at cutoff 1: one table serves them
+    # all, and gives what a table built for the call gives, bit for bit
+    assert dsp._sinc_table(rate) is dsp._sinc_table(0.95)
+    w = dsp.Waveform(0.3 * rng.standard_normal(5000))
+    shared = dsp.augment_resample(w, rate).samples
+    monkeypatch.setattr(dsp, "_sinc_table",
+                        lambda step: dsp._build_sinc_table(1.0))
+    np.testing.assert_array_equal(shared, dsp.augment_resample(w, rate).samples)
+
+
 def test_resample_output_range_checked():
     w = dsp.Waveform(np.zeros(1000))
     for rate in (1.0, 1.05):

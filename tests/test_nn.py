@@ -504,6 +504,39 @@ def test_conv2d_gemm_matches_einsum_reference(rng, case):
                              rng)
 
 
+# layer, reference, kwargs, input shape, and the kernel offsets of W none of
+# whose reads falls inside the input
+DEAD_OFFSET_CASES = {
+    "conv1d_causal_dilated": (nn.Conv1d, EinsumConv1d,
+                              dict(kernel=3, dilation=4, causal=True),
+                              (2, 3, 3), np.s_[:, :, :2]),
+    "conv1d_causal_dilated_partly": (nn.Conv1d, EinsumConv1d,
+                                     dict(kernel=3, dilation=4, causal=True),
+                                     (2, 3, 6), np.s_[:, :, :1]),
+    "conv2d_backbone_two_bins": (nn.Conv2d, EinsumConv2d,
+                                 dict(kernel=(2, 3), stride=(2, 2),
+                                      pad=(0, 1)),
+                                 (2, 2, 6, 2), np.s_[:, :, :, :1]),
+    "conv2d_backbone_one_bin": (nn.Conv2d, EinsumConv2d,
+                                dict(kernel=(2, 3), stride=(2, 2),
+                                     pad=(0, 1)),
+                                (2, 2, 6, 1), np.s_[:, :, :, ::2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEAD_OFFSET_CASES))
+def test_conv_dead_offsets_match_reference_with_zero_weight_grad(rng, case):
+    # inputs shorter than the receptive field: offsets that read only
+    # padding are dropped, and their weight gradient stays exactly 0
+    conv, ref_conv, kw, shape, dead = DEAD_OFFSET_CASES[case]
+    layer = conv(shape[1], 4, name="c", rng=rng, **kw)
+    ref = ref_conv(shape[1], 4, name="c", rng=rng, **kw)
+    assert_matches_reference([layer], [ref], rng.normal(size=shape), rng)
+    dw = layer.grads["W"]
+    assert dw[dead].size and np.all(dw[dead] == 0.0)
+    assert np.count_nonzero(dw) == dw.size - dw[dead].size
+
+
 def test_conv_stacks_match_einsum_reference(rng):
     # each conv reads the previous one's output layout, forward and back
     def stack1d(conv):
