@@ -6,7 +6,6 @@ files, degenerate data), 2 usage or configuration errors.
 """
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
@@ -40,13 +39,7 @@ def _model_config(cfg, n_classes, channels=None):
 
 
 def _detector_train_config(cfg):
-    # one flat table for two configs: MarginConfig takes its own fields
-    margin = {f.name for f in dataclasses.fields(detector.MarginConfig)}
-    d = cfg["detector"]
-    return detector.DetectorTrainConfig(
-        **{k: v for k, v in d.items() if k not in margin},
-        margin=detector.MarginConfig(
-            **{k: v for k, v in d.items() if k in margin}))
+    return detector.DetectorTrainConfig(**cfg["detector"])
 
 
 def _pretrained_models(args):

@@ -34,7 +34,7 @@ DEFAULTS = {
         "channels": [8, 16, 24, 32, 64],      # the student's backbone
     },
     "augment": _table(augment.AugmentConfig),
-    "detector": _table(detector.DetectorTrainConfig, detector.MarginConfig),
+    "detector": _table(detector.DetectorTrainConfig),
     "evaluate": {"reps": evaluate.REPS},
 }
 
@@ -65,20 +65,15 @@ def _parse_value(text):
         return text
 
 
-def _apply_override(cfg, dotted):
+def _override(dotted):
+    """``KEY.SUBKEY=VALUE`` as the nested table ``_merge`` overlays."""
     if "=" not in dotted:
         raise ConfigError(f"override {dotted!r} is not KEY=VALUE")
     key, _, raw = dotted.partition("=")
-    parts = key.strip().split(".")
-    node = cfg
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            raise ConfigError(f"unknown config key: {key}")
-        node = node[p]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key: {key}")
-    node[parts[-1]] = _parse_value(raw.strip())
-    return cfg
+    value = _parse_value(raw.strip())
+    for part in reversed(key.strip().split(".")):
+        value = {part: value}
+    return value
 
 
 def _check(name, value, default):
@@ -110,8 +105,9 @@ def _check(name, value, default):
 
 
 def load_config(path=None, overrides=(), seed=None):
-    """Defaults, overlaid by a JSON file, then KEY.SUBKEY=VALUE pairs;
-    every value must pass ``_check`` against its default."""
+    """Defaults, overlaid by a JSON file, then by each KEY.SUBKEY=VALUE
+    pair the same way (a table value merges key by key); every value
+    must pass ``_check`` against its default."""
     cfg = json.loads(json.dumps(DEFAULTS))     # deep copy
     if path is not None:
         try:
@@ -122,7 +118,7 @@ def load_config(path=None, overrides=(), seed=None):
             raise ConfigError("config file must hold a JSON object")
         cfg = _merge(cfg, user)
     for item in overrides:
-        _apply_override(cfg, item)
+        cfg = _merge(cfg, _override(item))
     if seed is not None:
         cfg["seed"] = int(seed)
     _check("", cfg, DEFAULTS)

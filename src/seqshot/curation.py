@@ -140,12 +140,12 @@ def loud_segments(model: LoudnessModel, shot, shot_id=0):
     ]
 
 
-def _cosine_distance(a, b):
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 1.0
-    return float(1.0 - (a @ b) / (na * nb))
+def cosine_similarity(a, b):
+    """a.b / (|a| |b|) of two vectors; 0 where the norm product is 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    return 0.0 if denom == 0 else float(a @ b / denom)
 
 
 def match_across_shots(candidates, embed_fn, tau=TAU):
@@ -171,7 +171,7 @@ def match_across_shots(candidates, embed_fn, tau=TAU):
             for s2 in range(n_shots):
                 if s2 == s:
                     continue
-                score += min(_cosine_distance(embs[s][i], e2)
+                score += min(1.0 - cosine_similarity(embs[s][i], e2)
                              for e2 in embs[s2])
             if score < best_score:
                 best_score, best_seed = score, (s, i)
@@ -179,7 +179,7 @@ def match_across_shots(candidates, embed_fn, tau=TAU):
     out = []
     for s in range(n_shots):
         matched = [seg for seg, e in zip(candidates[s], embs[s])
-                   if _cosine_distance(seed_emb, e) <= tau]
+                   if 1.0 - cosine_similarity(seed_emb, e) <= tau]
         if not matched:
             fallback = max(candidates[s], key=lambda seg: seg.duration_s)
             log.warning("shot %d: no candidate within tau=%.3f of seed; "

@@ -8,9 +8,10 @@ binary cross-entropy term.  The norms act as frozen scale estimates:
 gradients flow through the logit gap only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from . import dsp, nn, pretrain
@@ -86,16 +87,16 @@ MARGIN_EPS = 1e-6                # norm regularizer in the denominator
 
 
 @dataclass
-class MarginConfig:
+class DetectorTrainConfig:
+    """Training settings and the margin loss's weights: the CLI's
+    ``detector`` table, field for field (less ``seed``)."""
+    epochs: int = 200
+    lr: float = 1e-3
+    weight_decay: float = 1e-4
+    seed: int = 0
     gamma: float = 1.0            # target normalized margin
     margin_weight: float = 1.0
     bce_weight: float = 0.1
-    layer_set: tuple = None       # default: input + every conv output
-
-    def layers(self, net: DetectorNet):
-        if self.layer_set is not None:
-            return tuple(self.layer_set)
-        return ("input", *net.conv_layer_names())
 
 
 def _gap_seeds(labels):
@@ -137,25 +138,27 @@ def _gap_norms(net, feature_grads, layer_names):
 def margin_distance(net: DetectorNet, x, true_class, layer, eps=MARGIN_EPS):
     """Normalized margin of one input at one feature map.
 
-    (f_true - f_other) / (||d(f_true - f_other)/d feature||_F + eps);
-    invariant to rescaling of all layers above the feature map.  Leaves
-    the net's parameter gradients untouched.
+    (f_true - f_other) / (||d(f_true - f_other)/d feature||_F + eps),
+    the norm as ``_gap_norms`` takes it; invariant to rescaling of all
+    layers above the feature map.  Leaves the net's parameter gradients
+    untouched.
     """
     if x.ndim == 2:
         x = x[None]
     logits, (cache,) = net.forward(x)
     gap = float(logits[0, 0] - logits[0, 1]) * (1.0 if true_class == 1 else -1.0)
-    result = net.graph.backward(cache, _gap_seeds([true_class]),
-                                param_grads=False)
-    g = result.feature_grads[layer]
-    return gap / (float(np.linalg.norm(g)) + eps)
+    probe = net.graph.backward(cache, _gap_seeds([true_class]),
+                               param_grads=False, input_grad=False)
+    norm = _gap_norms(net, probe.feature_grads, [layer])[layer]
+    return gap / (float(norm[0]) + eps)
 
 
-def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
-                  frozen_norms=None):
+def detector_loss(net: DetectorNet, x, labels,
+                  config: DetectorTrainConfig = None, frozen_norms=None):
     """Margin + BCE loss over a batch; sets the net's parameter gradients.
 
-    Margin term: mean over items and feature maps of
+    Margin term: mean over items and feature maps (the input and every
+    conv output) of
     max(0, gamma - gap / (norm + eps)) with the norms held constant
     (optionally supplied via ``frozen_norms`` for finite-difference
     checks).  BCE term: on sigma(f_target - f_nontarget) against the
@@ -169,10 +172,10 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
     those gradients; the parameter gradients then come from the gap
     gradients scaled by c_b.
     """
-    cfg = config or MarginConfig()
+    cfg = config or DetectorTrainConfig()
     labels = np.asarray(labels)
     b = len(labels)
-    layer_names = cfg.layers(net)
+    layer_names = ("input", *net.conv_layer_names())
     logits, (cache,) = net.forward(x)
     seeds = _gap_seeds(labels)
     sign = seeds[:, 0]
@@ -214,15 +217,6 @@ def detector_loss(net: DetectorNet, x, labels, config: MarginConfig = None,
 TRAIN_BATCH = 128                # items per detector training step
 
 
-@dataclass
-class DetectorTrainConfig:
-    epochs: int = 200
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    seed: int = 0
-    margin: MarginConfig = field(default_factory=MarginConfig)
-
-
 def train_detector(train_set, config: DetectorTrainConfig = None,
                    net_config: DetectorConfig = None):
     """Train from EmbeddingSequences (all the same frame count).
@@ -254,7 +248,7 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
             yield order[b0: b0 + TRAIN_BATCH]
 
     def step_loss(idx):
-        return detector_loss(net, x_all[idx], labels[idx], cfg.margin)[0]
+        return detector_loss(net, x_all[idx], labels[idx], cfg)[0]
 
     net.loss_curve = nn.fit(net, cfg.epochs, batches, step_loss,
                             lambda step: cfg.lr, cfg.weight_decay)
@@ -280,15 +274,12 @@ def stream_scores(net: DetectorNet, frames, n_win_frames):
         raise EmptyInputError(
             f"recording too short: {t} embedding frames < window "
             f"{n_win_frames}")
-    starts = list(range(t - n_win_frames + 1))
+    windows = sliding_window_view(frames, n_win_frames, axis=0)  # (N, E, T)
     out = []
-    for b0 in range(0, len(starts), SCAN_BATCH):
-        chunk = starts[b0: b0 + SCAN_BATCH]
-        x = np.stack([frames[s: s + n_win_frames]
-                      for s in chunk]).transpose(0, 2, 1)
-        scores = net.score(x)
+    for b0 in range(0, len(windows), SCAN_BATCH):
+        scores = net.score(windows[b0: b0 + SCAN_BATCH])
         out.extend((s * pretrain.EMBED_HOP_S, float(v))
-                   for s, v in zip(chunk, scores))
+                   for s, v in enumerate(scores, b0))
     return out
 
 

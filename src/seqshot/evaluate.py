@@ -92,14 +92,8 @@ def difficulty_index(target_centroid, negative_embeddings):
     negatives' pooled embeddings: near 1 = confusable, near 0 = easy."""
     if len(negative_embeddings) == 0:
         raise EmptyInputError("no negatives")
-    c = np.asarray(target_centroid, dtype=np.float64)
-    nc = np.linalg.norm(c)
-    sims = []
-    for e in negative_embeddings:
-        e = np.asarray(e, dtype=np.float64)
-        denom = nc * np.linalg.norm(e)
-        sims.append(0.0 if denom == 0 else float(c @ e) / denom)
-    return float(np.mean(sims))
+    return float(np.mean([curation.cosine_similarity(target_centroid, e)
+                          for e in negative_embeddings]))
 
 
 # -- episode protocol ------------------------------------------------------------
@@ -250,7 +244,7 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=REPS, seed=0,
                            for f in eval_frames])
         psl_per_rep.append(auprc(scores, labels))
 
-    wl_scores = np.array([difficulty_index(centroid, [e])
+    wl_scores = np.array([curation.cosine_similarity(centroid, e)
                           for e in eval_pooled])
     wl = auprc(wl_scores, labels)
     neg_pooled = [e for e, y in zip(eval_pooled, labels) if y == 0]

@@ -22,6 +22,8 @@ geometry behind this is worked out once per spatial input size and kept
 while that size repeats.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -313,46 +315,44 @@ class ReLU(Layer):
         return dy * (cache > 0) if input_grad else None
 
 
-class MeanOverTime(Layer):
+class _MeanPool(Layer):
+    """Mean over the trailing ``POOLED`` axes of a rank-``len(SHAPE)``
+    input; ``SHAPE`` names its axes for the error message."""
+
+    SHAPE = ()
+    POOLED = ()
+
+    def forward(self, x):
+        if x.ndim != len(self.SHAPE):
+            raise ShapeError(f"{self.name}: expected ({', '.join(self.SHAPE)})"
+                             f", got {x.shape}")
+        return x.mean(axis=self.POOLED), x.shape
+
+    def backward(self, cache, dy, input_grad=True, param_grads=True):
+        if not input_grad:
+            return None
+        return _spread(dy / math.prod(cache[a] for a in self.POOLED), cache)
+
+
+class MeanOverTime(_MeanPool):
     """(B, C, T) -> (B, C)."""
 
-    def forward(self, x):
-        if x.ndim != 3:
-            raise ShapeError(f"{self.name}: expected (B, C, T), got {x.shape}")
-        return x.mean(axis=2), x.shape
-
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
-        if not input_grad:
-            return None
-        return _spread(dy / cache[2], cache)
+    SHAPE = ("B", "C", "T")
+    POOLED = (2,)
 
 
-class MeanOverFreq(Layer):
+class MeanOverFreq(_MeanPool):
     """(B, C, T, F) -> (B, C, T); preserves the time axis."""
 
-    def forward(self, x):
-        if x.ndim != 4:
-            raise ShapeError(f"{self.name}: expected (B, C, T, F), got {x.shape}")
-        return x.mean(axis=3), x.shape
-
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
-        if not input_grad:
-            return None
-        return _spread(dy / cache[3], cache)
+    SHAPE = ("B", "C", "T", "F")
+    POOLED = (3,)
 
 
-class GlobalChannelPool(Layer):
+class GlobalChannelPool(_MeanPool):
     """(B, C, T, F) -> (B, C): mean over all time and frequency steps."""
 
-    def forward(self, x):
-        if x.ndim != 4:
-            raise ShapeError(f"{self.name}: expected (B, C, T, F), got {x.shape}")
-        return x.mean(axis=(2, 3)), x.shape
-
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
-        if not input_grad:
-            return None
-        return _spread(dy / (cache[2] * cache[3]), cache)
+    SHAPE = ("B", "C", "T", "F")
+    POOLED = (2, 3)
 
 
 def _spread(d, shape):

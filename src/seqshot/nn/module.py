@@ -218,16 +218,15 @@ def fit(module, epochs, batches, step_loss, lr, weight_decay):
     ``step_loss`` that keeps no reference to its activations frees them
     before the next batch is built.
     """
-    params = {"flat": module.flat_params}
-    grads = {"flat": module.flat_grads}
-    state = nn.adamw_init(params)
+    state = nn.adamw_init(module.flat_params)
     curve, step = [], 0
     for _ in range(epochs):
         total, n = 0.0, 0
         for batch in batches():
             module.zero_grads()
             loss = step_loss(batch)
-            nn.adamw_step(params, grads, state, lr(step), weight_decay)
+            nn.adamw_step(module.flat_params, module.flat_grads, state,
+                          lr(step), weight_decay)
             module.mark_updated()
             total += loss
             n += 1

@@ -5,49 +5,45 @@ import math
 import numpy as np
 
 
-def adamw_init(params):
-    """Fresh optimizer state for a name->array parameter dict."""
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-    }
+BETAS = (0.9, 0.999)            # moment decay rates
+EPS = 1e-8                      # added to the second-moment root
 
 
-def adamw_step(params, grads, state, lr, weight_decay=0.0,
-               betas=(0.9, 0.999), eps=1e-8):
-    """One AdamW update, in place.
+def adamw_init(param):
+    """Fresh optimizer state for a parameter array."""
+    return {"t": 0, "m": np.zeros_like(param), "v": np.zeros_like(param)}
+
+
+def adamw_step(param, grad, state, lr, weight_decay=0.0):
+    """One AdamW update of ``param``, in place.
 
     Decay is decoupled and applied before the Adam update:
     p <- p - lr*wd*p, then the bias-corrected moment step.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
-    b1, b2 = betas
+    if param.shape != grad.shape:
+        raise ValueError(f"shape mismatch: {param.shape} vs {grad.shape}")
+    b1, b2 = BETAS
     state["t"] += 1
     t = state["t"]
-    for k, p in params.items():
-        g = grads[k]
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch for {k}: {p.shape} vs {g.shape}")
-        if weight_decay:
-            p -= lr * weight_decay * p
-        m = state["m"][k]
-        v = state["v"][k]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        g2 = (1 - b2) * g
-        g2 *= g
-        v += g2
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), in two temporaries
-        den = np.divide(v, 1 - b2 ** t, out=g2)
-        np.sqrt(den, out=den)
-        den += eps
-        step = m / (1 - b1 ** t)
-        step *= lr
-        step /= den
-        p -= step
+    if weight_decay:
+        param -= lr * weight_decay * param
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    g2 = (1 - b2) * grad
+    g2 *= grad
+    v += g2
+    # p -= lr * m_hat / (sqrt(v_hat) + eps), in two temporaries
+    den = np.divide(v, 1 - b2 ** t, out=g2)
+    np.sqrt(den, out=den)
+    den += EPS
+    step = m / (1 - b1 ** t)
+    step *= lr
+    step /= den
+    param -= step
     return state
 
 

@@ -110,9 +110,9 @@ class EinsumConv2d(nn.Conv2d):
 def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
     """The detector step as a probe backward pass for the norms, then a
     full backward pass of the loss; sets the parameter gradients."""
-    cfg = config or detector.MarginConfig()
+    cfg = config or detector.DetectorTrainConfig()
     labels = np.asarray(labels)
-    layer_names = cfg.layers(net)
+    layer_names = ("input", *net.conv_layer_names())
     logits, (cache,) = net.forward(x)
     gap_signed = logits[:, 0] - logits[:, 1]
     sign = np.where(labels == 1, 1.0, -1.0)

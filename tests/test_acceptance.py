@@ -105,7 +105,7 @@ def test_detector_loss_matches_finite_differences_100_cases():
             p += 0.1 * rng.standard_normal(p.shape)
         x = rng.normal(size=(2, 3, 6))
         labels = np.array([1, 0])
-        cfg = detector.MarginConfig()
+        cfg = detector.DetectorTrainConfig()
         _, details = detector.detector_loss(net, x, labels, cfg)
         norms = details["norms"]            # denominators frozen below
 

@@ -288,6 +288,23 @@ def test_wav_rate_outside_range_is_runtime_error(tmp_path, capsys, caplog,
                                  f"{rate} Hz")
 
 
+@pytest.mark.parametrize("seconds, error", [
+    (1.0, "recording too short: 3 embedding frames < window 4"),
+    (0.3, "need at least 0.5 s of audio"),
+], ids=["shorter_than_window", "shorter_than_half_a_second"])
+def test_detect_on_too_short_recording_is_runtime_error(
+        tmp_path, capsys, caplog, seconds, error):
+    argv = _argv("detector", _write_models(tmp_path), tmp_path)
+    (tmp_path / "enrollment.json").write_text(json.dumps({"window_s": 1.4}))
+    rng = np.random.default_rng(1)
+    dsp.write_wav(tmp_path / "rec.wav", dsp.Waveform(
+        0.1 * rng.standard_normal(int(seconds * 16000))))
+    code, out = run(capsys, argv)
+    assert code == 1 and out is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert _logged_error(caplog, error)
+
+
 @pytest.mark.parametrize("labels", [[-1], ["x"], [0, True]],
                          ids=["negative", "string", "bool"])
 def test_manifest_label_must_be_integer(tmp_path, capsys, caplog, labels):

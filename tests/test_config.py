@@ -21,8 +21,7 @@ def _params(fn):
     ("train", _fields(pretrain.TrainConfig)),
     ("model", _fields(pretrain.ModelConfig)),
     ("augment", _fields(augment.AugmentConfig)),
-    ("detector", _fields(detector.DetectorTrainConfig,
-                         detector.MarginConfig)),
+    ("detector", _fields(detector.DetectorTrainConfig)),
     ("corpus", _fields(corpus.PretrainConfig)),
     ("distill", _params(pretrain.distill)),
     ("evaluate", _params(evaluate.run_episode)),
@@ -101,6 +100,17 @@ def test_override_errors():
         config.load_config(overrides=["nope.epochs=1"])
     with pytest.raises(ConfigError):
         config.load_config(overrides=["train=1"])
+
+
+def test_table_override_merges_over_defaults():
+    cfg = config.load_config(overrides=['train={"epochs": 3}'])
+    defaults = config.load_config()
+    assert cfg["train"] == {**defaults["train"], "epochs": 3}
+
+
+def test_unknown_key_in_table_override_rejected():
+    with pytest.raises(ConfigError, match="train.epochz"):
+        config.load_config(overrides=['train={"epochz": 3}'])
 
 
 def test_seed_argument_wins(tmp_path):

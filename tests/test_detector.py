@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqshot import augment, detector
+from seqshot import augment, detector, pretrain
 from seqshot.errors import (
     DegenerateInputError,
     EmptyInputError,
@@ -119,7 +119,7 @@ def test_detector_loss_gradcheck():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 7))
     labels = np.array([1, 0, 1, 0])
-    mcfg = detector.MarginConfig()
+    mcfg = detector.DetectorTrainConfig()
     _, details = detector.detector_loss(net, x, labels, mcfg)
     norms = details["norms"]
 
@@ -154,7 +154,7 @@ def test_detector_loss_has_margin_and_bce_terms():
     x = np.random.default_rng(9).standard_normal((2, 4, 6))
     labels = np.array([1, 0])
     loss, details = detector.detector_loss(net, x, labels)
-    mcfg = detector.MarginConfig()
+    mcfg = detector.DetectorTrainConfig()
     assert loss == pytest.approx(
         mcfg.margin_weight * details["margin_loss"]
         + mcfg.bce_weight * details["bce"])
@@ -232,6 +232,22 @@ def test_stream_scores_localize_pattern(toy_net):
     assert best[0] == pytest.approx(8 * 0.32, abs=0.33)
 
 
+@pytest.mark.parametrize("t, n", [(300, 4), (20, 5), (5, 5)])
+def test_stream_scores_equal_stacked_windows(toy_net, t, n):
+    # the windows stacked one by one, SCAN_BATCH at a time, as the
+    # reference the strided view must equal exactly
+    net, _ = toy_net
+    frames = np.random.default_rng(t).standard_normal((t, 8))
+    starts = list(range(t - n + 1))
+    ref = []
+    for b0 in range(0, len(starts), detector.SCAN_BATCH):
+        chunk = starts[b0: b0 + detector.SCAN_BATCH]
+        x = np.stack([frames[s: s + n] for s in chunk]).transpose(0, 2, 1)
+        ref.extend((s * pretrain.EMBED_HOP_S, float(v))
+                   for s, v in zip(chunk, net.score(x)))
+    assert detector.stream_scores(net, frames, n) == ref
+
+
 def test_stream_too_short(toy_net):
     net, _ = toy_net
     with pytest.raises(EmptyInputError):
@@ -249,7 +265,6 @@ def test_clip_score_short_clip_uses_whole(toy_net):
 
 FUSED_CASES = {
     "default": dict(),
-    "no_input_layer": dict(layer_set=("conv0", "conv2")),
     "frozen_norms": dict(),
     "no_bce": dict(bce_weight=0.0),
     "short_window": dict(),
@@ -270,7 +285,7 @@ def test_fused_step_matches_two_pass_reference(case):
     net.graph.mark_updated()
     x = rng.standard_normal((7, 6, FUSED_FRAMES.get(case, 9)))
     labels = np.array([1, 0, 0, 1, 0, 1, 0])
-    mcfg = detector.MarginConfig(**FUSED_CASES[case])
+    mcfg = detector.DetectorTrainConfig(**FUSED_CASES[case])
     frozen = None
     if case == "frozen_norms":
         frozen = {k: v * rng.uniform(0.5, 2.0, v.shape) for k, v in
@@ -283,7 +298,7 @@ def test_fused_step_matches_two_pass_reference(case):
     loss, details, grads = run(detector.detector_loss)
     ref_loss, ref_details, ref_grads = run(two_pass_detector_loss)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    for name in mcfg.layers(net):
+    for name in ("input", *net.conv_layer_names()):
         assert_rel_close(details["norms"][name], ref_details["norms"][name])
     for k in ref_grads:
         assert_rel_close(grads[k], ref_grads[k])

@@ -118,6 +118,14 @@ def test_difficulty_extremes_and_scale_invariance():
         evaluate.difficulty_index(c, [])
 
 
+def test_zero_vector_has_zero_similarity():
+    # the one zero-norm rule, shared by curation's distance and the index
+    c = np.array([1.0, 2.0, 0.0])
+    assert curation.cosine_similarity(c, np.zeros(3)) == 0.0
+    assert curation.cosine_similarity(np.zeros(3), np.zeros(3)) == 0.0
+    assert evaluate.difficulty_index(c, [np.zeros(3), c]) == pytest.approx(0.5)
+
+
 # -- reporting ---------------------------------------------------------------------
 
 def fake_result(duration, psl, wl):

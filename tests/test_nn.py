@@ -243,24 +243,30 @@ def test_gradcheck_deep_chain(rng):
 # -- optimizer and schedule -----------------------------------------------------
 
 def test_adamw_zero_grad_no_decay_is_noop():
-    p = {"w": np.array([1.0, -2.0])}
+    p = np.array([1.0, -2.0])
     st = nn.adamw_init(p)
-    nn.adamw_step(p, {"w": np.zeros(2)}, st, lr=0.01)
-    np.testing.assert_array_equal(p["w"], [1.0, -2.0])
+    nn.adamw_step(p, np.zeros(2), st, lr=0.01)
+    np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_adamw_first_step_is_signed_lr():
-    p = {"w": np.array([0.0])}
+    p = np.array([0.0])
     st = nn.adamw_init(p)
-    nn.adamw_step(p, {"w": np.array([1.0])}, st, lr=0.01)
-    np.testing.assert_allclose(p["w"], [-0.01], rtol=1e-6)
+    nn.adamw_step(p, np.array([1.0]), st, lr=0.01)
+    np.testing.assert_allclose(p, [-0.01], rtol=1e-6)
 
 
 def test_adamw_pure_decay():
-    p = {"w": np.array([1.0])}
+    p = np.array([1.0])
     st = nn.adamw_init(p)
-    nn.adamw_step(p, {"w": np.array([0.0])}, st, lr=0.01, weight_decay=0.1)
-    np.testing.assert_allclose(p["w"], [0.999])
+    nn.adamw_step(p, np.array([0.0]), st, lr=0.01, weight_decay=0.1)
+    np.testing.assert_allclose(p, [0.999])
+
+
+def test_adamw_refuses_mismatched_gradient():
+    p = np.zeros(3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        nn.adamw_step(p, np.zeros(2), nn.adamw_init(p), lr=0.01)
 
 
 def test_one_cycle_endpoints():
@@ -332,15 +338,16 @@ def test_fit_equals_hand_written_adamw_loop(rng):
                    lambda idx: loss_and_backward(m, idx),
                    lambda step: 0.01 / (step + 1), 0.1)
     ref = Tiny(TinyConfig())
-    params = ref.params()
-    state = nn.adamw_init(params)
+    params, grads = ref.params(), ref.grads()
+    states = {k: nn.adamw_init(p) for k, p in params.items()}   # per tensor
     step, ref_curve = 0, []
     for _ in range(3):
         losses = []
         for idx in order:
             ref.zero_grads()
             losses.append(loss_and_backward(ref, idx))
-            nn.adamw_step(params, ref.grads(), state, 0.01 / (step + 1), 0.1)
+            for k, p in params.items():
+                nn.adamw_step(p, grads[k], states[k], 0.01 / (step + 1), 0.1)
             ref.mark_updated()
             step += 1
         ref_curve.append((losses[0] + losses[1]) / 2)
