@@ -18,7 +18,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.signal import fftconvolve
 
 from .errors import (
@@ -208,21 +208,30 @@ def _filter(x, step, start, stop, taps_at):
     dot of ``x[base - 7 : base + 9]`` with its row, so each output depends
     on its own position alone and a range equals the same slice of the
     whole output.  Outputs are filled in blocks of ``_RESAMPLE_BLOCK``
-    samples, so memory does not grow with the signal's length beyond the
-    input and output.
+    samples.  A block reads its taps from a view of the input span its
+    outputs read (``base`` rises with n), copied with zeros only where
+    that span runs past an end of ``x``, so memory does not grow with the
+    signal's length beyond the input and output, and a short range of a
+    long signal copies none of it.
     """
     n_out = resampled_length(len(x), step)
     if n_out < 1:
         raise EmptyInputError("resampled signal would be empty")
     stop = _output_range(start, stop, n_out)
     half = _SINC_HALF_TAPS
-    # windows[b] holds x[b - 7 : b + 9], the taps around input sample b
-    windows = sliding_window_view(np.pad(x, (half, half + 1)), 2 * half)[1:]
     out = np.empty(stop - start)
     for b0 in range(start, stop, _RESAMPLE_BLOCK):
         b1 = min(b0 + _RESAMPLE_BLOCK, stop)
         base, kern = taps_at(np.arange(b0, b1))
-        out[b0 - start: b1 - start] = (windows[base] * kern).sum(axis=1)
+        lo, hi = base[0] - half + 1, base[-1] + half + 1
+        span = x[max(lo, 0): hi]
+        if lo < 0 or hi > len(x):      # zeros beyond either end
+            span = np.pad(span, (max(-lo, 0), max(hi - len(x), 0)))
+        # windows[b - base[0]] holds x[b - 7 : b + 9], the taps around b
+        windows = as_strided(span, (len(span) - 2 * half + 1, 2 * half),
+                             span.strides * 2)
+        out[b0 - start: b1 - start] = \
+            (windows[base - base[0]] * kern).sum(axis=1)
     return out
 
 

@@ -37,6 +37,11 @@ MAX_EMBED_DIM = 4096
 # sequences survives.  Embedder checkpoints store it as meta/embed_tap.
 EMBED_TAP = 3
 PSEUDO_BATCH = 128               # pseudo-label windows per forward pass
+# Backbone stages a pseudo-label batch's windows share (_pseudo_logits).
+# Stage i runs once per phase of the window starts, on 2**(i-1) maps that
+# each span the batch: 5 output positions per window, against 24 and 12
+# for windows run one by one at stages 1 and 2, but 6 at stage 3.
+PSEUDO_SHARED_STAGES = 2
 
 # Distillation: the student's loss weights the teacher's tempered
 # logits by KD_WEIGHT and the ground-truth labels by 1 - KD_WEIGHT.
@@ -453,7 +458,31 @@ class PseudoStrongLabels:
 
 def pseudo_label(model: WeakModel, w: dsp.Waveform):
     """Sigmoid predictions per 0.5 s window at 0.1 s hops, thresholded
-    strictly above 0.5."""
+    strictly above 0.5.  The windows' logits come from ``_pseudo_logits``,
+    which shares the backbone's first stages between them."""
+    probs = sigmoid(_pseudo_logits(model, w))
+    return PseudoStrongLabels(
+        labels=(probs > PSEUDO_THRESHOLD).astype(np.uint8))
+
+
+def _pseudo_logits(model: WeakModel, w: dsp.Waveform):
+    """(windows, classes) teacher logits of the PSEUDO_WIN_S windows at
+    PSEUDO_HOP_S hops: window j is log-mel rows 10j to 10j + 47.
+
+    The windows of a batch overlap 4.8 times, so the first
+    PSEUDO_SHARED_STAGES backbone stages run on the rows the batch
+    covers, not on each window.  This is exact: every stage has time
+    kernel = time stride and no time padding, so its output at time t
+    reads only input rows s*t to s*t + k - 1.  A window starting at row
+    a of a stage's input, with a % s = p, is therefore the same as
+    positions a // s onward of that stage run once on rows p onward.
+    Stage 1 runs once (the hop, 10 rows, is a multiple of its stride),
+    stage 2 once per phase, at offsets 0 and 1 of the stage-1 map.  Each
+    window's positions are gathered from its map, and the later stages,
+    the pool and the head run on the batch, as they do on a window taken
+    whole.  The maps span one batch of PSEUDO_BATCH windows, so memory
+    does not grow with the clip's length beyond its log-mel.
+    """
     win = int(PSEUDO_WIN_S * dsp.SAMPLE_RATE)
     hop = int(PSEUDO_HOP_S * dsp.SAMPLE_RATE)
     if len(w.samples) < win:
@@ -462,14 +491,30 @@ def pseudo_label(model: WeakModel, w: dsp.Waveform):
     m = dsp.logmel(w)
     frames_per_win = 1 + (win - dsp.FRAME_LEN) // dsp.FRAME_HOP   # 48
     hop_frames = hop // dsp.FRAME_HOP                             # 10
-    out = np.zeros((n_win, model.config.n_classes), dtype=np.uint8)
+    layers = model.backbone.layers          # conv, relu per stage; pool
+    n_shared = 2 * min(PSEUDO_SHARED_STAGES, len(model.config.channels))
+    out = []
     for b0 in range(0, n_win, PSEUDO_BATCH):
-        ids = range(b0, min(b0 + PSEUDO_BATCH, n_win))
-        x = np.stack([m[j * hop_frames: j * hop_frames + frames_per_win]
-                      for j in ids])[:, None, :, :]
-        probs = sigmoid(model.logits(x))
-        out[b0: b0 + x.shape[0]] = (probs > PSEUDO_THRESHOLD).astype(np.uint8)
-    return PseudoStrongLabels(labels=out)
+        b1 = min(b0 + PSEUDO_BATCH, n_win)
+        # window j of the batch starts at time row at[j][1] of maps[at[j][0]]
+        maps = [m[None, None, b0 * hop_frames:
+                  (b1 - 1) * hop_frames + frames_per_win]]
+        at = [(0, j * hop_frames) for j in range(b1 - b0)]
+        n = frames_per_win
+        for conv, relu in zip(layers[0:n_shared:2], layers[1:n_shared:2]):
+            k, s = conv.kernel[0], conv.stride[0]
+            phases = sorted({(i, a % s) for i, a in at})
+            maps = [relu.forward(conv.forward(maps[i][:, :, p:])[0])[0]
+                    for i, p in phases]
+            at = [(phases.index((i, a % s)), a // s) for i, a in at]
+            n = (n - k) // s + 1
+        # stacked channels-last, the layout a stage's output has
+        h = np.concatenate([maps[i][:, :, a: a + n].transpose(0, 2, 3, 1)
+                            for i, a in at]).transpose(0, 3, 1, 2)
+        for layer in layers[n_shared:]:
+            h, _ = layer.forward(h)
+        out.append(model.head.forward(h)[0])
+    return np.concatenate(out)
 
 
 PSEUDO_MAGIC = b"SQPL"

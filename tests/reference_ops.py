@@ -6,12 +6,15 @@ step as one forward and two full backward passes (a probe pass for the
 norms, then a loss pass).  They are the definitions ``nn.Conv1d``,
 ``nn.Conv2d`` and ``detector.detector_loss`` must agree with to rounding.
 ``logmel_one_pass`` is the log-mel of every frame at once, which the
-block-wise ``dsp.logmel`` must equal bit for bit.
+block-wise ``dsp.logmel`` must equal bit for bit.  ``pseudo_logits_per_window``
+runs each pseudo-label window through the whole weak model on its own;
+``pretrain._pseudo_logits``, which shares the first stages between
+windows, must equal it bit for bit.
 """
 
 import numpy as np
 
-from seqshot import detector, dsp, nn
+from seqshot import detector, dsp, nn, pretrain
 
 
 def logmel_one_pass(w):
@@ -23,6 +26,22 @@ def logmel_one_pass(w):
     spec = np.fft.rfft(frames * dsp._WINDOW, n=dsp.FFT_SIZE, axis=1)
     power = spec.real ** 2 + spec.imag ** 2
     return np.log(power @ dsp._FILTERBANK.T + dsp.LOG_FLOOR)
+
+
+def pseudo_logits_per_window(model, w):
+    win = int(pretrain.PSEUDO_WIN_S * dsp.SAMPLE_RATE)
+    hop = int(pretrain.PSEUDO_HOP_S * dsp.SAMPLE_RATE)
+    n_win = (len(w.samples) - win) // hop + 1
+    m = dsp.logmel(w)
+    frames_per_win = 1 + (win - dsp.FRAME_LEN) // dsp.FRAME_HOP
+    hop_frames = hop // dsp.FRAME_HOP
+    out = []
+    for b0 in range(0, n_win, pretrain.PSEUDO_BATCH):
+        ids = range(b0, min(b0 + pretrain.PSEUDO_BATCH, n_win))
+        x = np.stack([m[j * hop_frames: j * hop_frames + frames_per_win]
+                      for j in ids])[:, None, :, :]
+        out.append(model.logits(x))
+    return np.concatenate(out)
 
 
 class EinsumConv1d(nn.Conv1d):

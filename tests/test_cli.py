@@ -7,7 +7,9 @@ import pytest
 from seqshot import (augment, cli, corpus, curation, detector, dsp, nn,
                      pretrain)
 
+from reference_ops import pseudo_logits_per_window
 from test_dsp import write_pcm16_header
+from test_pretrain import split_labels
 
 TINY_MODEL = [
     "--set", "model.channels=[4,6,8,10,12]",
@@ -518,6 +520,30 @@ def _pseudolabel_and_train_strong(capsys, root, student, labelled, data):
                         "--data", str(data), "--student", str(student),
                         "--pseudo", str(root / "psl"),
                         "--out", str(root / "strong")])
+
+
+def test_pseudolabel_writes_reference_labels(tmp_path, capsys, three_clips):
+    # a weak model whose labels mix 0 and 1: each written .sqpl holds the
+    # labels of every window run through the whole model on its own
+    records = pretrain.load_manifest(three_clips)
+    model = pretrain.WeakModel(pretrain.ModelConfig(
+        n_classes=3, channels=(4, 6, 8, 10, 12), head_hidden=16))
+    split_labels(model, [r.load() for r in records])
+    model.save(tmp_path / "weak.ckpt")
+    model = pretrain.WeakModel.load(tmp_path / "weak.ckpt")   # f32 bias
+    code, out = run(capsys, ["pseudolabel", "--data", str(three_clips),
+                             "--model", str(tmp_path / "weak.ckpt"),
+                             "--out", str(tmp_path / "psl")])
+    assert code == 0 and 0 < out["positive_rate"] < 1
+    entries = [json.loads(line) for line in
+               (tmp_path / "psl" / "pseudo_manifest.jsonl").read_text()
+               .splitlines()]
+    assert len(entries) == len(records)
+    for r, e in zip(records, entries):
+        want = pretrain.sigmoid(pseudo_logits_per_window(model, r.load())) \
+            > pretrain.PSEUDO_THRESHOLD
+        got = pretrain.read_pseudo_labels(tmp_path / "psl" / e["pseudo"])
+        np.testing.assert_array_equal(got.labels, want)
 
 
 @pytest.mark.parametrize("order", ["same", "reversed"])

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_resample_shares_one_table_at_cutoff_one(rng, monkeypatch, rate):
     monkeypatch.setattr(dsp, "_sinc_table",
                         lambda step: dsp._build_sinc_table(1.0))
     np.testing.assert_array_equal(shared, dsp.augment_resample(w, rate).samples)
+
+
+@pytest.mark.parametrize("rate", [0.93, 1.07])
+def test_resample_range_memory_does_not_grow_with_signal(rng, rate):
+    # a 0.5 s range of 60 s of audio copies none of the input: its peak
+    # allocation is that of the same range of 2 s of audio, and well
+    # under the 60 s input
+    x = 0.3 * rng.standard_normal(60 * 16000)
+
+    def peak(samples):
+        w = dsp.Waveform(samples)
+        tracemalloc.start()
+        try:
+            dsp.augment_resample(w, rate, 8000, 16000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    short = peak(x[:32000])
+    assert peak(x) <= short + 64 * 1024
+    assert peak(x) < x.nbytes / 1.5
 
 
 def test_resample_output_range_checked():

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from seqshot import dsp, evaluate, pretrain
-from seqshot.errors import EmptyInputError, SeqshotError, TruncatedFileError
+from seqshot.errors import (EmptyInputError, SeqshotError, ShapeError,
+                            TruncatedFileError)
+
+from reference_ops import pseudo_logits_per_window
 
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
@@ -485,6 +488,48 @@ def test_pseudo_label_localizes(toy_weak):
     assert len(on) > 0
     assert on.min() * 0.1 >= 1.0 - 1e-9
     assert on.max() * 0.1 <= 2.5 + 1e-9
+
+
+def split_labels(model, clips):
+    """Set ``model``'s output bias to minus each class's median reference
+    logit over ``clips``, so its pseudo-labels hold both 0 and 1."""
+    logits = np.concatenate([pseudo_logits_per_window(model, w)
+                             for w in clips])
+    model.head.params()["fc2/b"][...] = -np.median(logits, axis=0)
+    model.mark_updated()
+
+
+@pytest.mark.parametrize("channels", [
+    (4,), (4, 6), (3, 4, 5), (4, 6, 8, 10), TINY["channels"],
+    pretrain.ModelConfig.channels,
+], ids=["1_stage", "2_stages", "3_stages", "4_stages", "tiny", "default"])
+def test_pseudo_logits_equal_per_window_reference(channels):
+    # one window (0.5 s), a length that is not a whole number of hops, and
+    # more than one batch of windows (13.5 s: 131 windows)
+    clips = [noise(0.5, seed=4), noise(2.37, seed=5), noise(13.5, seed=6)]
+    assert (13.5 - 0.5) / 0.1 + 1 > pretrain.PSEUDO_BATCH
+    model = pretrain.WeakModel(pretrain.ModelConfig(
+        n_classes=3, channels=channels, head_hidden=16, seed=2))
+    split_labels(model, clips)
+    labels = []
+    for w in clips:
+        want = pseudo_logits_per_window(model, w)
+        assert np.array_equal(pretrain._pseudo_logits(model, w), want)
+        psl = pretrain.pseudo_label(model, w)
+        np.testing.assert_array_equal(
+            psl.labels, pretrain.sigmoid(want) > pretrain.PSEUDO_THRESHOLD)
+        labels.append(psl.labels)
+    labels = np.concatenate(labels)
+    assert labels.shape == (1 + 19 + 131, 3)
+    assert 0 < labels.sum() < labels.size
+
+
+def test_pseudo_label_six_stages_is_shape_error():
+    # 48 log-mel rows leave one time step after five stride-2 stages
+    model = pretrain.WeakModel(pretrain.ModelConfig(
+        n_classes=2, channels=(4, 6, 8, 10, 12, 14), head_hidden=16))
+    with pytest.raises(ShapeError, match="conv5: input .* too small"):
+        pretrain.pseudo_label(model, noise(1.0, seed=1))
 
 
 def test_pseudo_label_file_roundtrip(tmp_path):
