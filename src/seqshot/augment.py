@@ -305,10 +305,12 @@ def synth_negative_shuffle(target: EmbeddingSequence, rng):
 
 # -- training-set assembly -----------------------------------------------------------
 
+N_DELTA = 8              # Δ positives per segment, given a Δ-encoder
+
+
 @dataclass
 class AugmentConfig:
     n_time_shift: int = 8
-    n_delta: int = 8
     n_masked: int = 8
     n_shuffled: int = 8
 
@@ -316,9 +318,9 @@ class AugmentConfig:
 def build_train_set(shots, segments, embed_fn, delta_model, donor_pairs,
                     config: AugmentConfig, rng):
     """D_train from curated segments only: positives (curated, shifted,
-    delta) and synthesized negatives (masked, shuffled).  Delta
-    positives are made only when a ``delta_model`` is given, and it
-    needs at least one donor pair."""
+    delta) and synthesized negatives (masked, shuffled).  ``N_DELTA``
+    delta positives per segment are made only when a ``delta_model`` is
+    given, and it needs at least one donor pair."""
     if not segments:
         raise EmptyInputError("no curated segments")
     if delta_model is not None and not donor_pairs:
@@ -334,10 +336,10 @@ def build_train_set(shots, segments, embed_fn, delta_model, donor_pairs,
         out.append(curated)
         out.extend(time_shift_augment(shot, seg, config.n_time_shift, rng,
                                       embed_fn))
-        if delta_model is not None and config.n_delta > 0:
+        if delta_model is not None:
             donor = donor_pairs[int(rng.integers(0, len(donor_pairs)))]
-            out.extend(delta_augment(delta_model, curated, donor,
-                                     config.n_delta, rng))
+            out.extend(delta_augment(delta_model, curated, donor, N_DELTA,
+                                     rng))
         for _ in range(config.n_masked):
             out.append(synth_negative_mask(curated, rng))
         for _ in range(config.n_shuffled):

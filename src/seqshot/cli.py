@@ -43,21 +43,11 @@ def _detector_train_config(cfg):
 
 
 def _pretrained_models(args):
-    """The frozen models: ``--weak``, ``--strong``, and ``--delta`` with
-    its ``--donors`` pairs or neither.  Checkpoints are read first, so a
-    bad one reports as such; then one of the last two alone is a usage
-    error."""
-    weak = pretrain.WeakModel.load(args.weak)
-    strong = pretrain.StrongModel.load(args.strong)
-    delta = augment.DeltaEncoder.load(args.delta) if args.delta else None
-    if bool(args.delta) != bool(args.donors):
-        raise ConfigError("--delta and --donors must be given together")
-    seqs = augment.load_train_set(args.donors) if args.delta else []
-    if args.delta and len(seqs) < 2:
-        raise SeqshotError("donor set needs at least one (clean, degraded) "
-                           "pair")
-    pairs = [(seqs[i], seqs[i + 1]) for i in range(0, len(seqs) - 1, 2)]
-    return evaluate.PretrainedModels(weak, strong, delta, pairs)
+    """The frozen ``--weak`` and ``--strong`` models, without a
+    Δ-encoder: Δ positives are made only through the library."""
+    return evaluate.PretrainedModels(pretrain.WeakModel.load(args.weak),
+                                     pretrain.StrongModel.load(args.strong),
+                                     None, [])
 
 
 def _window_s(path):
@@ -270,8 +260,6 @@ def build_parser():
     p.add_argument("--shots", nargs="*", default=[], help="enrollment wavs")
     p.add_argument("--weak", required=True)
     p.add_argument("--strong", required=True)
-    p.add_argument("--delta")
-    p.add_argument("--donors", help="embedding-sequence pair directory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enroll)
 
@@ -288,8 +276,6 @@ def build_parser():
                    help="episode directories")
     p.add_argument("--weak", required=True)
     p.add_argument("--strong", required=True)
-    p.add_argument("--delta")
-    p.add_argument("--donors")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
     return parser

@@ -41,7 +41,7 @@ DEFAULTS = {
 MAY_BE_ZERO = {
     "seed", "corpus.n_noise_classes", "train.warmup_frac",
     "train.weight_decay", "distill.kd_weight", "augment.n_time_shift",
-    "augment.n_delta", "augment.n_masked", "augment.n_shuffled",
+    "augment.n_masked", "augment.n_shuffled",
     "detector.weight_decay", "detector.margin_weight", "detector.bce_weight"}
 
 

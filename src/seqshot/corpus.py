@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp
-from .errors import SeqshotError
+from . import dsp, pretrain
+from .errors import ConfigError, SeqshotError
 
 NOTE_RAMP_S = 0.010
 FAR_FIELD_SNR_PENALTY_DB = 6.0
@@ -224,6 +224,22 @@ class PretrainConfig:
     clips_per_class: int = 42
     clip_duration_s: float = 10.0
     seed: int = 0
+
+    def __post_init__(self):
+        # a second class is drawn from the others, noise classes are one
+        # of two kinds (pink, babble), and every clip must embed
+        if self.n_classes < 2:
+            raise ConfigError(f"corpus needs at least 2 classes, got "
+                              f"{self.n_classes}")
+        if self.n_noise_classes > min(2, self.n_classes):
+            raise ConfigError(
+                f"n_noise_classes {self.n_noise_classes} exceeds "
+                f"min(2, n_classes {self.n_classes}): the noise kinds are "
+                f"pink and babble")
+        if self.clip_duration_s < pretrain.MIN_EMBED_S:
+            raise ConfigError(
+                f"clip_duration_s {self.clip_duration_s} is under the "
+                f"{pretrain.MIN_EMBED_S} s the embedders take")
 
 
 def _noise_event(rng, kind, dur_s, sr=dsp.SAMPLE_RATE):

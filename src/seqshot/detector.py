@@ -135,24 +135,6 @@ def _gap_norms(net, feature_grads, layer_names):
     return norms
 
 
-def margin_distance(net: DetectorNet, x, true_class, layer, eps=MARGIN_EPS):
-    """Normalized margin of one input at one feature map.
-
-    (f_true - f_other) / (||d(f_true - f_other)/d feature||_F + eps),
-    the norm as ``_gap_norms`` takes it; invariant to rescaling of all
-    layers above the feature map.  Leaves the net's parameter gradients
-    untouched.
-    """
-    if x.ndim == 2:
-        x = x[None]
-    logits, (cache,) = net.forward(x)
-    gap = float(logits[0, 0] - logits[0, 1]) * (1.0 if true_class == 1 else -1.0)
-    probe = net.graph.backward(cache, _gap_seeds([true_class]),
-                               param_grads=False, input_grad=False)
-    norm = _gap_norms(net, probe.feature_grads, [layer])[layer]
-    return gap / (float(norm[0]) + eps)
-
-
 def detector_loss(net: DetectorNet, x, labels,
                   config: DetectorTrainConfig = None, frozen_norms=None):
     """Margin + BCE loss over a batch; sets the net's parameter gradients.
@@ -217,8 +199,7 @@ def detector_loss(net: DetectorNet, x, labels,
 TRAIN_BATCH = 128                # items per detector training step
 
 
-def train_detector(train_set, config: DetectorTrainConfig = None,
-                   net_config: DetectorConfig = None):
+def train_detector(train_set, config: DetectorTrainConfig = None):
     """Train from EmbeddingSequences (all the same frame count).
 
     Requires both classes present.  Fixed learning rate, AdamW
@@ -233,10 +214,8 @@ def train_detector(train_set, config: DetectorTrainConfig = None,
     lengths = {s.frames.shape[0] for s in train_set}
     if len(lengths) != 1:
         raise ShapeError(f"mixed sequence lengths {sorted(lengths)}")
-    embed_dim = train_set[0].frames.shape[1]
-    if net_config is None:
-        net_config = DetectorConfig(embed_dim=embed_dim, seed=cfg.seed)
-    net = DetectorNet(net_config)
+    net = DetectorNet(DetectorConfig(embed_dim=train_set[0].frames.shape[1],
+                                     seed=cfg.seed))
     # (N, E, T) over (N, T, E) memory: batches index it without reordering,
     # and the projection's im2col reads each frame as one row
     x_all = np.stack([s.frames for s in train_set]).transpose(0, 2, 1)

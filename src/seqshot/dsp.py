@@ -318,13 +318,6 @@ def mel_filterbank(n_mels=N_MELS, fft_size=FFT_SIZE, sample_rate=SAMPLE_RATE,
     return fb
 
 
-def mel_band_center_hz(band, n_mels=N_MELS, f_low=0.0, f_high=8000.0):
-    """Center frequency (peak of the triangle) of one mel band."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high),
-                                  n_mels + 2))
-    return float(edges[band + 1])
-
-
 _FILTERBANK = mel_filterbank()
 _WINDOW = _hann(FRAME_LEN)
 

@@ -308,10 +308,8 @@ def test_masked_and_shuffled_variants_score_below_source(tmp_path,
         lambda w: pretrain.embed_frames(accept_models.strong, w),
         accept_models.delta, accept_models.donor_pairs,
         augment.AugmentConfig(), rng)
-    net = detector.train_detector(
-        train_set, detector.DetectorTrainConfig(seed=0),
-        detector.DetectorConfig(embed_dim=train_set[0].frames.shape[1],
-                                seed=0))
+    net = detector.train_detector(train_set,
+                                  detector.DetectorTrainConfig(seed=0))
     positives = [s for s in train_set
                  if s.provenance in ("curated", "time_shift", "delta")]
     below = total = 0

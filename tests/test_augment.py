@@ -1,14 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
-from seqshot import augment, curation, dsp
+from seqshot import augment, curation, dsp, nn
 from seqshot.errors import (
     EmptyInputError,
     FormatError,
     SeqshotError,
     ShapeError,
     TruncatedFileError,
+    UnknownTensorError,
 )
+
+from test_cli import corrupt_checkpoint
 
 
 def seq(frames, label=1, provenance="curated"):
@@ -145,6 +150,30 @@ def test_train_delta_rejects_misaligned_pair():
         augment.train_delta([(rand_seq(5), rand_seq(7))])
 
 
+@pytest.mark.parametrize("fault, error", [
+    ("missing_tensor", FormatError), ("unknown_tensor", UnknownTensorError),
+    ("shape", FormatError), ("rank", FormatError),
+    ("missing_meta", FormatError), ("stray_meta", UnknownTensorError)])
+def test_malformed_delta_checkpoint_names_the_file(tmp_path, fault, error):
+    path = tmp_path / "delta.ckpt"
+    augment.DeltaEncoder(8).save(path)
+    corrupt_checkpoint(path, fault)
+    with pytest.raises(SeqshotError, match=re.escape(str(path))) as exc:
+        augment.DeltaEncoder.load(path)
+    assert type(exc.value) is error
+
+
+def test_huge_delta_meta_size_is_format_error(tmp_path):
+    # sizes are checked against the stored tensors before any allocation
+    path = tmp_path / "delta.ckpt"
+    augment.DeltaEncoder(8).save(path)
+    kind, tensors = nn.read_checkpoint(path)
+    tensors["meta/hidden"] = np.array([1e15])
+    nn.write_checkpoint(path, kind, tensors)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: meta/hidden")):
+        augment.DeltaEncoder.load(path)
+
+
 # -- synthesized negatives ---------------------------------------------------------
 
 def test_mask_negative_exact_block():
@@ -211,7 +240,7 @@ def test_build_train_set_counts(shift_delta):
 
 
 def test_build_train_set_without_delta_encoder():
-    # no Δ-encoder, no Δ positives, whatever the configured count
+    # no Δ-encoder, no Δ positives
     shots = ramp_shots(3)
     segments = [curation.Segment(i, 0.5, 1.3) for i in range(3)]
     out = augment.build_train_set(shots, segments, fake_embed, None, [],
@@ -282,3 +311,10 @@ def test_train_set_roundtrip(tmp_path):
     for a, b in zip(seqs, back):
         np.testing.assert_allclose(a.frames, b.frames, atol=1e-6)
         assert (a.label, a.provenance) == (b.label, b.provenance)
+
+
+def test_train_set_manifest_not_json_is_format_error(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{")
+    with pytest.raises(FormatError, match=re.escape(f"{manifest}: ")):
+        augment.load_train_set(tmp_path)

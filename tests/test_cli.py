@@ -1,11 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from seqshot import (augment, cli, corpus, curation, detector, dsp, nn,
-                     pretrain)
+from seqshot import cli, corpus, curation, detector, dsp, nn, pretrain
 
 from reference_ops import pseudo_logits_per_window
 from test_dsp import write_pcm16_header
@@ -93,7 +93,7 @@ def test_full_pipeline(tmp_path, capsys):
                              "--out", str(root / "enrolled")])
     assert code == 0
     assert out["window_s"] > 0
-    assert out["train_items"] == 3 * (1 + 8 + 8 + 8)   # no delta model given
+    assert out["train_items"] == 3 * (1 + 8 + 8 + 8)   # no Δ-encoder
     detector_ckpt = out["detector"]
     enrollment = out["enrollment"]
 
@@ -153,6 +153,35 @@ def test_bad_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+COMMAND_OPTIONS = {
+    "seqshot": {"--config", "--seed", "--set"},
+    "synth-corpus": {"--out"},
+    "pretrain": {"--data", "--out"},
+    "distill": {"--data", "--teacher", "--out"},
+    "pseudolabel": {"--data", "--model", "--out"},
+    "train-strong": {"--data", "--student", "--pseudo", "--out"},
+    "enroll": {"--shots", "--weak", "--strong", "--out"},
+    "detect": {"--recording", "--detector", "--strong", "--enrollment",
+               "--threshold"},
+    "evaluate": {"--episodes", "--weak", "--strong", "--out"},
+}
+
+
+def _options(parser):
+    return {s for a in parser._actions for s in a.option_strings} \
+        - {"-h", "--help"}
+
+
+def test_command_options_are_pinned():
+    # an option added to or dropped from a command shows up here, as a
+    # config key does in tests/test_config.py
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: _options(p) for name, p in sub.choices.items()}
+    assert {"seqshot": _options(parser), **got} == COMMAND_OPTIONS
+
+
 @pytest.fixture(scope="module")
 def three_clips(tmp_path_factory):
     return corpus.gen_pretrain_dataset(
@@ -181,6 +210,21 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, three_clips,
     assert not (tmp_path / "t" / "teacher.ckpt").exists()
 
 
+@pytest.mark.parametrize("override, error", [
+    ("corpus.n_classes=1", "corpus needs at least 2 classes, got 1"),
+    ("corpus.clip_duration_s=0.00001", "clip_duration_s 1e-05 is under"),
+    ("corpus.n_noise_classes=13", "n_noise_classes 13 exceeds"),
+], ids=["one_class", "clip_too_short", "more_noise_than_kinds"])
+def test_degenerate_corpus_is_usage_error(tmp_path, capsys, caplog,
+                                          override, error):
+    code, out = run(capsys, ["--set", "corpus.clips_per_class=1",
+                             "--set", override, "synth-corpus",
+                             "--out", str(tmp_path / "d")])
+    assert code == 2 and out is None
+    assert _logged_error(caplog, error)
+    assert not (tmp_path / "d" / "manifest.jsonl").exists()
+
+
 # -- malformed checkpoints ----------------------------------------------------------
 
 TINY_CONFIG = pretrain.ModelConfig(n_classes=2, channels=(4, 6, 8, 10, 12),
@@ -188,18 +232,16 @@ TINY_CONFIG = pretrain.ModelConfig(n_classes=2, channels=(4, 6, 8, 10, 12),
 
 
 def _write_models(root):
-    paths = {k: root / f"{k}.ckpt"
-             for k in ("weak", "strong", "delta", "detector")}
+    paths = {k: root / f"{k}.ckpt" for k in ("weak", "strong", "detector")}
     pretrain.WeakModel(TINY_CONFIG).save(paths["weak"])
     pretrain.StrongModel(TINY_CONFIG).save(paths["strong"])
-    augment.DeltaEncoder(8).save(paths["delta"])
     # the strong model's frames tap stage 3: 8 channels x 8 frequency bins
     detector.DetectorNet(detector.DetectorConfig(embed_dim=64)).save(
         paths["detector"])
     return paths
 
 
-def _corrupt(path, fault):
+def corrupt_checkpoint(path, fault):
     kind, tensors = nn.read_checkpoint(path)
     param = next(k for k in tensors if not k.startswith("meta/"))
     if fault == "missing_tensor":
@@ -232,10 +274,6 @@ def _argv(model, paths, root):
         return ["train-strong", "--data", str(root / "empty.jsonl"),
                 "--student", str(paths["weak"]),
                 "--pseudo", str(root / "pseudo"), "--out", str(root / "o")]
-    if model == "delta":
-        return ["enroll", "--shots", str(root / "shot.wav"),
-                "--weak", str(paths["weak"]), "--strong", str(paths["strong"]),
-                "--delta", str(paths["delta"]), "--out", str(root / "o")]
     # valid inputs, so only the checkpoint can make detect fail
     rng = np.random.default_rng(0)
     dsp.write_wav(root / "rec.wav",
@@ -250,11 +288,11 @@ def _argv(model, paths, root):
 @pytest.mark.parametrize("fault", ["missing_tensor", "unknown_tensor",
                                    "shape", "rank", "missing_meta",
                                    "stray_meta"])
-@pytest.mark.parametrize("model", ["weak", "strong", "delta", "detector"])
+@pytest.mark.parametrize("model", ["weak", "strong", "detector"])
 def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
                                                fault):
     paths = _write_models(tmp_path)
-    _corrupt(paths[model], fault)
+    corrupt_checkpoint(paths[model], fault)
     code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
 
@@ -268,7 +306,7 @@ def _logged_error(caplog, text):
 
 def test_checkpoint_error_names_the_file(tmp_path, capsys, caplog):
     paths = _write_models(tmp_path)
-    _corrupt(paths["weak"], "unknown_tensor")
+    corrupt_checkpoint(paths["weak"], "unknown_tensor")
     dsp.write_wav(tmp_path / "shot.wav", dsp.Waveform(np.zeros(16000)))
     code, out = run(capsys, ["enroll", "--shots", str(tmp_path / "shot.wav"),
                              "--weak", str(paths["weak"]),
@@ -356,7 +394,6 @@ def test_strong_embed_tap_must_be_three_or_absent(tmp_path, capsys, tap):
 @pytest.mark.parametrize("model, key", [
     ("weak", "head_hidden"),
     ("strong", "embed_dim"),
-    ("delta", "hidden"),
     ("detector", "proj_dim"),
     ("detector", "n_conv"),
     ("student", "embed_dim"),
@@ -423,7 +460,7 @@ def test_detect_scans_the_trained_window(tmp_path, capsys, monkeypatch,
     assert out["n_windows"] == n_frames - t + 1
 
 
-# -- malformed enrollment and half-given Δ-encoder flags -------------------------
+# -- malformed enrollment and the dropped Δ-encoder flags ------------------------
 
 @pytest.mark.parametrize("text", [
     "not json {",
@@ -456,13 +493,6 @@ def _malformed_json_argv(case, root):
                 "--student", str(paths["weak"]), "--pseudo",
                 str(root / "pseudo"), "--out", str(root / "o")], bad
     models = ["--weak", str(paths["weak"]), "--strong", str(paths["strong"])]
-    if case == "donor_manifest_not_json":
-        (root / "donors").mkdir()
-        bad = root / "donors" / "manifest.json"
-        bad.write_text("{")
-        return ["enroll", "--shots", str(root / "shot.wav"), *models,
-                "--delta", str(paths["delta"]), "--donors",
-                str(root / "donors"), "--out", str(root / "o")], bad
     (root / "episode").mkdir()
     bad = root / "episode" / "episode.json"
     bad.write_text(json.dumps({"enrollment": [{"wav": "e0.wav"}]}))
@@ -472,8 +502,7 @@ def _malformed_json_argv(case, root):
 
 @pytest.mark.parametrize("case", [
     "manifest_not_json", "manifest_without_wav",
-    "pseudo_manifest_without_pseudo", "donor_manifest_not_json",
-    "episode_without_eval"])
+    "pseudo_manifest_without_pseudo", "episode_without_eval"])
 def test_malformed_json_input_is_runtime_error(tmp_path, capsys, caplog,
                                                case):
     argv, bad = _malformed_json_argv(case, tmp_path)
@@ -483,19 +512,20 @@ def test_malformed_json_input_is_runtime_error(tmp_path, capsys, caplog,
                for r in caplog.records)
 
 
-@pytest.mark.parametrize("given", ["delta", "donors"])
+@pytest.mark.parametrize("flag", ["--delta", "--donors"],
+                         ids=["delta", "donors"])
 @pytest.mark.parametrize("command", ["enroll", "evaluate"])
-def test_half_given_delta_flags_are_usage_error(tmp_path, capsys, command,
-                                                given):
+def test_delta_flags_are_usage_error(tmp_path, capsys, command, flag):
+    # the CLI offers no Δ-encoder: the flags are unknown options
     paths = _write_models(tmp_path)
     argv = [command, "--weak", str(paths["weak"]),
             "--strong", str(paths["strong"]), "--out", str(tmp_path / "o")]
     argv += (["--shots", str(tmp_path / "shot.wav")] if command == "enroll"
              else ["--episodes", str(tmp_path / "episode")])
-    argv += (["--delta", str(paths["delta"])] if given == "delta"
-             else ["--donors", str(tmp_path / "donors")])
-    code, out = run(capsys, argv)
-    assert code == 2 and out is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # -- pseudo-labels belong to their clips; the strong model's stage count ------

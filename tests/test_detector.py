@@ -31,10 +31,7 @@ def make_toy_set(n_per_class=30, t=5, e=8, seed=0):
 def toy_net():
     train_set = make_toy_set()
     cfg = detector.DetectorTrainConfig(epochs=60, seed=1)
-    net = detector.train_detector(
-        train_set, cfg, detector.DetectorConfig(embed_dim=8, proj_dim=8,
-                                                seed=1))
-    return net, train_set
+    return detector.train_detector(train_set, cfg), train_set
 
 
 # -- forward ------------------------------------------------------------------
@@ -70,44 +67,48 @@ def linear_gap_net(w0, w1):
     return net
 
 
+def margins_at_eps0(net, x, true_class):
+    """Per feature map, one input's normalized margin without the norm
+    regularizer: ``detector_loss``'s gap over its gradient norm there."""
+    _, details = detector.detector_loss(net, x[None], [true_class])
+    return {name: details["gap"][0] / norm[0]
+            for name, norm in details["norms"].items()}
+
+
 def test_margin_hand_example():
     # gap = 3*1 + 4*1 = 7, input gradient (3, 4), norm 5 -> margin 7/5
     net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
     x = np.ones((2, 1))
-    d = detector.margin_distance(net, x, true_class=1, layer="input", eps=0.0)
-    assert d == pytest.approx(7.0 / 5.0)
-    d_eps = detector.margin_distance(net, x, true_class=1, layer="input")
-    assert d_eps == pytest.approx(7.0 / (5.0 + 1e-6))
+    assert margins_at_eps0(net, x, 1)["input"] == pytest.approx(7.0 / 5.0)
+    _, details = detector.detector_loss(net, x[None], [1])
+    assert details["margins"][0, 0] == pytest.approx(7.0 / (5.0 + 1e-6))
 
 
 def test_margin_sign_for_nontarget():
     net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
     x = np.ones((2, 1))
-    d = detector.margin_distance(net, x, true_class=0, layer="input", eps=0.0)
-    assert d == pytest.approx(-7.0 / 5.0)
+    assert margins_at_eps0(net, x, 0)["input"] == pytest.approx(-7.0 / 5.0)
 
 
 def test_margin_invariant_to_head_rescale():
     cfg = detector.DetectorConfig(embed_dim=5, proj_dim=4, seed=3)
     net = detector.DetectorNet(cfg)
     x = np.random.default_rng(4).standard_normal((5, 9))
-    layers = ("input", "conv0", "conv1", "conv2")
-    before = [detector.margin_distance(net, x, 1, layer, eps=0.0)
-              for layer in layers]
+    before = margins_at_eps0(net, x, 1)
     net.params()["head/W"][...] *= 7.3
     net.params()["head/b"][...] *= 7.3
     net.graph.mark_updated()
-    after = [detector.margin_distance(net, x, 1, layer, eps=0.0)
-             for layer in layers]
-    np.testing.assert_allclose(before, after, rtol=1e-9)
+    after = margins_at_eps0(net, x, 1)
+    assert list(after) == ["input", "conv0", "conv1", "conv2"]
+    np.testing.assert_allclose(list(before.values()), list(after.values()),
+                               rtol=1e-9)
 
 
 def test_margin_scales_with_input_rescale():
     # doubling the input doubles the gap but not the input-layer gradient
     net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
-    d1 = detector.margin_distance(net, np.ones((2, 1)), 1, "input", eps=0.0)
-    d2 = detector.margin_distance(net, 2 * np.ones((2, 1)), 1, "input",
-                                  eps=0.0)
+    d1 = margins_at_eps0(net, np.ones((2, 1)), 1)["input"]
+    d2 = margins_at_eps0(net, 2 * np.ones((2, 1)), 1)["input"]
     assert d2 == pytest.approx(2 * d1)
 
 
@@ -302,15 +303,6 @@ def test_fused_step_matches_two_pass_reference(case):
         assert_rel_close(details["norms"][name], ref_details["norms"][name])
     for k in ref_grads:
         assert_rel_close(grads[k], ref_grads[k])
-
-
-def test_margin_distance_leaves_param_grads_untouched():
-    net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
-    for g in net.grads().values():
-        g[...] = 7.0
-    detector.margin_distance(net, np.ones((2, 1)), 1, "input")
-    for g in net.grads().values():
-        np.testing.assert_array_equal(g, 7.0)
 
 
 def test_saturated_logits_score_and_train_without_warnings():

@@ -260,7 +260,10 @@ def test_logmel_too_short():
 
 
 def test_logmel_tone_hits_band_32():
-    f32 = dsp.mel_band_center_hz(32)
+    # band k's triangle peaks at mel edge k + 1
+    edges = dsp.mel_to_hz(np.linspace(dsp.hz_to_mel(0.0),
+                                      dsp.hz_to_mel(8000.0), dsp.N_MELS + 2))
+    f32 = float(edges[33])
     m = dsp.logmel(dsp.Waveform(tone(f32, 1.0)))
     assert int(np.argmax(m.mean(axis=0))) == 32
 

@@ -191,8 +191,7 @@ def small_episode(tmp_path_factory):
 
 def test_run_episode_structure_and_audit(small_episode, tiny_models):
     cfg = detector.DetectorTrainConfig(epochs=4, seed=0)
-    aug = augment.AugmentConfig(n_time_shift=2, n_delta=2, n_masked=2,
-                                n_shuffled=2)
+    aug = augment.AugmentConfig(n_time_shift=2, n_masked=2, n_shuffled=2)
     result = evaluate.run_episode(small_episode, tiny_models, reps=2, seed=1,
                                   augment_config=aug, train_config=cfg)
     assert result.n_pos == 3 and result.n_neg == 9
@@ -228,13 +227,13 @@ def test_enroll_window_is_every_train_item_frame_count(tiny_models,
         return train_detector(train_set, config)
     monkeypatch.setattr(detector, "train_detector", spy)
 
-    aug = augment.AugmentConfig(n_time_shift=3, n_delta=1, n_masked=1,
-                                n_shuffled=1)
+    aug = augment.AugmentConfig(n_time_shift=3, n_masked=1, n_shuffled=1)
     enrolled = evaluate.enroll(shots, tiny_models, [4, 5], aug,
                                detector.DetectorTrainConfig(epochs=1))
     assert enrolled.segments == segments
     assert len(enrolled.detectors) == 2
-    assert enrolled.train_items == [2 * 7, 2 * 7]
-    assert len(trained) == 2 * 2 * 7
+    per_seed = 2 * (1 + 3 + augment.N_DELTA + 1 + 1)
+    assert enrolled.train_items == [per_seed, per_seed]
+    assert len(trained) == 2 * per_seed
     assert set(trained) == {detector.window_frame_count(enrolled.window_s)}
     assert enrolled.window_s == max(curated_s, augment.MIN_CROP_S)
