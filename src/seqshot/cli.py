@@ -9,7 +9,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -61,12 +60,14 @@ def _window_s(path):
     return window_s
 
 
-def _save_trained(model, out, name, records):
-    """Save a trained embedder as ``out/name`` and print its summary."""
+def _save_trained(model, out, name, records, **extra):
+    """Save a trained embedder as ``out/name`` and print its summary,
+    with ``extra`` fields."""
     path = Path(out) / name
     model.save(path)
     _emit({"checkpoint": str(path), "clips": len(records),
-           "final_loss": model.loss_curve[-1] if model.loss_curve else None})
+           "final_loss": model.loss_curve[-1] if model.loss_curve else None,
+           **extra})
 
 
 def _n_classes(cfg):
@@ -98,54 +99,22 @@ def cmd_distill(args, cfg):
     student_cfg = _model_config(cfg, teacher.config.n_classes,
                                 channels=cfg["distill"]["channels"])
     model = pretrain.distill(teacher, student_cfg, records,
-                             _train_config(cfg),
-                             temperature=cfg["distill"]["temperature"],
-                             kd_weight=cfg["distill"]["kd_weight"])
+                             _train_config(cfg))
     _save_trained(model, args.out, "student.ckpt", records)
-
-
-def cmd_pseudolabel(args, cfg):
-    records = pretrain.load_manifest(args.data)
-    model = pretrain.WeakModel.load(args.model)
-    out = Path(args.out)
-    entries, total, positive = [], 0, 0
-    for i, r in enumerate(records):
-        psl = pretrain.pseudo_label(model, r.load())
-        name = f"psl_{i:05d}.sqpl"
-        pretrain.write_pseudo_labels(out / name, psl)
-        # relative to the pseudo directory, which train-strong resolves
-        # it against, wherever either command runs
-        entries.append({"wav": os.path.relpath(r.wav_path, out),
-                        "pseudo": name})
-        total += psl.labels.size
-        positive += int(psl.labels.sum())
-    with open(out / "pseudo_manifest.jsonl", "w") as f:
-        for e in entries:
-            f.write(json.dumps(e, sort_keys=True) + "\n")
-    _emit({"out": str(out), "clips": len(records),
-           "positive_rate": positive / total if total else 0.0})
 
 
 def cmd_train_strong(args, cfg):
     records = pretrain.load_manifest(args.data)
+    labeler = pretrain.WeakModel.load(args.labeler)
     student = pretrain.WeakModel.load(args.student)
-    pseudo_dir = Path(args.pseudo)
-    manifest = pseudo_dir / "pseudo_manifest.jsonl"
-    with decoding(manifest):
-        entries = [json.loads(line)
-                   for line in manifest.read_text().splitlines()
-                   if line.strip()]
-        pseudo = [pretrain.read_pseudo_labels(pseudo_dir / e["pseudo"])
-                  for e in entries]
-        wavs = [(pseudo_dir / e["wav"]).resolve() for e in entries]
-    for i, (wav, r) in enumerate(zip(wavs, records)):
-        if wav != r.wav_path.resolve():
-            raise FormatError(f"{manifest}: entry {i} labels {wav}, but "
-                              f"clip {i} of {args.data} is "
-                              f"{r.wav_path.resolve()}")
+    pseudo = [pretrain.pseudo_label(labeler, r.load()) for r in records]
     model = pretrain.train_strong(student, records, pseudo,
                                   _train_config(cfg))
-    _save_trained(model, args.out, "strong.ckpt", records)
+    # total > 0: train_strong refuses an empty dataset and labels of no window
+    total = sum(psl.labels.size for psl in pseudo)
+    positive = sum(int(psl.labels.sum()) for psl in pseudo)
+    _save_trained(model, args.out, "strong.ckpt", records,
+                  positive_rate=positive / total)
 
 
 def cmd_enroll(args, cfg):
@@ -242,17 +211,12 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("pseudolabel", help="window-level pseudo labels")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pseudolabel)
-
     p = sub.add_parser("train-strong", help="train the frame-level model")
     p.add_argument("--data", required=True)
+    p.add_argument("--labeler", required=True,
+                   help="weak model whose window-level pseudo labels "
+                        "the strong model trains on")
     p.add_argument("--student", required=True)
-    p.add_argument("--pseudo", required=True,
-                   help="directory from the pseudolabel step")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_strong)
 
@@ -288,9 +252,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = config.load_config(args.config, args.set, seed=args.seed)
-        if getattr(args, "out", None):
-            config.echo_config(cfg, args.out)
+        out = getattr(args, "out", None)
+        if out:
+            Path(out).mkdir(parents=True, exist_ok=True)
         args.func(args, cfg)
+        if out:     # only a run that succeeded records its config
+            config.echo_config(cfg, out)
     except ConfigError as e:
         log.error("%s", e)
         return 2

@@ -28,11 +28,7 @@ DEFAULTS = {
     "corpus": _table(corpus.PretrainConfig),
     "model": _table(pretrain.ModelConfig),
     "train": _table(pretrain.TrainConfig),
-    "distill": {
-        "temperature": pretrain.KD_TEMPERATURE,
-        "kd_weight": pretrain.KD_WEIGHT,
-        "channels": [8, 16, 24, 32, 64],      # the student's backbone
-    },
+    "distill": {"channels": [8, 16, 24, 32, 64]},   # the student's backbone
     "augment": _table(augment.AugmentConfig),
     "detector": _table(detector.DetectorTrainConfig),
     "evaluate": {"reps": evaluate.REPS},
@@ -40,8 +36,8 @@ DEFAULTS = {
 
 MAY_BE_ZERO = {
     "seed", "corpus.n_noise_classes", "train.warmup_frac",
-    "train.weight_decay", "distill.kd_weight", "augment.n_time_shift",
-    "augment.n_masked", "augment.n_shuffled",
+    "train.weight_decay", "augment.n_time_shift", "augment.n_masked",
+    "augment.n_shuffled",
     "detector.weight_decay", "detector.margin_weight", "detector.bce_weight"}
 
 

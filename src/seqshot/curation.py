@@ -101,13 +101,13 @@ def fit_loudness(shots):
     return LoudnessModel(weights=w_raw, bias=b_raw)
 
 
-def _median_smooth(dec, width):
-    if width <= 1:
-        return dec.copy()
-    half = width // 2
+def _median_smooth(dec):
+    """The majority of each SMOOTH_FRAMES-frame window of ``dec``."""
+    half = SMOOTH_FRAMES // 2
     padded = np.pad(dec.astype(np.int64), half, mode="edge")
-    counts = np.convolve(padded, np.ones(width, dtype=np.int64), mode="valid")
-    return counts * 2 > width
+    counts = np.convolve(padded, np.ones(SMOOTH_FRAMES, dtype=np.int64),
+                         mode="valid")
+    return counts * 2 > SMOOTH_FRAMES
 
 
 def _runs(mask):
@@ -123,7 +123,7 @@ def _runs(mask):
 
 def loud_segments(model: LoudnessModel, shot, shot_id=0):
     """Candidate segments for one shot's logmel, as a list of Segments."""
-    dec = _median_smooth(model.decide(shot), SMOOTH_FRAMES)
+    dec = _median_smooth(model.decide(shot))
     runs = _runs(dec)
     merge_gap = int(round(MERGE_GAP_S / dsp.FRAME_HOP_S))
     merged = []

@@ -1,7 +1,7 @@
 """Binary file framing, and the checkpoint format.
 
-Every binary file seqshot writes (checkpoints SQCK, pseudo-labels SQPL,
-embedding sequences SQES) starts with one header, little-endian:
+Every binary file seqshot writes (checkpoints SQCK, embedding sequences
+SQES) starts with one header, little-endian:
   magic (4 bytes) | u32 version | u32 sizes[n]
 written by ``write_header`` and read by ``read_header``; ``read_exact``
 reads a payload.  Their errors name the file (``f.name``).

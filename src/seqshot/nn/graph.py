@@ -49,12 +49,11 @@ class Graph:
         """Backprop dL/dy; accumulates parameter grads, returns input grad.
 
         ``feature_grads[name]`` is the loss gradient at layer ``name``'s
-        output; ``feature_grads["input"]`` aliases the returned dx.  With
-        ``features=False`` it stays empty, so each layer's output gradient
-        is freed once the layer below has used it.  ``input_grad=False``
-        skips the first layer's input gradient (dx is None and
-        ``feature_grads`` has no ``"input"``); ``param_grads=False`` leaves
-        every parameter gradient untouched.
+        output.  With ``features=False`` it stays empty, so each layer's
+        output gradient is freed once the layer below has used it.
+        ``input_grad=False`` skips the first layer's input gradient (dx is
+        None); ``param_grads=False`` leaves every parameter gradient
+        untouched.
         """
         self._check(cache, dy)
         feature_grads = {}
@@ -66,8 +65,6 @@ class Graph:
                 feature_grads[layer.name] = g
             g = layer.backward(c, g, input_grad=input_grad or i < last,
                                param_grads=param_grads)
-        if features and g is not None:
-            feature_grads["input"] = g
         return BackwardResult(dx=g, feature_grads=feature_grads)
 
     def backward_params(self, cache, output_grads):

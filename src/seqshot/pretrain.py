@@ -24,7 +24,6 @@ import numpy as np
 
 from . import dsp, nn
 from .errors import EmptyInputError, FormatError, SeqshotError, decoding
-from .nn.checkpoint import read_exact, read_header, write_header
 
 FRAMES_PER_EMBED = 32            # logmel frames per strong-embedding frame
 EMBED_HOP_S = FRAMES_PER_EMBED * dsp.FRAME_HOP_S   # 0.32
@@ -360,14 +359,14 @@ def _prepare_batch(records, idxs, targets, rng, cfg, random_crop=True,
     return x, np.ascontiguousarray(np.stack(targs))
 
 
-def _fit(model, records, targets, config, random_crop=True, teacher=None,
-         temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
+def _fit(model, records, targets, config, random_crop=True, teacher=None):
     """Train ``model`` on ``_prepare_batch`` batches of ``records`` with
     ``targets``; returns it with ``.loss_curve`` set.
 
     The loss is BCE between the logits and the batch targets; with
-    ``teacher`` set it becomes kd_weight * tau^2 * KL(sigma(t/tau) ||
-    sigma(s/tau)) per class plus (1 - kd_weight) * BCE.
+    ``teacher`` set it becomes KD_WEIGHT * tau^2 * KL(sigma(t/tau) ||
+    sigma(s/tau)) per class, at tau = KD_TEMPERATURE, plus
+    (1 - KD_WEIGHT) * BCE.
 
     Each batch draws its clips with replacement, weighted by
     ``_class_weights``, and ``_prepare_batch`` draws from the same RNG,
@@ -409,9 +408,9 @@ def _fit(model, records, targets, config, random_crop=True, teacher=None,
         loss, dlogits = bce_with_logits(logits, y)
         if teacher is not None:
             kd, d_kd = kd_binary_kl(teacher.forward(x)[0], logits,
-                                    temperature)
-            loss = kd_weight * kd + (1 - kd_weight) * loss
-            dlogits = kd_weight * d_kd + (1 - kd_weight) * dlogits
+                                    KD_TEMPERATURE)
+            loss = KD_WEIGHT * kd + (1 - KD_WEIGHT) * loss
+            dlogits = KD_WEIGHT * d_kd + (1 - KD_WEIGHT) * dlogits
         model.backward(cache, dlogits)
         return loss
 
@@ -421,8 +420,7 @@ def _fit(model, records, targets, config, random_crop=True, teacher=None,
 
 
 def train_weak(records, n_classes, config: TrainConfig,
-               model_config: ModelConfig = None, teacher=None,
-               temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
+               model_config: ModelConfig = None, teacher=None):
     """Train the weak-label multi-label classifier on clip multi-hots;
     with ``teacher`` set this is distillation (``_fit``)."""
     for r in records:
@@ -437,16 +435,14 @@ def train_weak(records, n_classes, config: TrainConfig,
     return _fit(WeakModel(model_config), records,
                 lambda i, rate, off, valid: multi_hot(records[i].labels,
                                                       n_classes),
-                config, teacher=teacher, temperature=temperature,
-                kd_weight=kd_weight)
+                config, teacher=teacher)
 
 
-def distill(teacher, student_config: ModelConfig, records, config: TrainConfig,
-            temperature=KD_TEMPERATURE, kd_weight=KD_WEIGHT):
+def distill(teacher, student_config: ModelConfig, records,
+            config: TrainConfig):
     """Train a student against teacher logits + ground-truth labels."""
     return train_weak(records, teacher.config.n_classes, config,
-                      model_config=student_config, teacher=teacher,
-                      temperature=temperature, kd_weight=kd_weight)
+                      model_config=student_config, teacher=teacher)
 
 
 # -- pseudo-strong labels -----------------------------------------------------------
@@ -515,24 +511,6 @@ def _pseudo_logits(model: WeakModel, w: dsp.Waveform):
             h, _ = layer.forward(h)
         out.append(model.head.forward(h)[0])
     return np.concatenate(out)
-
-
-PSEUDO_MAGIC = b"SQPL"
-PSEUDO_VERSION = 1
-
-
-def write_pseudo_labels(path, psl: PseudoStrongLabels):
-    with open(path, "wb") as f:
-        write_header(f, PSEUDO_MAGIC, PSEUDO_VERSION, *psl.labels.shape)
-        f.write(np.packbits(psl.labels.reshape(-1)).tobytes())
-
-
-def read_pseudo_labels(path):
-    with open(path, "rb") as f:
-        n_win, n_cls = read_header(f, PSEUDO_MAGIC, PSEUDO_VERSION, 2)
-        raw = read_exact(f, (n_win * n_cls + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: n_win * n_cls]
-    return PseudoStrongLabels(labels=bits.reshape(n_win, n_cls))
 
 
 # -- strong training ------------------------------------------------------------------

@@ -139,9 +139,9 @@ def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
     if frozen_norms is None:
         net.graph.zero_grads()
         probe = net.graph.backward(cache, detector._gap_seeds(labels))
+        grads = {**probe.feature_grads, "input": probe.dx}
         norms = {name: np.sqrt(np.sum(
-            probe.feature_grads[name] ** 2,
-            axis=tuple(range(1, probe.feature_grads[name].ndim))))
+            grads[name] ** 2, axis=tuple(range(1, grads[name].ndim))))
             for name in layer_names}
     else:
         norms = frozen_norms

@@ -357,10 +357,8 @@ def _run_pipeline(root, episode_dir, capsys):
     data = run(["synth-corpus", "--out", str(root / "data")])
     run(["pretrain", "--data", data["manifest"], "--out", str(root / "t")])
     teacher = str(root / "t" / "teacher.ckpt")
-    run(["pseudolabel", "--data", data["manifest"], "--model", teacher,
-         "--out", str(root / "p")])
-    run(["train-strong", "--data", data["manifest"], "--student", teacher,
-         "--pseudo", str(root / "p"), "--out", str(root / "s")])
+    run(["train-strong", "--data", data["manifest"], "--labeler", teacher,
+         "--student", teacher, "--out", str(root / "s")])
     strong = str(root / "s" / "strong.ckpt")
     shots = sorted(str(p) for p in episode_dir.glob("enroll_*.wav"))
     run(["enroll", "--shots", *shots, "--weak", teacher,
@@ -373,8 +371,6 @@ def _run_pipeline(root, episode_dir, capsys):
     outs["wav"] = wavs[0].read_bytes()
     outs["teacher"] = (root / "t" / "teacher.ckpt").read_bytes()
     outs["strong"] = (root / "s" / "strong.ckpt").read_bytes()
-    for path in sorted((root / "p").glob("*.sqpl")):
-        outs[path.name] = path.read_bytes()
     outs["detector"] = (root / "e" / "detector.ckpt").read_bytes()
     outs["enrollment"] = (root / "e" / "enrollment.json").read_bytes()
     outs["report"] = (root / "r" / "episodes.csv").read_bytes()

@@ -1,6 +1,7 @@
 import argparse
 import json
-import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,22 +63,14 @@ def test_full_pipeline(tmp_path, capsys):
     assert code == 0
     student = out["checkpoint"]
 
-    # pseudo labels
-    code, out = run(capsys, ["pseudolabel", "--data", manifest,
-                             "--model", student,
-                             "--out", str(root / "psl")])
+    # frame-level model, on the student's pseudo labels
+    code, out = run(capsys, [*TINY_CORPUS, *TINY_MODEL, *FAST_TRAIN,
+                             "train-strong", "--data", manifest,
+                             "--labeler", student, "--student", student,
+                             "--out", str(root / "strong")])
     assert code == 0
     assert out["clips"] == 8
     assert 0.0 <= out["positive_rate"] <= 1.0
-    assert (root / "psl" / "pseudo_manifest.jsonl").exists()
-
-    # frame-level model
-    code, out = run(capsys, [*TINY_CORPUS, *TINY_MODEL, *FAST_TRAIN,
-                             "train-strong", "--data", manifest,
-                             "--student", student,
-                             "--pseudo", str(root / "psl"),
-                             "--out", str(root / "strong")])
-    assert code == 0
     strong = out["checkpoint"]
 
     # a small episode to enroll against
@@ -158,8 +151,7 @@ COMMAND_OPTIONS = {
     "synth-corpus": {"--out"},
     "pretrain": {"--data", "--out"},
     "distill": {"--data", "--teacher", "--out"},
-    "pseudolabel": {"--data", "--model", "--out"},
-    "train-strong": {"--data", "--student", "--pseudo", "--out"},
+    "train-strong": {"--data", "--labeler", "--student", "--out"},
     "enroll": {"--shots", "--weak", "--strong", "--out"},
     "detect": {"--recording", "--detector", "--strong", "--enrollment",
                "--threshold"},
@@ -180,6 +172,24 @@ def test_command_options_are_pinned():
                if isinstance(a, argparse._SubParsersAction))
     got = {name: _options(p) for name, p in sub.choices.items()}
     assert {"seqshot": _options(parser), **got} == COMMAND_OPTIONS
+
+
+def test_readme_quick_start_parses():
+    # every command line of the README's quick start parses
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Quick start", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "seqshot", line
+        commands.add(parser.parse_args(argv[1:]).command)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(sub.choices)       # and it shows every command
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +233,7 @@ def test_degenerate_corpus_is_usage_error(tmp_path, capsys, caplog,
     assert code == 2 and out is None
     assert _logged_error(caplog, error)
     assert not (tmp_path / "d" / "manifest.jsonl").exists()
+    assert not (tmp_path / "d" / "config.json").exists()
 
 
 # -- malformed checkpoints ----------------------------------------------------------
@@ -263,17 +274,11 @@ def corrupt_checkpoint(path, fault):
 
 def _argv(model, paths, root):
     """A command that loads ``model`` before it reads any audio."""
-    if model == "weak":
+    if model in ("weak", "student"):
         (root / "empty.jsonl").write_text("")
-        return ["pseudolabel", "--data", str(root / "empty.jsonl"),
-                "--model", str(paths["weak"]), "--out", str(root / "o")]
-    if model == "student":
-        (root / "empty.jsonl").write_text("")
-        (root / "pseudo").mkdir()
-        (root / "pseudo" / "pseudo_manifest.jsonl").write_text("")
         return ["train-strong", "--data", str(root / "empty.jsonl"),
-                "--student", str(paths["weak"]),
-                "--pseudo", str(root / "pseudo"), "--out", str(root / "o")]
+                "--labeler", str(paths["weak"]),
+                "--student", str(paths["weak"]), "--out", str(root / "o")]
     # valid inputs, so only the checkpoint can make detect fail
     rng = np.random.default_rng(0)
     dsp.write_wav(root / "rec.wav",
@@ -289,12 +294,17 @@ def _argv(model, paths, root):
                                    "shape", "rank", "missing_meta",
                                    "stray_meta"])
 @pytest.mark.parametrize("model", ["weak", "strong", "detector"])
-def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, model,
-                                               fault):
+def test_malformed_checkpoint_is_runtime_error(tmp_path, capsys, caplog,
+                                               model, fault):
     paths = _write_models(tmp_path)
     corrupt_checkpoint(paths[model], fault)
     code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
+    # the weak case's train-strong has no clips, so it fails with any
+    # checkpoint: the refusal must be the loader's.  A refused run echoes
+    # no config
+    assert _logged_error(caplog, str(paths[model]))
+    assert not (tmp_path / "o" / "config.json").exists()
 
 
 def _logged_error(caplog, text):
@@ -314,6 +324,7 @@ def test_checkpoint_error_names_the_file(tmp_path, capsys, caplog):
                              "--out", str(tmp_path / "o")])
     assert code == 1 and out is None
     assert _logged_error(caplog, f"{paths['weak']}: unknown tensor")
+    assert not (tmp_path / "o" / "config.json").exists()
 
 
 @pytest.mark.parametrize("rate", [0, 1, 384000])
@@ -366,14 +377,15 @@ def test_manifest_label_must_be_integer(tmp_path, capsys, caplog, labels):
     ("meta/embed_tap", np.array([-2])),
 ], ids=["empty", "negative_entry", "two_values", "not_integer",
         "negative_not_none"])
-def test_malformed_meta_value_is_runtime_error(tmp_path, capsys, key,
-                                               value):
+def test_malformed_meta_value_is_runtime_error(tmp_path, capsys, caplog,
+                                               key, value):
     paths = _write_models(tmp_path)
     kind, tensors = nn.read_checkpoint(paths["weak"])
     tensors[key] = value
     nn.write_checkpoint(paths["weak"], kind, tensors)
     code, out = run(capsys, _argv("weak", paths, tmp_path))
     assert code == 1 and out is None
+    assert _logged_error(caplog, str(paths["weak"]))
 
 
 @pytest.mark.parametrize("tap", [-1, 2, None])
@@ -398,7 +410,8 @@ def test_strong_embed_tap_must_be_three_or_absent(tmp_path, capsys, tap):
     ("detector", "n_conv"),
     ("student", "embed_dim"),
 ])
-def test_huge_meta_size_is_runtime_error(tmp_path, capsys, model, key):
+def test_huge_meta_size_is_runtime_error(tmp_path, capsys, caplog, model,
+                                        key):
     # sizes are checked against the stored tensors before any allocation;
     # a weak model's embed_dim, which no tensor fixes, when train-strong
     # builds the strong model from it
@@ -409,6 +422,8 @@ def test_huge_meta_size_is_runtime_error(tmp_path, capsys, model, key):
     nn.write_checkpoint(path, kind, tensors)
     code, out = run(capsys, _argv(model, paths, tmp_path))
     assert code == 1 and out is None
+    assert _logged_error(caplog, str(path) if model != "student"
+                         else "is not in 1..4096")
 
 
 # -- the scan window is the window trained on -----------------------------------
@@ -484,14 +499,6 @@ def _malformed_json_argv(case, root):
         bad.write_text("not json\n" if case == "manifest_not_json"
                        else json.dumps({"labels": [0]}) + "\n")
         return ["pretrain", "--data", str(bad), "--out", str(root / "o")], bad
-    if case == "pseudo_manifest_without_pseudo":
-        (root / "empty.jsonl").write_text("")
-        (root / "pseudo").mkdir()
-        bad = root / "pseudo" / "pseudo_manifest.jsonl"
-        bad.write_text(json.dumps({"wav": "a.wav"}) + "\n")
-        return ["train-strong", "--data", str(root / "empty.jsonl"),
-                "--student", str(paths["weak"]), "--pseudo",
-                str(root / "pseudo"), "--out", str(root / "o")], bad
     models = ["--weak", str(paths["weak"]), "--strong", str(paths["strong"])]
     (root / "episode").mkdir()
     bad = root / "episode" / "episode.json"
@@ -501,8 +508,7 @@ def _malformed_json_argv(case, root):
 
 
 @pytest.mark.parametrize("case", [
-    "manifest_not_json", "manifest_without_wav",
-    "pseudo_manifest_without_pseudo", "episode_without_eval"])
+    "manifest_not_json", "manifest_without_wav", "episode_without_eval"])
 def test_malformed_json_input_is_runtime_error(tmp_path, capsys, caplog,
                                                case):
     argv, bad = _malformed_json_argv(case, tmp_path)
@@ -528,7 +534,7 @@ def test_delta_flags_are_usage_error(tmp_path, capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-# -- pseudo-labels belong to their clips; the strong model's stage count ------
+# -- train-strong labels its own clips; the strong model's stage count ------
 
 def _student(root, channels):
     """An untrained student for the 3-class ``three_clips`` corpus."""
@@ -539,98 +545,52 @@ def _student(root, channels):
     return path
 
 
-def _pseudolabel_and_train_strong(capsys, root, student, labelled, data):
-    """Pseudo-label the clips of manifest ``labelled`` with ``student``,
-    then train a strong model on the clips of ``data`` from those labels."""
-    code, _ = run(capsys, ["pseudolabel", "--data", str(labelled),
-                           "--model", str(student),
-                           "--out", str(root / "psl")])
-    assert code == 0
+def _train_strong(capsys, root, labeler, student, data):
     return run(capsys, ["--set", "train.epochs=1", "train-strong",
-                        "--data", str(data), "--student", str(student),
-                        "--pseudo", str(root / "psl"),
+                        "--data", str(data), "--labeler", str(labeler),
+                        "--student", str(student),
                         "--out", str(root / "strong")])
 
 
-def test_pseudolabel_writes_reference_labels(tmp_path, capsys, three_clips):
-    # a weak model whose labels mix 0 and 1: each written .sqpl holds the
-    # labels of every window run through the whole model on its own
+def test_train_strong_trains_on_reference_labels(tmp_path, capsys,
+                                                 three_clips):
+    # a labeler whose labels mix 0 and 1, and another model as the student:
+    # the checkpoint is train_strong's on the labels of every window run
+    # through the whole labeler on its own
     records = pretrain.load_manifest(three_clips)
-    model = pretrain.WeakModel(pretrain.ModelConfig(
+    labeler = pretrain.WeakModel(pretrain.ModelConfig(
         n_classes=3, channels=(4, 6, 8, 10, 12), head_hidden=16))
-    split_labels(model, [r.load() for r in records])
-    model.save(tmp_path / "weak.ckpt")
-    model = pretrain.WeakModel.load(tmp_path / "weak.ckpt")   # f32 bias
-    code, out = run(capsys, ["pseudolabel", "--data", str(three_clips),
-                             "--model", str(tmp_path / "weak.ckpt"),
-                             "--out", str(tmp_path / "psl")])
-    assert code == 0 and 0 < out["positive_rate"] < 1
-    entries = [json.loads(line) for line in
-               (tmp_path / "psl" / "pseudo_manifest.jsonl").read_text()
-               .splitlines()]
-    assert len(entries) == len(records)
-    for r, e in zip(records, entries):
-        want = pretrain.sigmoid(pseudo_logits_per_window(model, r.load())) \
-            > pretrain.PSEUDO_THRESHOLD
-        got = pretrain.read_pseudo_labels(tmp_path / "psl" / e["pseudo"])
-        np.testing.assert_array_equal(got.labels, want)
-
-
-@pytest.mark.parametrize("order", ["same", "reversed"])
-def test_train_strong_matches_pseudo_labels_to_clips(tmp_path, capsys,
-                                                     caplog, three_clips,
-                                                     order):
-    data = three_clips
-    if order == "reversed":
-        entries = map(json.loads, three_clips.read_text().splitlines())
-        data = tmp_path / "data.jsonl"
-        data.write_text("".join(
-            json.dumps({**r, "wav": str(three_clips.parent / r["wav"])})
-            + "\n" for r in reversed(list(entries))))
+    split_labels(labeler, [r.load() for r in records])
+    labeler.save(tmp_path / "weak.ckpt")
+    labeler = pretrain.WeakModel.load(tmp_path / "weak.ckpt")   # f32 bias
     student = _student(tmp_path, (4, 6, 8, 10, 12))
-    code, out = _pseudolabel_and_train_strong(capsys, tmp_path, student,
-                                              three_clips, data)
-    made = (tmp_path / "strong" / "strong.ckpt").exists()
-    if order == "same":
-        assert code == 0 and made
-    else:
-        assert code == 1 and out is None and not made
-        assert _logged_error(
-            caplog, f"{tmp_path / 'psl' / 'pseudo_manifest.jsonl'}: entry 0")
-
-
-def test_pseudo_labels_train_strong_from_another_directory(
-        tmp_path, capsys, monkeypatch, three_clips):
-    # each command names the manifest and the pseudo directory relative to
-    # its own working directory, at different depths
-    student = _student(tmp_path, (4, 6, 8, 10, 12))
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b" / "c").mkdir(parents=True)
-    monkeypatch.chdir(tmp_path / "a")
-    code, _ = run(capsys, ["pseudolabel", "--data", os.path.relpath(three_clips),
-                           "--model", str(student), "--out", "psl"])
-    assert code == 0
-    monkeypatch.chdir(tmp_path / "b" / "c")
-    code, _ = run(capsys, ["--set", "train.epochs=1", "train-strong",
-                           "--data", os.path.relpath(three_clips),
-                           "--student", str(student),
-                           "--pseudo", "../../a/psl", "--out", "strong"])
-    assert code == 0
-    assert (tmp_path / "b" / "c" / "strong" / "strong.ckpt").exists()
+    code, out = _train_strong(capsys, tmp_path, tmp_path / "weak.ckpt",
+                              student, three_clips)
+    pseudo = [pretrain.PseudoStrongLabels(labels=(pretrain.sigmoid(
+        pseudo_logits_per_window(labeler, r.load()))
+        > pretrain.PSEUDO_THRESHOLD).astype(np.uint8)) for r in records]
+    labels = np.concatenate([psl.labels for psl in pseudo])
+    assert code == 0 and out["positive_rate"] == labels.mean()
+    assert 0 < labels.mean() < 1
+    want = pretrain.train_strong(pretrain.WeakModel.load(student), records,
+                                 pseudo, pretrain.TrainConfig(epochs=1))
+    want.save(tmp_path / "want.ckpt")
+    assert (tmp_path / "strong" / "strong.ckpt").read_bytes() == \
+        (tmp_path / "want.ckpt").read_bytes()
 
 
 def test_train_strong_from_three_stage_student_is_runtime_error(
         tmp_path, capsys, caplog, three_clips):
     student = _student(tmp_path, (4, 6, 8))
-    code, out = _pseudolabel_and_train_strong(capsys, tmp_path, student,
-                                              three_clips, three_clips)
+    code, out = _train_strong(capsys, tmp_path, student, student,
+                              three_clips)
     assert code == 1 and out is None
     assert not (tmp_path / "strong" / "strong.ckpt").exists()
     assert _logged_error(caplog, "strong model of 3 stages")
 
 
 def test_train_strong_on_empty_data_is_runtime_error(tmp_path, capsys):
-    # an empty manifest and an empty pseudo manifest agree on every clip
+    # an empty manifest leaves no clip to label or train on
     code, out = run(capsys, _argv("student", _write_models(tmp_path),
                                   tmp_path))
     assert code == 1 and out is None

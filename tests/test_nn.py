@@ -163,7 +163,7 @@ def test_feature_grads_by_name(rng):
     ])
     y, cache = g.forward(rng.normal(size=(1, 3)))
     res = g.backward(cache, np.ones_like(y))
-    assert set(res.feature_grads) == {"a", "r", "b", "input"}
+    assert set(res.feature_grads) == {"a", "r", "b"}
     assert res.feature_grads["a"].shape == (1, 4)
     grads = {k: v.copy() for k, v in g.grads().items()}
     g.zero_grads()
@@ -585,7 +585,6 @@ def test_skipping_input_grad_leaves_param_grads_bitwise(rng):
     g.zero_grads()
     res = g.backward(cache, dy, input_grad=False)
     assert full.dx is not None and res.dx is None
-    assert "input" not in res.feature_grads
     for k, v in g.grads().items():
         np.testing.assert_array_equal(v, grads[k])
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from seqshot import dsp, evaluate, pretrain
-from seqshot.errors import (EmptyInputError, SeqshotError, ShapeError,
-                            TruncatedFileError)
+from seqshot.errors import EmptyInputError, SeqshotError, ShapeError
 
 from reference_ops import pseudo_logits_per_window
 
@@ -448,7 +447,7 @@ def test_distill_runs_and_matches_teacher_direction(toy_weak):
     student = pretrain.distill(
         teacher, pretrain.ModelConfig(n_classes=2, seed=7, channels=(3, 4, 5, 6, 8),
                                       head_hidden=8, embed_dim=8),
-        recs, cfg, temperature=2.0, kd_weight=0.5)
+        recs, cfg)
     x = np.stack([dsp.logmel(r.load()) for r in recs])[:, None]
     labels = np.stack([pretrain.multi_hot(r.labels, 2) for r in recs])
     map_, _ = evaluate.map_and_dprime(student.logits(x), labels)
@@ -530,24 +529,6 @@ def test_pseudo_label_six_stages_is_shape_error():
         n_classes=2, channels=(4, 6, 8, 10, 12, 14), head_hidden=16))
     with pytest.raises(ShapeError, match="conv5: input .* too small"):
         pretrain.pseudo_label(model, noise(1.0, seed=1))
-
-
-def test_pseudo_label_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    psl = pretrain.PseudoStrongLabels(
-        labels=(rng.random((17, 5)) > 0.6).astype(np.uint8))
-    pretrain.write_pseudo_labels(tmp_path / "x.sqpl", psl)
-    back = pretrain.read_pseudo_labels(tmp_path / "x.sqpl")
-    np.testing.assert_array_equal(psl.labels, back.labels)
-
-
-def test_pseudo_label_file_truncated(tmp_path):
-    psl = pretrain.PseudoStrongLabels(labels=np.ones((20, 4), dtype=np.uint8))
-    pretrain.write_pseudo_labels(tmp_path / "x.sqpl", psl)
-    raw = (tmp_path / "x.sqpl").read_bytes()
-    (tmp_path / "y.sqpl").write_bytes(raw[:-3])
-    with pytest.raises(TruncatedFileError):
-        pretrain.read_pseudo_labels(tmp_path / "y.sqpl")
 
 
 # -- strong training --------------------------------------------------------------
