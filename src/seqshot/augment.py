@@ -174,9 +174,9 @@ class DeltaEncoder(nn.Module):
 
     def backward(self, cache, dy):
         enc_cache, dec_cache = cache
-        d_in = self.decoder.backward(dec_cache, dy, features=False).dx
+        d_in = self.decoder.backward(dec_cache, dy)
         self.encoder.backward(enc_cache, d_in[:, self.embed_dim:],
-                              features=False, input_grad=False)
+                              input_grad=False)
 
     def apply(self, base, clean, degraded):
         return self.forward(clean, degraded, base)[0]

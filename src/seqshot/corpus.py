@@ -21,6 +21,11 @@ FAR_FIELD_SNR_PENALTY_DB = 6.0
 
 BACKGROUNDS = ("silence", "pink", "babble")
 
+N_VOCAB = 8                 # notes in a family's vocabulary
+MIN_ORDER_DISTANCE = 3      # note-order Hamming distance between motifs
+NOTE_DUR_S = 0.35           # target note length; notes fill the motif length
+BABBLE_TONES = 8            # tones in a babble cluster
+
 
 @dataclass
 class Motif:
@@ -63,30 +68,26 @@ def _hamming(a, b):
 
 
 def gen_motif_family(family_seed, n_sequences=10, length_range=(1.0, 10.0),
-                     family_id=0, n_vocab=8, min_order_distance=3,
-                     note_dur_s=0.35):
-    """One family: shared 8-note vocabulary, order-distinct motifs.
+                     family_id=0):
+    """One family: shared ``N_VOCAB``-note vocabulary, order-distinct
+    motifs.
 
-    All motifs have the same note count; pairwise note-order Hamming
-    distance is at least ``min_order_distance`` so family members are
-    coarse-alike but fine-grained distinct.
+    All motifs have the same note count, at least 4; pairwise note-order
+    Hamming distance is at least ``MIN_ORDER_DISTANCE`` so family members
+    are coarse-alike but fine-grained distinct.
     """
     if n_sequences < 2:
         raise ValueError("need at least 2 sequences per family")
     rng = np.random.default_rng(family_seed)
     length_s = float(rng.uniform(*length_range))
-    n_notes = max(4, int(round(length_s / note_dur_s)))
-    if n_notes < min_order_distance:
-        raise SeqshotError(
-            f"motifs with {n_notes} notes cannot be {min_order_distance} apart"
-        )
+    n_notes = max(4, int(round(length_s / NOTE_DUR_S)))
     dur = length_s / n_notes
     # Independent log-uniform notes per family (so coarse classes are
     # spectrally distinct), kept >= 2 semitones apart within the family.
     lo, hi = np.log(500.0), np.log(3520.0)
     min_gap = np.log(2.0) / 6.0
     for _ in range(5000):
-        vocab = np.sort(np.exp(rng.uniform(lo, hi, size=n_vocab)))
+        vocab = np.sort(np.exp(rng.uniform(lo, hi, size=N_VOCAB)))
         if np.all(np.log(vocab[1:] / vocab[:-1]) >= min_gap):
             break
     else:
@@ -97,8 +98,8 @@ def gen_motif_family(family_seed, n_sequences=10, length_range=(1.0, 10.0),
         attempts += 1
         if attempts > 5000:
             raise SeqshotError("order-distance constraint looks infeasible")
-        cand = rng.integers(0, n_vocab, size=n_notes)
-        if all(_hamming(cand, s) >= min_order_distance for s in sequences):
+        cand = rng.integers(0, N_VOCAB, size=n_notes)
+        if all(_hamming(cand, s) >= MIN_ORDER_DISTANCE for s in sequences):
             sequences.append(cand)
     motifs = []
     for i, idxs in enumerate(sequences):
@@ -114,8 +115,9 @@ def gen_motif_family(family_seed, n_sequences=10, length_range=(1.0, 10.0),
     return motifs
 
 
-def synth_motif(motif, sr=dsp.SAMPLE_RATE):
+def synth_motif(motif):
     """Render a motif as concatenated sine notes with 10 ms cosine ramps."""
+    sr = dsp.SAMPLE_RATE
     n = int(round(motif.note_dur_s * sr))
     ramp = min(int(NOTE_RAMP_S * sr), n // 2)
     env = np.ones(n)
@@ -140,11 +142,11 @@ def pink_noise(rng, n):
     return x / (x.std() + 1e-12)
 
 
-def babble_cluster(rng, n, sr=dsp.SAMPLE_RATE, n_tones=8):
+def babble_cluster(rng, n):
     """Babble-like cluster: slowly amplitude-modulated random tones."""
-    t = np.arange(n) / sr
+    t = np.arange(n) / dsp.SAMPLE_RATE
     out = np.zeros(n)
-    for _ in range(n_tones):
+    for _ in range(BABBLE_TONES):
         f = rng.uniform(150.0, 450.0)
         mod_f = rng.uniform(0.3, 3.0)
         phase = rng.uniform(0, 2 * np.pi, size=2)
@@ -153,8 +155,9 @@ def babble_cluster(rng, n, sr=dsp.SAMPLE_RATE, n_tones=8):
     return out / (out.std() + 1e-12)
 
 
-def synth_rir(rng, rt60_s, sr=dsp.SAMPLE_RATE):
+def synth_rir(rng, rt60_s):
     """Exponentially decaying white noise; -60 dB at rt60."""
+    sr = dsp.SAMPLE_RATE
     n = max(8, int(rt60_s * sr))
     t = np.arange(n) / sr
     h = rng.normal(size=n) * np.exp(-6.9078 * t / rt60_s)
@@ -163,8 +166,7 @@ def synth_rir(rng, rt60_s, sr=dsp.SAMPLE_RATE):
 
 
 def _background(rng, kind, n):
-    if kind == "silence":
-        return np.zeros(n)
+    """Pink or babble noise; silence mixes no background."""
     if kind == "pink":
         return pink_noise(rng, n)
     return babble_cluster(rng, n)
@@ -181,7 +183,7 @@ def render_scene(motif, spec: SceneSpec, rng):
     """
     sr = dsp.SAMPLE_RATE
     n = int(round(spec.duration_s * sr))
-    event_wav = synth_motif(motif, sr)
+    event_wav = synth_motif(motif)
     if spec.insert_time_s + motif.duration_s > spec.duration_s + 1e-9:
         raise ValueError("motif does not fit in the scene")
     i0 = int(round(spec.insert_time_s * sr))
@@ -190,7 +192,7 @@ def render_scene(motif, spec: SceneSpec, rng):
     placed[i0: i0 + len(seg)] = seg
     snr_db = spec.snr_db
     if spec.field == "far":
-        rir = synth_rir(rng, spec.rt60_s, sr)
+        rir = synth_rir(rng, spec.rt60_s)
         placed = dsp.convolve_rir(dsp.Waveform(placed, sr), rir).samples
         if snr_db is not None:
             snr_db = snr_db - FAR_FIELD_SNR_PENALTY_DB
@@ -242,7 +244,8 @@ class PretrainConfig:
                 f"{pretrain.MIN_EMBED_S} s the embedders take")
 
 
-def _noise_event(rng, kind, dur_s, sr=dsp.SAMPLE_RATE):
+def _noise_event(rng, kind, dur_s):
+    sr = dsp.SAMPLE_RATE
     n = int(dur_s * sr)
     x = _background(rng, kind, n) * 0.4
     ramp = int(NOTE_RAMP_S * sr)
@@ -346,19 +349,21 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
 
 # -- episodes ------------------------------------------------------------------------
 
+K_SHOTS = 3                  # enrollment shots per episode
+ENROLL_SNR_DB = 18.0
+EVAL_SNR_DB = 15.0
+EPISODE_RT60_S = 0.5         # far-field reverberation
+EPISODE_BACKGROUNDS = ("pink", "babble")
+
+
 @dataclass
 class EpisodeSpec:
     family_seed: int
-    k_shots: int = 3
     eval_pos: int = 3
     eval_neg_per_seq: int = 20
     n_sequences: int = 10
     length_range: tuple = (1.0, 10.0)
     shot_pad_range: tuple = (2.0, 4.0)
-    enroll_snr_db: float = 18.0
-    eval_snr_db: float = 15.0
-    rt60_s: float = 0.5
-    backgrounds: tuple = ("pink", "babble")
 
 
 def _fields_5050(count, rng):
@@ -391,11 +396,12 @@ def gen_episode(spec: EpisodeSpec, out_dir):
         insert = float(rng.uniform(0.2, max(0.21, duration - motif.duration_s - 0.2)))
         sc = SceneSpec(
             duration_s=duration,
-            background=spec.backgrounds[int(rng.integers(0, len(spec.backgrounds)))],
+            background=EPISODE_BACKGROUNDS[
+                int(rng.integers(0, len(EPISODE_BACKGROUNDS)))],
             snr_db=snr,
             insert_time_s=insert,
             field=field,
-            rt60_s=spec.rt60_s,
+            rt60_s=EPISODE_RT60_S,
         )
         w, events, _ = render_scene(motif, sc, rng)
         name = f"{tag}_{idx:03d}.wav"
@@ -406,16 +412,16 @@ def gen_episode(spec: EpisodeSpec, out_dir):
             "event": [list(events[0][0]), events[0][1], events[0][2]],
         }
 
-    enrollment = [render(target, "near", spec.enroll_snr_db, "enroll", i)
-                  for i in range(spec.k_shots)]
+    enrollment = [render(target, "near", ENROLL_SNR_DB, "enroll", i)
+                  for i in range(K_SHOTS)]
     pos_fields = _fields_5050(spec.eval_pos, rng)
-    positives = [render(target, f, spec.eval_snr_db, "pos", i)
+    positives = [render(target, f, EVAL_SNR_DB, "pos", i)
                  for i, f in enumerate(pos_fields)]
     negatives = []
     idx = 0
     for m in motifs[1:]:
         for f in _fields_5050(spec.eval_neg_per_seq, rng):
-            negatives.append(render(m, f, spec.eval_snr_db, "neg", idx))
+            negatives.append(render(m, f, EVAL_SNR_DB, "neg", idx))
             idx += 1
     desc = {
         "family_seed": spec.family_seed,

@@ -217,7 +217,7 @@ def align_to_exemplar(segments, shots):
     max-correlation position; returns (aligned segments, scores).
 
     Correlation is Pearson over the flattened T_e x 64 logmel windows;
-    ties break toward the earliest offset.
+    ties break toward the earliest offset.  The exemplar scores 1.0.
     """
     spans = [_frame_span(seg) for seg in segments]
     lengths = [b - a for a, b in spans]
@@ -228,8 +228,8 @@ def align_to_exemplar(segments, shots):
     ex0 = ex - ex.mean()
     ex_norm = np.linalg.norm(ex0)
     aligned, scores = [], []
-    for seg, (a, b), shot in zip(segments, spans, shots):
-        if b - a == t_e:
+    for i, (seg, (a, b), shot) in enumerate(zip(segments, spans, shots)):
+        if i == ex_i:
             aligned.append(Segment(seg.shot_id, a * dsp.FRAME_HOP_S,
                                    b * dsp.FRAME_HOP_S))
             scores.append(1.0)

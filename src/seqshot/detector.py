@@ -65,14 +65,8 @@ class DetectorNet(nn.Module):
     def conv_layer_names(self):
         return [f"conv{i}" for i in range(self.config.n_conv)]
 
-    def forward(self, x):
-        """x: (B, E, T) -> (logits (B, 2), cache)."""
-        if x.ndim != 3 or x.shape[1] != self.config.embed_dim:
-            raise ShapeError(f"expected (B, {self.config.embed_dim}, T), "
-                             f"got {x.shape}")
-        return super().forward(x)
-
     def logits(self, x):
+        """x: (B, E, T) -> logits (B, 2)."""
         return self.forward(x)[0]
 
     def score(self, x):
@@ -113,7 +107,7 @@ def _item_dots(a, b):
     return np.einsum("ij,ij->i", a.reshape(len(a), -1), b.reshape(len(b), -1))
 
 
-def _gap_norms(net, feature_grads, layer_names):
+def _gap_norms(net, grads, layer_names):
     """Per-item Frobenius norm of the gap gradient at each named feature
     map, from a gradient pass that stopped at the projection.  The
     projection is 1x1, so the input gradient at frame t is W^T g_t (W the
@@ -124,11 +118,11 @@ def _gap_norms(net, feature_grads, layer_names):
         if name == "input":
             proj = net.graph.layers[0]
             w = proj.params["W"][:, :, 0]                 # (P, E)
-            g = feature_grads[proj.name].transpose(0, 2, 1)   # (B, T, P)
+            g = grads[proj.name].transpose(0, 2, 1)       # (B, T, P)
             gw = g.reshape(-1, len(w)) @ (w @ w.T)
             sq = _item_dots(gw.reshape(g.shape), g)
         else:
-            g = feature_grads[name]
+            g = grads[name]
             g = g.transpose(0, *range(2, g.ndim), 1)      # memory order
             sq = _item_dots(g, g)
         norms[name] = np.sqrt(sq)
@@ -164,9 +158,7 @@ def detector_loss(net: DetectorNet, x, labels,
     gap_signed = logits[:, 0] - logits[:, 1]          # f_target - f_nontarget
     gap = sign * gap_signed                           # f_true - f_other
 
-    probe = net.graph.backward(cache, seeds, param_grads=False,
-                               input_grad=False)
-    grads = probe.feature_grads
+    grads = net.graph.output_grads(cache, seeds)
     norms = _gap_norms(net, grads, layer_names) if frozen_norms is None \
         else frozen_norms
 

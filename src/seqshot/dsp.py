@@ -33,6 +33,7 @@ FRAME_LEN = 400     # 25 ms
 FRAME_HOP = 160     # 10 ms
 FFT_SIZE = 512
 N_MELS = 64
+MEL_MAX_HZ = 8000.0   # the filters span 0 Hz to here
 FRAME_HOP_S = FRAME_HOP / SAMPLE_RATE
 FRAME_LEN_S = FRAME_LEN / SAMPLE_RATE
 LOG_FLOOR = 1e-6
@@ -303,14 +304,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels=N_MELS, fft_size=FFT_SIZE, sample_rate=SAMPLE_RATE,
-                   f_low=0.0, f_high=8000.0):
-    """Triangular unit-peak filters on the HTK mel scale; (n_mels, bins)."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_low), hz_to_mel(f_high),
-                                     n_mels + 2))
-    bin_hz = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-    fb = np.zeros((n_mels, len(bin_hz)))
-    for k in range(n_mels):
+def mel_filterbank():
+    """Triangular unit-peak filters on the HTK mel scale from 0 Hz to
+    ``MEL_MAX_HZ``; (N_MELS, FFT_SIZE // 2 + 1)."""
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(MEL_MAX_HZ),
+                                     N_MELS + 2))
+    bin_hz = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
+    fb = np.zeros((N_MELS, len(bin_hz)))
+    for k in range(N_MELS):
         lo, center, hi = edges_hz[k], edges_hz[k + 1], edges_hz[k + 2]
         up = (bin_hz - lo) / (center - lo)
         down = (hi - bin_hz) / (hi - center)

@@ -121,8 +121,6 @@ class Episode:
             self.enrollment_wavs = [e["wav"] for e in desc["enrollment"]]
             self.eval_items = [EvalItem(e["wav"], e["label"])
                                for e in desc["eval"]]
-            self.target_duration_s = float(desc.get("target_duration_s",
-                                                    0.0))
         for it in self.eval_items:
             if type(it.label) is not int or it.label not in (0, 1):
                 raise FormatError(f"{descriptor_path}: eval label "

@@ -21,7 +21,7 @@ from .layers import (
     MeanOverFreq,
     GlobalChannelPool,
 )
-from .graph import Graph, BackwardResult
+from .graph import Graph
 from .optim import adamw_init, adamw_step, one_cycle_lr
 from .checkpoint import write_checkpoint, read_checkpoint
 from .module import Module, fit
@@ -36,7 +36,6 @@ __all__ = [
     "MeanOverFreq",
     "GlobalChannelPool",
     "Graph",
-    "BackwardResult",
     "adamw_init",
     "adamw_step",
     "one_cycle_lr",

@@ -1,6 +1,6 @@
 """Static layer-list graph with forward caching and reverse-mode backward."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,14 +13,6 @@ class ForwardCache:
     version: int
     layer_caches: list
     output: np.ndarray
-
-
-@dataclass
-class BackwardResult:
-    """Gradient w.r.t. the graph input plus per-layer output gradients."""
-
-    dx: np.ndarray
-    feature_grads: dict = field(default_factory=dict)
 
 
 class Graph:
@@ -37,42 +29,44 @@ class Graph:
         for layer in self.layers:
             try:
                 h, c = layer.forward(h)
-            except ShapeError:
-                raise
             except ValueError as e:
                 raise ShapeError(f"{layer.name}: {e}") from e
             caches.append(c)
         return h, ForwardCache(self, self.version, caches, h)
 
-    def backward(self, cache, dy, features=True, input_grad=True,
-                 param_grads=True):
-        """Backprop dL/dy; accumulates parameter grads, returns input grad.
-
-        ``feature_grads[name]`` is the loss gradient at layer ``name``'s
-        output.  With ``features=False`` it stays empty, so each layer's
-        output gradient is freed once the layer below has used it.
-        ``input_grad=False`` skips the first layer's input gradient (dx is
-        None); ``param_grads=False`` leaves every parameter gradient
-        untouched.
-        """
+    def backward(self, cache, dy, input_grad=True):
+        """Backprop dL/dy; accumulates parameter grads and returns the
+        input grad.  ``input_grad=False`` skips the first layer's input
+        gradient (returns None).  Each layer's output gradient is freed
+        once the layer below has used it."""
         self._check(cache, dy)
-        feature_grads = {}
         g = dy
         last = len(self.layers) - 1
         for i, (layer, c) in enumerate(zip(reversed(self.layers),
                                            reversed(cache.layer_caches))):
-            if features:
-                feature_grads[layer.name] = g
-            g = layer.backward(c, g, input_grad=input_grad or i < last,
-                               param_grads=param_grads)
-        return BackwardResult(dx=g, feature_grads=feature_grads)
+            g = layer.backward(c, g, input_grad=input_grad or i < last)
+        return g
+
+    def output_grads(self, cache, dy):
+        """{layer name: the loss gradient at its output}, from dL/dy.
+        Computes no parameter gradient and no input gradient of the
+        first layer."""
+        self._check(cache, dy)
+        grads = {}
+        g = dy
+        for layer, c in zip(reversed(self.layers[1:]),
+                            reversed(cache.layer_caches[1:])):
+            grads[layer.name] = g
+            g = layer.backward(c, g, True, False)   # no parameter gradients
+        grads[self.layers[0].name] = g
+        return grads
 
     def backward_params(self, cache, output_grads):
         """Accumulate each layer's parameter gradients from the loss
         gradient at its output, ``output_grads[name]``, without
         propagating further down.  For a loss whose output gradients are
         known per layer, as ``detector.detector_loss`` knows them from
-        one input-gradient pass."""
+        one ``output_grads`` pass."""
         self._check(cache)
         for layer, c in zip(self.layers, cache.layer_caches):
             if layer.params:

@@ -37,8 +37,7 @@ class Module:
 
     Subclasses set ``KIND`` (the checkpoint kind), ``CONFIG`` (the config
     class) and ``META`` (the fields stored as ``meta/<field>``, in file
-    order; those in ``OPTIONAL_META`` may be missing from a checkpoint
-    and are then absent from the fields ``from_meta`` gets), and pass
+    order; a checkpoint must hold every one of them), and pass
     their graphs, in file order, to ``__init__``, which makes each an
     attribute.  Parameters are named ``<graph>/<layer>/<param>``; a
     module of one graph leaves the graph name out.
@@ -56,7 +55,6 @@ class Module:
     KIND = None
     CONFIG = None
     META = ()
-    OPTIONAL_META = ()
 
     def __init__(self, config, **graphs):
         self.config = config
@@ -86,13 +84,11 @@ class Module:
         """Accumulate parameter gradients.
 
         The first graph's input gradient (the gradient at the model's
-        input) is not computed: no caller reads it.  No per-layer output
-        gradient is kept (``features=False``).
+        input) is not computed: no caller reads it.
         """
         graphs = list(self.graphs.values())
         for i in reversed(range(len(graphs))):
-            dy = graphs[i].backward(cache[i], dy, features=False,
-                                    input_grad=i > 0).dx
+            dy = graphs[i].backward(cache[i], dy, input_grad=i > 0)
 
     # -- parameters ------------------------------------------------------------
 
@@ -172,13 +168,12 @@ class Module:
         stray = sorted(set(meta) - set(cls.META))
         if stray:
             raise UnknownTensorError(f"unknown tensor meta/{stray[0]}")
-        missing = sorted(set(cls.META) - set(cls.OPTIONAL_META) - set(meta))
+        missing = sorted(set(cls.META) - set(meta))
         if missing:
             raise FormatError(f"checkpoint missing meta tensors: {missing}")
         tuples = {f.name for f in dataclasses.fields(cls.CONFIG)
                   if f.type is tuple}
-        fields = {f: _decode(f, meta[f], f in tuples)
-                  for f in cls.META if f in meta}
+        fields = {f: _decode(f, meta[f], f in tuples) for f in cls.META}
         shapes = {k: v.shape for k, v in tensors.items()
                   if not k.startswith("meta/")}
         try:
@@ -186,7 +181,7 @@ class Module:
         except (KeyError, IndexError) as e:  # a tensor missing or of low rank
             raise FormatError(f"stored tensors: {e!r}") from e
         for f, value in stored.items():
-            if f in fields and fields[f] != value:
+            if fields[f] != value:
                 raise FormatError(f"meta/{f} {fields[f]} does not match "
                                   f"the stored tensors ({value})")
         model = cls.from_meta(fields)

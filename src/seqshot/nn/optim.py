@@ -47,7 +47,7 @@ def adamw_step(param, grad, state, lr, weight_decay=0.0):
     return state
 
 
-def one_cycle_lr(step, total_steps, peak=0.01, final=0.0001, warmup_frac=0.1):
+def one_cycle_lr(step, total_steps, peak, final, warmup_frac):
     """Linear warmup final->peak, then cosine decay peak->final."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")

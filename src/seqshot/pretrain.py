@@ -162,8 +162,6 @@ def _backbone_layers(cfg, rng):
 class _Embedder(nn.Module):
     CONFIG = ModelConfig
     META = ("n_classes", "channels", "head_hidden", "embed_dim", "embed_tap")
-    # checkpoints written before embed_tap existed load with EMBED_TAP
-    OPTIONAL_META = ("embed_tap",)
 
     def meta(self):
         return {f: EMBED_TAP if f == "embed_tap" else getattr(self.config, f)
@@ -171,7 +169,7 @@ class _Embedder(nn.Module):
 
     @classmethod
     def from_meta(cls, fields):
-        if fields.pop("embed_tap", EMBED_TAP) != EMBED_TAP:
+        if fields.pop("embed_tap") != EMBED_TAP:
             raise FormatError(f"meta/embed_tap: only {EMBED_TAP} is read")
         return super().from_meta(fields)
 

@@ -138,8 +138,9 @@ def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
     gap = sign * gap_signed
     if frozen_norms is None:
         net.graph.zero_grads()
-        probe = net.graph.backward(cache, detector._gap_seeds(labels))
-        grads = {**probe.feature_grads, "input": probe.dx}
+        seeds = detector._gap_seeds(labels)
+        grads = {**net.graph.output_grads(cache, seeds),
+                 "input": net.graph.backward(cache, seeds)}
         norms = {name: np.sqrt(np.sum(
             grads[name] ** 2, axis=tuple(range(1, grads[name].ndim))))
             for name in layer_names}

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from seqshot import (augment, cli, corpus, curation, detector, dsp,
+from seqshot import (augment, corpus, curation, detector, dsp,
                      evaluate, nn, pretrain)
 from conftest import EPISODE_LENGTHS
 from gradcheck import numeric_grad_at, rel_err
+from pipeline_digests import run_pipeline
 
 
 # -- 1. gradients vs central finite differences --------------------------------
@@ -34,10 +35,10 @@ def _check_case(graph, x, rng, n_idx=2):
 
     y, cache = graph.forward(x)
     graph.zero_grads()
-    res = graph.backward(cache, y.copy())
+    dx = graph.backward(cache, y.copy())
     params = graph.params()
     grads = graph.grads()
-    tensors = [(x, res.dx)] + [(params[k], grads[k]) for k in params]
+    tensors = [(x, dx)] + [(params[k], grads[k]) for k in params]
     for tensor, analytic in tensors:
         for i in rng.choice(tensor.size, size=min(n_idx, tensor.size),
                             replace=False):
@@ -332,57 +333,11 @@ def test_masked_and_shuffled_variants_score_below_source(tmp_path,
 
 # -- 9. byte-level determinism --------------------------------------------------
 
-TINY_RUN = [
-    "--set", "corpus.n_classes=4",
-    "--set", "corpus.clips_per_class=2",
-    "--set", "corpus.clip_duration_s=6.0",
-    "--set", "model.channels=[4,6,8,10,12]",
-    "--set", "model.head_hidden=16",
-    "--set", "model.embed_dim=8",
-    "--set", "train.epochs=1",
-    "--set", "train.batch_size=8",
-    "--set", "train.crop_frames=298",
-    "--set", "detector.epochs=2",
-    "--set", "evaluate.reps=1",
-]
-
-
-def _run_pipeline(root, episode_dir, capsys):
-    outs = {}
-
-    def run(argv):
-        assert cli.main(TINY_RUN + argv) == 0
-        return json.loads(capsys.readouterr().out)
-
-    data = run(["synth-corpus", "--out", str(root / "data")])
-    run(["pretrain", "--data", data["manifest"], "--out", str(root / "t")])
-    teacher = str(root / "t" / "teacher.ckpt")
-    run(["train-strong", "--data", data["manifest"], "--labeler", teacher,
-         "--student", teacher, "--out", str(root / "s")])
-    strong = str(root / "s" / "strong.ckpt")
-    shots = sorted(str(p) for p in episode_dir.glob("enroll_*.wav"))
-    run(["enroll", "--shots", *shots, "--weak", teacher,
-         "--strong", strong, "--out", str(root / "e")])
-    run(["evaluate", "--episodes", str(episode_dir),
-         "--weak", teacher, "--strong", strong,
-         "--out", str(root / "r")])
-    outs["manifest"] = (root / "data" / "manifest.jsonl").read_bytes()
-    wavs = sorted((root / "data" / "wavs").iterdir())
-    outs["wav"] = wavs[0].read_bytes()
-    outs["teacher"] = (root / "t" / "teacher.ckpt").read_bytes()
-    outs["strong"] = (root / "s" / "strong.ckpt").read_bytes()
-    outs["detector"] = (root / "e" / "detector.ckpt").read_bytes()
-    outs["enrollment"] = (root / "e" / "enrollment.json").read_bytes()
-    outs["report"] = (root / "r" / "episodes.csv").read_bytes()
-    return outs
-
-
-def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path, capsys):
-    spec = corpus.EpisodeSpec(family_seed=77, eval_neg_per_seq=1,
-                              length_range=(1.5, 2.5))
-    episode_dir = corpus.gen_episode(spec, tmp_path / "ep").parent
-    first = _run_pipeline(tmp_path / "run1", episode_dir, capsys)
-    second = _run_pipeline(tmp_path / "run2", episode_dir, capsys)
+def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
+    # every file the seven subcommands write, and each command's stdout
+    first = run_pipeline(tmp_path / "run1")
+    second = run_pipeline(tmp_path / "run2")
+    assert list(first) == list(second)
     for key in first:
         assert first[key] == second[key], f"{key} differs between runs"
 

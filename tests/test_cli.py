@@ -389,8 +389,8 @@ def test_malformed_meta_value_is_runtime_error(tmp_path, capsys, caplog,
 
 
 @pytest.mark.parametrize("tap", [-1, 2, None])
-def test_strong_embed_tap_must_be_three_or_absent(tmp_path, capsys, tap):
-    # None: a checkpoint written before the tap was stored
+def test_strong_embed_tap_must_be_three(tmp_path, capsys, caplog, tap):
+    # None: a checkpoint without the field
     paths = _write_models(tmp_path)
     kind, tensors = nn.read_checkpoint(paths["strong"])
     if tap is None:
@@ -399,8 +399,10 @@ def test_strong_embed_tap_must_be_three_or_absent(tmp_path, capsys, tap):
         tensors["meta/embed_tap"] = np.array([tap])
     nn.write_checkpoint(paths["strong"], kind, tensors)
     code, out = run(capsys, _argv("strong", paths, tmp_path))
-    assert code == (0 if tap is None else 1)
-    assert (out is None) == (tap is not None)
+    assert code == 1 and out is None
+    assert _logged_error(caplog, str(paths["strong"]))
+    if tap is None:
+        assert _logged_error(caplog, "missing meta tensors: ['embed_tap']")
 
 
 @pytest.mark.parametrize("model, key", [

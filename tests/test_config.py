@@ -23,15 +23,12 @@ def _params(fn):
     ("augment", _fields(augment.AugmentConfig)),
     ("detector", _fields(detector.DetectorTrainConfig)),
     ("corpus", _fields(corpus.PretrainConfig)),
-    ("distill", _params(pretrain.distill)),
     ("evaluate", _params(evaluate.run_episode)),
 ])
 def test_defaults_agree_with_library(table, library):
-    # each table is read from the library config it feeds;
-    # distill.channels (the student's backbone) has no library default
+    # each table is read from the library config it feeds
     cli_defaults = {k: tuple(v) if isinstance(v, list) else v
-                    for k, v in config.DEFAULTS[table].items()
-                    if (table, k) != ("distill", "channels")}
+                    for k, v in config.DEFAULTS[table].items()}
     assert cli_defaults == {k: library[k] for k in cli_defaults}
 
 
@@ -60,6 +57,8 @@ def test_defaults_returned_without_file():
     cfg = config.load_config()
     assert cfg["train"]["epochs"] == 30
     assert cfg["detector"]["gamma"] == 1.0
+    # the student's backbone has no library default: config.py sets it
+    assert cfg["distill"]["channels"] == [8, 16, 24, 32, 64]
     assert cfg["seed"] == 0
 
 

@@ -33,12 +33,6 @@ def test_family_shares_vocabulary():
     assert len(all_freqs) <= 8
 
 
-def test_family_infeasible_distance():
-    with pytest.raises(corpus.SeqshotError):
-        corpus.gen_motif_family(1, n_sequences=3, length_range=(1.0, 1.0),
-                                min_order_distance=10, note_dur_s=0.35)
-
-
 def test_scrambled_motif_changes_class():
     motifs = corpus.gen_motif_family(11, n_sequences=4, length_range=(2.0, 3.0))
     assert motifs[0].class_id != motifs[1].class_id

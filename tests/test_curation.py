@@ -205,6 +205,23 @@ def test_align_matches_bruteforce_argmax():
     assert scores[1] == pytest.approx(best, abs=1e-9)
 
 
+def test_align_scores_a_shot_of_the_exemplar_length():
+    # only the exemplar itself scores 1: another shot whose span has the
+    # same frame length is correlated with it like any other
+    rng = np.random.default_rng(3)
+    ex = rng.standard_normal((20, 64))
+    other = rng.standard_normal((20, 64))
+    segments = [curation.Segment(0, 0.0, 0.2), curation.Segment(1, 0.0, 0.2)]
+    aligned, scores = curation.align_to_exemplar(segments, [ex, other])
+    e, w = ex.reshape(-1) - ex.mean(), other.reshape(-1) - other.mean()
+    assert scores[0] == 1.0
+    assert scores[1] < 1.0
+    assert scores[1] == pytest.approx(
+        w @ e / (np.linalg.norm(w) * np.linalg.norm(e)), abs=1e-12)
+    assert [(s.onset_s, s.offset_s) for s in aligned] == \
+        [(s.onset_s, s.offset_s) for s in segments]
+
+
 def test_align_tie_takes_earliest():
     ex = np.zeros((10, 64))
     ex[:, 0] = np.ones(10)

@@ -36,8 +36,8 @@ def run_layer_gradcheck(layer, x, rng, check_params=True):
 
     y, cache = g.forward(x)
     g.zero_grads()
-    res = g.backward(cache, y.copy())
-    assert_grad_matches(loss, x, res.dx, rng)
+    dx = g.backward(cache, y.copy())
+    assert_grad_matches(loss, x, dx, rng)
     if check_params:
         for key, p in layer.params.items():
             assert_grad_matches(loss, p, layer.grads[key], rng)
@@ -126,24 +126,24 @@ def test_linear_backward_matches_wt_dy(rng):
     x = rng.normal(size=(2, 4))
     _, cache = g.forward(x)
     dy = rng.normal(size=(2, 3))
-    res = g.backward(cache, dy)
-    np.testing.assert_allclose(res.dx, dy @ lin.params["W"].T)
+    dx = g.backward(cache, dy)
+    np.testing.assert_allclose(dx, dy @ lin.params["W"].T)
 
 
 def test_relu_zero_grad_at_negative(rng):
     g = nn.Graph([nn.ReLU("r")])
     x = np.array([[-2.0, 3.0]])
     y, cache = g.forward(x)
-    res = g.backward(cache, np.ones_like(y))
-    np.testing.assert_array_equal(res.dx, [[0.0, 1.0]])
+    dx = g.backward(cache, np.ones_like(y))
+    np.testing.assert_array_equal(dx, [[0.0, 1.0]])
 
 
 def test_mean_over_time_grad_uniform(rng):
     g = nn.Graph([nn.MeanOverTime("p")])
     x = rng.normal(size=(1, 2, 5))
     y, cache = g.forward(x)
-    res = g.backward(cache, np.ones_like(y))
-    np.testing.assert_allclose(res.dx, np.full((1, 2, 5), 1.0 / 5.0))
+    dx = g.backward(cache, np.ones_like(y))
+    np.testing.assert_allclose(dx, np.full((1, 2, 5), 1.0 / 5.0))
 
 
 def test_stale_cache_rejected(rng):
@@ -162,16 +162,14 @@ def test_feature_grads_by_name(rng):
         nn.Linear(4, 2, "b", rng),
     ])
     y, cache = g.forward(rng.normal(size=(1, 3)))
-    res = g.backward(cache, np.ones_like(y))
-    assert set(res.feature_grads) == {"a", "r", "b"}
-    assert res.feature_grads["a"].shape == (1, 4)
-    grads = {k: v.copy() for k, v in g.grads().items()}
-    g.zero_grads()
-    bare = g.backward(cache, np.ones_like(y), features=False)
-    assert bare.feature_grads == {}
-    np.testing.assert_array_equal(bare.dx, res.dx)
-    for k, v in g.grads().items():
-        np.testing.assert_array_equal(v, grads[k])
+    dy = np.ones_like(y)
+    grads = g.output_grads(cache, dy)
+    assert list(grads) == ["b", "r", "a"]
+    assert grads["b"] is dy
+    np.testing.assert_array_equal(
+        grads["r"], dy @ g.layers[2].params["W"].T)
+    np.testing.assert_array_equal(grads["a"],
+                                  grads["r"] * (cache.layer_caches[1] > 0))
 
 
 # -- gradient checks per layer -------------------------------------------------
@@ -234,8 +232,8 @@ def test_gradcheck_deep_chain(rng):
 
     y, cache = g.forward(x)
     g.zero_grads()
-    res = g.backward(cache, y.copy())
-    assert_grad_matches(loss, x, res.dx, rng)
+    dx = g.backward(cache, y.copy())
+    assert_grad_matches(loss, x, dx, rng)
     for key, p in g.params().items():
         assert_grad_matches(loss, p, g.grads()[key], rng, n_idx=4)
 
@@ -269,14 +267,20 @@ def test_adamw_refuses_mismatched_gradient():
         nn.adamw_step(p, np.zeros(2), nn.adamw_init(p), lr=0.01)
 
 
+def _one_cycle(step):
+    # TrainConfig's schedule over 1000 steps
+    return nn.one_cycle_lr(step, 1000, peak=0.01, final=0.0001,
+                           warmup_frac=0.1)
+
+
 def test_one_cycle_endpoints():
-    assert nn.one_cycle_lr(0, 1000) == pytest.approx(0.0001)
-    assert nn.one_cycle_lr(100, 1000) == pytest.approx(0.01)   # warmup end
-    assert nn.one_cycle_lr(1000, 1000) == pytest.approx(0.0001)
+    assert _one_cycle(0) == pytest.approx(0.0001)
+    assert _one_cycle(100) == pytest.approx(0.01)   # warmup end
+    assert _one_cycle(1000) == pytest.approx(0.0001)
 
 
 def test_one_cycle_monotone_decay_after_peak():
-    lrs = [nn.one_cycle_lr(s, 1000) for s in range(100, 1001)]
+    lrs = [_one_cycle(s) for s in range(100, 1001)]
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
@@ -319,7 +323,7 @@ def test_module_forward_backward_chain_graphs(rng):
     m.backward(cache, dy)       # skips the input gradient, which nothing reads
     grads = {k: v.copy() for k, v in m.grads().items()}
     m.zero_grads()
-    m.body.backward(c1, m.out.backward(c2, dy).dx)
+    m.body.backward(c1, m.out.backward(c2, dy))
     for k, v in m.grads().items():
         np.testing.assert_array_equal(grads[k], v)
 
@@ -456,7 +460,7 @@ def assert_rel_close(a, b, tol=1e-12):
 def _graph_grads(graph, x, dy):
     y, cache = graph.forward(x)
     graph.zero_grads()
-    dx = graph.backward(cache, dy).dx
+    dx = graph.backward(cache, dy)
     return y, dx, {k: v.copy() for k, v in graph.grads().items()}
 
 
@@ -580,11 +584,10 @@ def test_skipping_input_grad_leaves_param_grads_bitwise(rng):
     y, cache = g.forward(x)
     dy = rng.normal(size=y.shape)
     g.zero_grads()
-    full = g.backward(cache, dy)
+    dx = g.backward(cache, dy)
     grads = {k: v.copy() for k, v in g.grads().items()}
     g.zero_grads()
-    res = g.backward(cache, dy, input_grad=False)
-    assert full.dx is not None and res.dx is None
+    assert dx is not None and g.backward(cache, dy, input_grad=False) is None
     for k, v in g.grads().items():
         np.testing.assert_array_equal(v, grads[k])
 
@@ -594,24 +597,29 @@ def test_skipping_param_grads_leaves_them_untouched(rng):
     x = rng.normal(size=(2, 1, 8, 6))
     y, cache = g.forward(x)
     dy = rng.normal(size=y.shape)
-    full = g.backward(cache, dy)
+    dx = g.backward(cache, dy)
     before = {k: v.copy() for k, v in g.grads().items()}
-    res = g.backward(cache, dy, param_grads=False)
-    np.testing.assert_array_equal(res.dx, full.dx)
+    grads = g.output_grads(cache, dy)
     for k, v in g.grads().items():
         np.testing.assert_array_equal(v, before[k])
+    # the gradient at the first layer's output gives the full input gradient
+    first = g.layers[0]
+    np.testing.assert_array_equal(
+        first.backward(cache.layer_caches[0], grads[first.name],
+                       param_grads=False), dx)
 
 
 def test_backward_params_from_output_grads(rng):
-    # the output gradients a full backward pass records give the same
-    # parameter gradients when fed back layer by layer
+    # the output gradients fed back layer by layer give the parameter
+    # gradients of a full backward pass
     g = _small_net(rng)
     x = rng.normal(size=(2, 1, 8, 6))
     y, cache = g.forward(x)
+    dy = rng.normal(size=y.shape)
     g.zero_grads()
-    res = g.backward(cache, rng.normal(size=y.shape))
+    g.backward(cache, dy)
     grads = {k: v.copy() for k, v in g.grads().items()}
     g.zero_grads()
-    g.backward_params(cache, res.feature_grads)
+    g.backward_params(cache, g.output_grads(cache, dy))
     for k, v in g.grads().items():
         np.testing.assert_array_equal(v, grads[k])
