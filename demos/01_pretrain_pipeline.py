@@ -41,8 +41,7 @@ print(f"teacher loss {teacher.loss_curve[0]:.3f} -> "
       f"{teacher.loss_curve[-1]:.3f}")
 
 # 3. distillation: same loss plus per-class KL against the frozen teacher
-student = pretrain.train_weak(records, 6, tc, model_config=mc,
-                              teacher=teacher)
+student = pretrain.distill(teacher, mc, records, tc)
 print(f"student loss {student.loss_curve[0]:.3f} -> "
       f"{student.loss_curve[-1]:.3f}")
 

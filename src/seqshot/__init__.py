@@ -8,7 +8,7 @@ Subpackages/modules:
   augment    embedding-space target augmentation and negative synthesis
   detector   margin-loss binary detector over embedding sequences
   corpus     deterministic synthetic acoustic-sequence datasets
-  evaluate   episode protocol, AUPRC/mAP/d-prime, difficulty index
+  evaluate   episode protocol, AUPRC, difficulty index
 """
 
 __version__ = "0.1.0"

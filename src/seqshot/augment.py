@@ -270,13 +270,12 @@ def delta_augment(model: DeltaEncoder, target: EmbeddingSequence, donor_pair,
 
 # -- negative synthesis ------------------------------------------------------------
 
-def synth_negative_mask(target: EmbeddingSequence, rng, rho=None):
+def synth_negative_mask(target: EmbeddingSequence, rng):
     """Replace a contiguous block (25-50 % of T) with the mean frame."""
     t = target.frames.shape[0]
     if t < 4:
         raise EmptyInputError("need >= 4 frames to mask")
-    if rho is None:
-        rho = float(rng.uniform(*MASK_FRACTION))
+    rho = float(rng.uniform(*MASK_FRACTION))
     length = max(1, int(round(rho * t)))
     start = int(rng.integers(0, t - length + 1))
     frames = target.frames.copy()

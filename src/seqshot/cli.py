@@ -50,13 +50,14 @@ def _pretrained_models(args):
 
 
 def _window_s(path):
-    """The scan window an ``enrollment.json`` records."""
+    """The scan window an ``enrollment.json`` records.  Its sample count
+    must be finite too: the window's frame count is an integer."""
     with decoding(path):
         window_s = json.loads(Path(path).read_text())["window_s"]
     if isinstance(window_s, bool) or not isinstance(window_s, (int, float)) \
-            or not math.isfinite(window_s) or window_s <= 0:
-        raise FormatError(f"{path}: window_s {window_s!r} is not a finite "
-                          f"number above 0")
+            or not 0 < window_s * dsp.SAMPLE_RATE < math.inf:
+        raise FormatError(f"{path}: window_s {window_s!r} is not a number "
+                          f"above 0 with a finite sample count")
     return window_s
 
 

@@ -148,13 +148,13 @@ def cosine_similarity(a, b):
     return 0.0 if denom == 0 else float(a @ b / denom)
 
 
-def match_across_shots(candidates, embed_fn, tau=TAU):
+def match_across_shots(candidates, embed_fn):
     """Pick one span per shot by grouping candidates across shots.
 
     ``candidates``: list (per shot) of Segment lists; ``embed_fn``
     returns a pooled embedding for a Segment.  Greedy grouping seeds
     with the candidate closest (summed nearest-distance) to every other
-    shot; each shot contributes all candidates within ``tau`` of the
+    shot; each shot contributes all candidates within ``TAU`` of the
     seed, spanning first matched onset to last matched offset.  A shot
     with no match falls back to its longest candidate (warned).
     """
@@ -179,11 +179,11 @@ def match_across_shots(candidates, embed_fn, tau=TAU):
     out = []
     for s in range(n_shots):
         matched = [seg for seg, e in zip(candidates[s], embs[s])
-                   if 1.0 - cosine_similarity(seed_emb, e) <= tau]
+                   if 1.0 - cosine_similarity(seed_emb, e) <= TAU]
         if not matched:
             fallback = max(candidates[s], key=lambda seg: seg.duration_s)
             log.warning("shot %d: no candidate within tau=%.3f of seed; "
-                        "falling back to longest candidate", s, tau)
+                        "falling back to longest candidate", s, TAU)
             matched = [fallback]
         onset = min(seg.onset_s for seg in matched)
         offset = max(seg.offset_s for seg in matched)

@@ -283,9 +283,6 @@ def augment_resample(w: Waveform, rate_factor, start=0, stop=None):
     """
     if not 0.9 <= rate_factor <= 1.1:
         raise ValueError(f"rate_factor {rate_factor} outside [0.9, 1.1]")
-    if rate_factor == 1.0:
-        stop = _output_range(start, stop, len(w.samples))
-        return Waveform(w.samples[start:stop].copy(), w.sample_rate)
     return Waveform(_resample(w.samples, rate_factor, start, stop),
                     w.sample_rate)
 
@@ -370,25 +367,31 @@ def augment_gain(w: Waveform, gain_db):
     return Waveform(np.clip(y, -1.0, 1.0), w.sample_rate)
 
 
-def spec_augment(m, rng, time_masks=2, freq_masks=2, max_t=20, max_f=8):
+SPEC_TIME_MASKS = 2     # SpecAugment masks per crop along time ...
+SPEC_FREQ_MASKS = 2     # ... and along mel bands
+SPEC_MAX_T = 20         # widest time mask, in frames
+SPEC_MAX_F = 8          # widest frequency mask, in mel bands
+
+
+def spec_augment(m, rng):
     """SpecAugment-style masking; mask zones are set to the matrix mean.
 
     Draw order per mask: width ~ U{0..max}, then position.  Time masks
-    are drawn before frequency masks.
+    are drawn before frequency masks.  A crop of no more than SPEC_MAX_T
+    frames is a ShapeError.
     """
     t, bands = m.shape
-    if max_t >= t:
-        raise ShapeError(f"max_t {max_t} must be < T {t}")
-    if max_f >= bands:
-        raise ShapeError(f"max_f {max_f} must be < bands {bands}")
+    if SPEC_MAX_T >= t:
+        raise ShapeError(f"a {t}-frame crop is not longer than the widest "
+                         f"time mask, {SPEC_MAX_T} frames")
     out = m.copy()
     fill = m.mean()
-    for _ in range(time_masks):
-        width = int(rng.integers(0, max_t + 1))
+    for _ in range(SPEC_TIME_MASKS):
+        width = int(rng.integers(0, SPEC_MAX_T + 1))
         start = int(rng.integers(0, t - width + 1))
         out[start:start + width, :] = fill
-    for _ in range(freq_masks):
-        width = int(rng.integers(0, max_f + 1))
+    for _ in range(SPEC_FREQ_MASKS):
+        width = int(rng.integers(0, SPEC_MAX_F + 1))
         start = int(rng.integers(0, bands - width + 1))
         out[:, start:start + width] = fill
     return out

@@ -1,27 +1,22 @@
 """Metrics and the few-shot evaluation protocol.
 
-Ranking metrics (average precision with tie grouping, ROC AUC, d'),
-an episode runner that trains a detector from enrollment shots only
-and scores held-out clips, a weak-label baseline, and CSV reporting.
+Average precision with tie grouping, an episode runner that trains a
+detector from enrollment shots only and scores held-out clips, a
+weak-label baseline, and CSV reporting.
 Episode audio access is audited so tests can prove the detector never
 reads evaluation audio while training.
 """
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from . import augment, curation, detector, dsp, pretrain
 from .errors import (DegenerateInputError, EmptyInputError, FormatError,
                      ShapeError, decoding)
-
-log = logging.getLogger(__name__)
 
 
 # -- ranking metrics -----------------------------------------------------------
@@ -48,45 +43,6 @@ def auprc(scores, labels):
     return float(np.sum((recall - recall_prev) * precision))
 
 
-def roc_auc(scores, labels):
-    """ROC AUC via the rank statistic, average ranks on ties."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.min() == labels.max():
-        raise DegenerateInputError("need both classes for ROC AUC")
-    ranks = rankdata(scores)
-    n_pos = int((labels == 1).sum())
-    n_neg = len(labels) - n_pos
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2
-    return float(u / (n_pos * n_neg))
-
-
-def map_and_dprime(scores, labels):
-    """Multi-class summary over (N, C) score/label matrices.
-
-    Returns (mAP, d') where mAP averages per-class average precision and
-    d' = sqrt(2) * Phi^-1(mean per-class ROC AUC).  Classes with one
-    label value are skipped with a warning.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 2:
-        raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
-    aps, aucs = [], []
-    for c in range(scores.shape[1]):
-        col = labels[:, c]
-        if col.min() == col.max():
-            log.warning("class %d has a single label value; skipped", c)
-            continue
-        aps.append(auprc(scores[:, c], col))
-        aucs.append(roc_auc(scores[:, c], col))
-    if not aps:
-        raise DegenerateInputError("every class is single-label")
-    mean_auc = float(np.mean(aucs))
-    mean_auc = min(max(mean_auc, 1e-12), 1 - 1e-12)
-    return float(np.mean(aps)), float(np.sqrt(2.0) * ndtri(mean_auc))
-
-
 def difficulty_index(target_centroid, negative_embeddings):
     """Mean cosine similarity between the enrollment centroid and the
     negatives' pooled embeddings: near 1 = confusable, near 0 = easy."""
@@ -110,8 +66,9 @@ class Episode:
     Every waveform read is logged as (phase, kind, index); the phase is
     set by the runner ('train' while building the detector, 'eval'
     while scoring) so tests can assert evaluation audio is never read
-    during training.  An eval label that is not the JSON integer 0 or 1
-    is a FormatError naming the descriptor.
+    during training.  A ``wav`` that is not a string, or an eval label
+    that is not the JSON integer 0 or 1, is a FormatError naming the
+    descriptor.
     """
 
     def __init__(self, descriptor_path):
@@ -121,6 +78,10 @@ class Episode:
             self.enrollment_wavs = [e["wav"] for e in desc["enrollment"]]
             self.eval_items = [EvalItem(e["wav"], e["label"])
                                for e in desc["eval"]]
+        for wav in self.enrollment_wavs + [it.wav for it in self.eval_items]:
+            if not isinstance(wav, str):
+                raise FormatError(f"{descriptor_path}: wav {wav!r} is not "
+                                  f"a string")
         for it in self.eval_items:
             if type(it.label) is not int or it.label not in (0, 1):
                 raise FormatError(f"{descriptor_path}: eval label "

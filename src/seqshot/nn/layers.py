@@ -258,32 +258,29 @@ class _ConvGeometry:
 
 
 class Conv1d(_Conv):
-    """1-d convolution on (batch, channels, time).
+    """1-d convolution on (batch, channels, time), stride 1.
 
     ``causal=True`` left-pads by (kernel-1)*dilation zeros so output at
-    time t depends only on inputs <= t.
+    time t depends only on inputs <= t; otherwise there is no padding.
     """
 
     AXES = ("T",)
     LAYOUT = {"W": (0, 2, 1)}
 
-    def __init__(self, c_in, c_out, kernel, name, rng,
-                 stride=1, dilation=1, causal=False, pad=0):
+    def __init__(self, c_in, c_out, kernel, name, rng, dilation=1,
+                 causal=False):
         super().__init__(name)
         self.c_in = c_in
         self.c_out = c_out
         self.kernel = kernel
-        self.stride = stride
         self.dilation = dilation
         self.causal = causal
-        self.pad = pad
         self._register("W", he_uniform(rng, (c_out, c_in, kernel), c_in * kernel))
         self._register("b", np.zeros(c_out))
 
     def _geometry(self):
-        pads = ((self.kernel - 1) * self.dilation, 0) if self.causal \
-            else (self.pad, self.pad)
-        return (self.kernel,), (self.stride,), (self.dilation,), (pads,)
+        left = (self.kernel - 1) * self.dilation if self.causal else 0
+        return (self.kernel,), (1,), (self.dilation,), ((left, 0),)
 
 
 class Conv2d(_Conv):

@@ -59,16 +59,12 @@ class ClipRecord:
     wav_path: Path = None
     labels: tuple = ()
     events: tuple = ()
-    _waveform: object = None    # audio given at construction, kept as is
 
     def load(self):
-        """The clip's audio: the waveform given at construction, else a
-        fresh read of ``wav_path``.  The record keeps nothing it reads, so
-        records held after training pin no audio; a training run keeps
-        each clip it reads, as audio or as log-mel, until it returns
-        (``_fit``)."""
-        if self._waveform is not None:
-            return self._waveform
+        """The clip's audio, read afresh from ``wav_path``.  The record
+        keeps nothing it reads, so records held after training pin no
+        audio; a training run keeps each clip it reads, as audio or as
+        log-mel, until it returns (``_fit``)."""
         return dsp.load_wav(self.wav_path)
 
 
@@ -104,7 +100,10 @@ def multi_hot(labels, n_classes):
 # -- losses ---------------------------------------------------------------------
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below x = -709, where 1 / (1 + inf) is the
+    # exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def bce_with_logits(logits, targets):
@@ -205,9 +204,6 @@ class WeakModel(_Embedder):
                 "head_hidden": shapes["head/fc1/W"][1],
                 "n_classes": shapes["head/fc2/W"][1]}
 
-    def logits(self, x):
-        return self.forward(x)[0]
-
     def embed(self, x):
         return self.backbone.forward(x)[0]
 
@@ -286,8 +282,7 @@ def _class_weights(records, n_classes):
     return w / w.sum()
 
 
-def _prepare_batch(records, idxs, targets, rng, cfg, random_crop=True,
-                   clips=None):
+def _prepare_batch(records, idxs, targets, rng, cfg, random_crop, clips):
     """Load + augment a batch; returns (x (B,1,T,64), y).
 
     ``targets(i, rate, off, valid)`` gives the target of record ``i``
@@ -313,7 +308,6 @@ def _prepare_batch(records, idxs, targets, rng, cfg, random_crop=True,
     the end with log-floor frames.
     """
     n_crop = cfg.crop_frames
-    clips = {} if clips is None else clips
     feats, targs = [], []
     for i in idxs:
         if i not in clips:
@@ -417,30 +411,31 @@ def _fit(model, records, targets, config, random_crop=True, teacher=None):
     return model
 
 
-def train_weak(records, n_classes, config: TrainConfig,
-               model_config: ModelConfig = None, teacher=None):
-    """Train the weak-label multi-label classifier on clip multi-hots;
-    with ``teacher`` set this is distillation (``_fit``)."""
+def _clip_targets(records, n_classes, model_config):
+    """Each clip's multi-hot target, for a ``model_config`` model; refuses
+    a label id or class count that does not fit."""
     for r in records:
         if any(c >= n_classes for c in r.labels):
             raise SeqshotError("label id exceeds n_classes")
-    if model_config is None:
-        model_config = ModelConfig(n_classes=n_classes, seed=config.seed)
     if model_config.n_classes != n_classes:
         raise SeqshotError("model/dataset class count mismatch")
-    if teacher is not None and teacher.config.n_classes != n_classes:
-        raise SeqshotError("teacher class count mismatch")
-    return _fit(WeakModel(model_config), records,
-                lambda i, rate, off, valid: multi_hot(records[i].labels,
-                                                      n_classes),
-                config, teacher=teacher)
+    return lambda i, rate, off, valid: multi_hot(records[i].labels, n_classes)
+
+
+def train_weak(records, n_classes, config: TrainConfig,
+               model_config: ModelConfig):
+    """Train the weak-label multi-label classifier on clip multi-hots."""
+    targets = _clip_targets(records, n_classes, model_config)
+    return _fit(WeakModel(model_config), records, targets, config)
 
 
 def distill(teacher, student_config: ModelConfig, records,
             config: TrainConfig):
     """Train a student against teacher logits + ground-truth labels."""
-    return train_weak(records, teacher.config.n_classes, config,
-                      model_config=student_config, teacher=teacher)
+    targets = _clip_targets(records, teacher.config.n_classes,
+                            student_config)
+    return _fit(WeakModel(student_config), records, targets, config,
+                teacher=teacher)
 
 
 # -- pseudo-strong labels -----------------------------------------------------------

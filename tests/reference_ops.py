@@ -40,24 +40,20 @@ def pseudo_logits_per_window(model, w):
         ids = range(b0, min(b0 + pretrain.PSEUDO_BATCH, n_win))
         x = np.stack([m[j * hop_frames: j * hop_frames + frames_per_win]
                       for j in ids])[:, None, :, :]
-        out.append(model.logits(x))
+        out.append(model.forward(x)[0])
     return np.concatenate(out)
 
 
 class EinsumConv1d(nn.Conv1d):
-    def _padding(self):
-        if self.causal:
-            return (self.kernel - 1) * self.dilation, 0
-        return self.pad, self.pad
+    def _left_pad(self):
+        return (self.kernel - 1) * self.dilation if self.causal else 0
 
     def forward(self, x):
-        pl, pr = self._padding()
-        xp = np.pad(x, ((0, 0), (0, 0), (pl, pr)))
+        xp = np.pad(x, ((0, 0), (0, 0), (self._left_pad(), 0)))
         eff_k = (self.kernel - 1) * self.dilation + 1
-        t_out = (xp.shape[2] - eff_k) // self.stride + 1
-        span = self.stride * (t_out - 1) + 1
+        t_out = xp.shape[2] - eff_k + 1
         cols = np.stack(
-            [xp[:, :, j * self.dilation: j * self.dilation + span: self.stride]
+            [xp[:, :, j * self.dilation: j * self.dilation + t_out]
              for j in range(self.kernel)],
             axis=2,
         )  # (B, C_in, k, T_out)
@@ -69,15 +65,14 @@ class EinsumConv1d(nn.Conv1d):
         cols, x_shape = cache
         self.grads["W"] += np.einsum("bot,bikt->oik", dy, cols, optimize=True)
         self.grads["b"] += dy.sum(axis=(0, 2))
-        pl, pr = self._padding()
-        dxp = np.zeros((x_shape[0], x_shape[1], x_shape[2] + pl + pr))
+        pl = self._left_pad()
+        dxp = np.zeros((x_shape[0], x_shape[1], x_shape[2] + pl))
         t_out = dy.shape[2]
-        span = self.stride * (t_out - 1) + 1
         for j in range(self.kernel):
-            dxp[:, :, j * self.dilation: j * self.dilation + span: self.stride] += \
+            dxp[:, :, j * self.dilation: j * self.dilation + t_out] += \
                 np.einsum("oi,bot->bit", self.params["W"][:, :, j], dy,
                           optimize=True)
-        return dxp[:, :, pl: dxp.shape[2] - pr] if (pl or pr) else dxp
+        return dxp[:, :, pl:]
 
 
 class EinsumConv2d(nn.Conv2d):

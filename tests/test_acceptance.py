@@ -4,8 +4,8 @@ Each test is one pass/fail property of the whole pipeline: gradient
 correctness, oracle equivalence of the numeric kernels, pseudo-label
 fidelity, curation accuracy, the detector-vs-baseline benchmark with its
 duration and difficulty trends, the no-negative-audio guarantee,
-negative-synthesis efficacy, byte-level determinism, and metric unit
-cases. The heavy fixtures live in conftest.py.
+negative-synthesis efficacy and byte-level determinism. The heavy
+fixtures live in conftest.py.
 """
 
 import json
@@ -56,13 +56,13 @@ def _layer_case(name, rng):
         k = int(rng.integers(1, 4))
         causal = bool(rng.integers(0, 2))
         layer = nn.Conv1d(c_in, c_out, kernel=k, name="c", rng=rng,
-                          stride=1 if causal else int(rng.integers(1, 3)),
-                          dilation=int(rng.integers(1, 3)),
-                          causal=causal)
+                          dilation=int(rng.integers(1, 3)), causal=causal)
         return layer, rng.normal(size=(b, c_in, int(rng.integers(7, 12))))
     if name == "conv2d":
         c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-        layer = nn.Conv2d(c_in, c_out, kernel=(2, 3), name="c", rng=rng,
+        # a time kernel of 1 to 3 taps under a stride of 1 or 2
+        layer = nn.Conv2d(c_in, c_out, kernel=(int(rng.integers(1, 4)), 3),
+                          name="c", rng=rng,
                           stride=(int(rng.integers(1, 3)),
                                   int(rng.integers(1, 3))),
                           pad=(0, int(rng.integers(0, 2))))
@@ -340,21 +340,3 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     assert list(first) == list(second)
     for key in first:
         assert first[key] == second[key], f"{key} differs between runs"
-
-
-# -- 10. metric unit cases ------------------------------------------------------
-
-def test_chance_auc_gives_zero_dprime():
-    scores = np.array([[0.5], [0.5], [0.5], [0.5]])
-    labels = np.array([[1], [0], [1], [0]])
-    _, dprime = evaluate.map_and_dprime(scores, labels)
-    assert dprime == pytest.approx(0.0, abs=1e-9)
-
-
-def test_map_matches_hand_computation():
-    # class 0: ranking (1, 0, 1) -> AP = (1/1 + 2/3) / 2 = 5/6
-    # class 1: ranking (0, 1, 0) -> AP = 1/2
-    scores = np.array([[0.9, 0.8], [0.5, 0.7], [0.4, 0.1]])
-    labels = np.array([[1, 0], [0, 1], [1, 0]])
-    map_, _ = evaluate.map_and_dprime(scores, labels)
-    assert map_ == pytest.approx((5 / 6 + 0.5) / 2, abs=1e-12)

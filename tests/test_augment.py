@@ -176,10 +176,10 @@ def test_huge_delta_meta_size_is_format_error(tmp_path):
 
 # -- synthesized negatives ---------------------------------------------------------
 
-def test_mask_negative_exact_block():
+def test_mask_negative_exact_block(monkeypatch):
+    monkeypatch.setattr(augment, "MASK_FRACTION", (0.5, 0.5))   # rho = 0.5
     target = rand_seq(8, seed=2)
-    out = augment.synth_negative_mask(target, np.random.default_rng(0),
-                                      rho=0.5)
+    out = augment.synth_negative_mask(target, np.random.default_rng(0))
     assert out.label == 0 and out.provenance == "masked"
     mean = target.frames.mean(axis=0)
     is_mean = np.all(out.frames == mean, axis=1)

@@ -484,7 +484,10 @@ def test_detect_scans_the_trained_window(tmp_path, capsys, monkeypatch,
     json.dumps({"segments": []}),
     json.dumps({"window_s": "abc"}),
     json.dumps({"window_s": 0}),
-], ids=["not_json", "no_window_s", "not_a_number", "zero"])
+    json.dumps({"window_s": 1e305}),
+    json.dumps({"window_s": 10 ** 400}),
+], ids=["not_json", "no_window_s", "not_a_number", "zero",
+        "infinite_sample_count", "huge_int"])
 def test_malformed_enrollment_is_runtime_error(tmp_path, capsys, text):
     argv = _argv("detector", _write_models(tmp_path), tmp_path)
     (tmp_path / "enrollment.json").write_text(text)
@@ -504,13 +507,17 @@ def _malformed_json_argv(case, root):
     models = ["--weak", str(paths["weak"]), "--strong", str(paths["strong"])]
     (root / "episode").mkdir()
     bad = root / "episode" / "episode.json"
-    bad.write_text(json.dumps({"enrollment": [{"wav": "e0.wav"}]}))
+    bad.write_text(json.dumps(
+        {"enrollment": [{"wav": "e0.wav"}]} if case == "episode_without_eval"
+        else {"enrollment": [{"wav": 5}],
+              "eval": [{"wav": "p.wav", "label": 1}]}))
     return ["evaluate", "--episodes", str(root / "episode"), *models,
             "--out", str(root / "o")], bad
 
 
 @pytest.mark.parametrize("case", [
-    "manifest_not_json", "manifest_without_wav", "episode_without_eval"])
+    "manifest_not_json", "manifest_without_wav", "episode_without_eval",
+    "episode_wav_not_a_string"])
 def test_malformed_json_input_is_runtime_error(tmp_path, capsys, caplog,
                                                case):
     argv, bad = _malformed_json_argv(case, tmp_path)

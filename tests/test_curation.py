@@ -122,7 +122,8 @@ def unit(i, dim=8):
     return v
 
 
-def test_match_across_shots_picks_common_candidate():
+def test_match_across_shots_picks_common_candidate(monkeypatch):
+    monkeypatch.setattr(curation, "TAU", 0.35)
     cands = [
         [curation.Segment(0, 1.0, 2.0), curation.Segment(0, 4.0, 5.0)],
         [curation.Segment(1, 0.5, 1.5), curation.Segment(1, 3.0, 4.0)],
@@ -133,22 +134,24 @@ def test_match_across_shots_picks_common_candidate():
              (1, 0.5): unit(0) + 0.1 * unit(1), (1, 3.0): unit(4),
              (2, 2.0): unit(0) + 0.1 * unit(2)}
     out = curation.match_across_shots(
-        cands, lambda s: table[(s.shot_id, s.onset_s)], tau=0.35)
+        cands, lambda s: table[(s.shot_id, s.onset_s)])
     assert [(s.onset_s, s.offset_s) for s in out] == [(1.0, 2.0), (0.5, 1.5),
                                                       (2.0, 3.0)]
 
 
-def test_match_across_shots_spans_multiple_matches():
+def test_match_across_shots_spans_multiple_matches(monkeypatch):
+    monkeypatch.setattr(curation, "TAU", 0.35)
     cands = [
         [curation.Segment(0, 1.0, 1.5), curation.Segment(0, 2.0, 2.6)],
         [curation.Segment(1, 0.0, 1.0)],
     ]
-    out = curation.match_across_shots(cands, lambda s: unit(0), tau=0.35)
+    out = curation.match_across_shots(cands, lambda s: unit(0))
     # both shot-0 candidates match the seed: span first onset to last offset
     assert (out[0].onset_s, out[0].offset_s) == (1.0, 2.6)
 
 
-def test_match_across_shots_fallback_longest(caplog):
+def test_match_across_shots_fallback_longest(caplog, monkeypatch):
+    monkeypatch.setattr(curation, "TAU", 0.35)
     cands = [
         [curation.Segment(0, 1.0, 2.0)],
         [curation.Segment(1, 1.0, 1.4), curation.Segment(1, 3.0, 5.0)],
@@ -156,7 +159,7 @@ def test_match_across_shots_fallback_longest(caplog):
     table = {(0, 1.0): unit(0), (1, 1.0): unit(1), (1, 3.0): unit(2)}
     with caplog.at_level("WARNING"):
         out = curation.match_across_shots(
-            cands, lambda s: table[(s.shot_id, s.onset_s)], tau=0.35)
+            cands, lambda s: table[(s.shot_id, s.onset_s)])
     assert (out[1].onset_s, out[1].offset_s) == (3.0, 5.0)
     assert any("fall" in r.message for r in caplog.records)
 

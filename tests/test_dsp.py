@@ -144,7 +144,7 @@ def test_load_wav_agrees_with_float_step_resampler(tmp_path, rng, rate):
 def test_resample_identity():
     w = dsp.Waveform(tone(300.0, 0.5))
     out = dsp.augment_resample(w, 1.0)
-    np.testing.assert_array_equal(out.samples, w.samples)
+    np.testing.assert_allclose(out.samples, w.samples, rtol=0, atol=1e-15)
 
 
 def test_resample_length():
@@ -346,19 +346,22 @@ def test_gain_inverse_without_clipping(rng):
 
 # -- SpecAugment / mixup ------------------------------------------------------------
 
-def test_spec_augment_zero_masks_identity(rng):
+def test_spec_augment_zero_masks_identity(rng, monkeypatch):
+    monkeypatch.setattr(dsp, "SPEC_TIME_MASKS", 0)
+    monkeypatch.setattr(dsp, "SPEC_FREQ_MASKS", 0)
     m = rng.normal(size=(50, 64))
-    out = dsp.spec_augment(m, rng, time_masks=0, freq_masks=0)
+    out = dsp.spec_augment(m, rng)
     np.testing.assert_array_equal(out, m)
 
 
-def test_spec_augment_mask_extent(rng):
+def test_spec_augment_mask_extent(rng, monkeypatch):
+    monkeypatch.setattr(dsp, "SPEC_TIME_MASKS", 0)
+    monkeypatch.setattr(dsp, "SPEC_FREQ_MASKS", 1)
     m = np.arange(50 * 64, dtype=float).reshape(50, 64)
-    out = dsp.spec_augment(m, np.random.default_rng(3), time_masks=0,
-                           freq_masks=1, max_f=8)
+    out = dsp.spec_augment(m, np.random.default_rng(3))
     # recover mask width from the draw the function makes
     r = np.random.default_rng(3)
-    width = int(r.integers(0, 9))
+    width = int(r.integers(0, dsp.SPEC_MAX_F + 1))
     assert width > 0
     assert int((out != m).sum()) == width * 50
 
@@ -369,6 +372,13 @@ def test_spec_augment_deterministic(rng):
     b = dsp.spec_augment(m, np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(m, m)  # input untouched
+
+
+def test_spec_augment_refuses_crop_not_longer_than_time_mask(rng):
+    # train.crop_frames comes from the run configuration
+    dsp.spec_augment(rng.normal(size=(dsp.SPEC_MAX_T + 1, 64)), rng)
+    with pytest.raises(ShapeError, match="widest time mask"):
+        dsp.spec_augment(rng.normal(size=(dsp.SPEC_MAX_T, 64)), rng)
 
 
 def test_mixup_lambda_one(rng):

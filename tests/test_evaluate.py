@@ -66,44 +66,6 @@ def test_auprc_errors():
         evaluate.auprc([], [])
 
 
-# -- auc / d-prime -----------------------------------------------------------------
-
-def test_roc_auc_values():
-    assert evaluate.roc_auc([0.9, 0.8, 0.2], [1, 1, 0]) == 1.0
-    assert evaluate.roc_auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
-    # one inversion among 2x2: AUC = 3/4
-    assert evaluate.roc_auc([0.9, 0.3, 0.4, 0.1], [1, 1, 0, 0]) == \
-        pytest.approx(0.75)
-
-
-def test_dprime_reference_value():
-    # AUC 0.75 -> d' = sqrt(2) * 0.6744897502 (standard normal quantile)
-    scores = np.array([[0.9], [0.3], [0.4], [0.1]])
-    labels = np.array([[1], [1], [0], [0]])
-    _, dprime = evaluate.map_and_dprime(scores, labels)
-    assert dprime == pytest.approx(np.sqrt(2) * 0.6744897502, abs=1e-6)
-
-
-def test_map_skips_degenerate_class(caplog):
-    scores = np.array([[0.9, 0.1], [0.2, 0.3], [0.8, 0.5]])
-    labels = np.array([[1, 1], [0, 1], [1, 1]])
-    with caplog.at_level("WARNING"):
-        map_, _ = evaluate.map_and_dprime(scores, labels)
-    assert map_ == 1.0                       # class 0 perfect, class 1 skipped
-    assert any("single label" in r.message for r in caplog.records)
-    ones = np.ones((3, 2))
-    with pytest.raises(DegenerateInputError):
-        evaluate.map_and_dprime(ones * 0.5, ones)
-
-
-def test_map_perfect_separation_dprime_finite():
-    scores = np.array([[1.0], [0.9], [0.1], [0.0]])
-    labels = np.array([[1], [1], [0], [0]])
-    map_, dprime = evaluate.map_and_dprime(scores, labels)
-    assert map_ == 1.0
-    assert np.isfinite(dprime) and dprime > 3.0
-
-
 # -- difficulty index --------------------------------------------------------------
 
 def test_difficulty_extremes_and_scale_invariance():

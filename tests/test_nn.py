@@ -179,10 +179,10 @@ def test_gradcheck_linear(rng):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(stride=1, dilation=1, causal=False),
-    dict(stride=2, dilation=1, causal=False),
-    dict(stride=1, dilation=3, causal=True),
-    dict(stride=1, dilation=1, causal=False, pad=1),
+    dict(dilation=1, causal=False),
+    dict(dilation=2, causal=False),
+    dict(dilation=3, causal=True),
+    dict(dilation=1, causal=True),
 ])
 def test_gradcheck_conv1d(rng, kwargs):
     layer = nn.Conv1d(2, 3, kernel=3, name="c", rng=rng, **kwargs)
@@ -190,7 +190,8 @@ def test_gradcheck_conv1d(rng, kwargs):
 
 
 @pytest.mark.parametrize("stride,pad", [((1, 1), (0, 0)), ((2, 2), (1, 1)),
-                                        ((2, 3), (0, 1))])
+                                        ((2, 3), (0, 1)), ((2, 1), (0, 0)),
+                                        ((1, 1), (1, 0))])
 def test_gradcheck_conv2d(rng, stride, pad):
     layer = nn.Conv2d(2, 3, kernel=(2, 3), name="c", rng=rng,
                       stride=stride, pad=pad)
@@ -483,9 +484,6 @@ def assert_matches_reference(layers, ref_layers, x, rng):
 CONV1D_CASES = {
     "causal": dict(kernel=3, causal=True),
     "dilated": dict(kernel=3, dilation=2, causal=True),
-    "strided": dict(kernel=3, stride=2),
-    "padded": dict(kernel=2, pad=2),
-    "strided_dilated_padded": dict(kernel=3, stride=2, dilation=3, pad=1),
     "kernel_1": dict(kernel=1),
 }
 
@@ -503,6 +501,9 @@ CONV2D_CASES = {
     "strided": dict(kernel=(3, 2), stride=(2, 3)),
     "padded": dict(kernel=(3, 3), pad=(2, 1)),
     "kernel_1": dict(kernel=(1, 1)),
+    "strided_time": dict(kernel=(3, 1), stride=(2, 1)),
+    "padded_time": dict(kernel=(2, 1), pad=(2, 0)),
+    "strided_padded": dict(kernel=(3, 3), stride=(2, 2), pad=(1, 1)),
 }
 
 
