@@ -60,8 +60,8 @@ net = enrolled.detectors[0]
 
 # -- stream over one positive and one negative eval clip -------------------
 for item in (desc["eval"][0], desc["eval"][-1]):
-    w = dsp.load_wav(work / "ep" / item["wav"])
-    scores = detector.detect_stream(net, strong, w, enrolled.window_s)
+    scores = detector.detect_stream(net, strong, work / "ep" / item["wav"],
+                                    enrolled.window_s)
     t, s = max(scores, key=lambda p: p[1])
     kind = "positive" if item["label"] else "negative"
     print(f"{kind} clip: peak score {s:.3f} at {t:.2f} s")

@@ -147,8 +147,7 @@ def cmd_detect(args, cfg):
     net = detector.DetectorNet.load(args.detector)
     strong = pretrain.StrongModel.load(args.strong)
     window_s = _window_s(args.enrollment)
-    w = dsp.load_wav(args.recording)
-    scored = detector.detect_stream(net, strong, w, window_s)
+    scored = detector.detect_stream(net, strong, args.recording, window_s)
     events = [[t, s] for t, s in scored if s > args.threshold]
     _emit({"recording": str(args.recording),
            "window_s": window_s,

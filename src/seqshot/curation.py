@@ -29,6 +29,7 @@ LOUDNESS_MAX_ITERS = 5000
 LOUDNESS_TOL = 1e-8
 LOUDNESS_LR = 1.0
 LOUDNESS_L2 = 1e-4
+CORR_ROWS = 8            # windows centred and scored at a time (alignment)
 
 
 @dataclass
@@ -200,16 +201,23 @@ def _frame_span(seg: Segment):
 def _window_correlation(frames, t_e, ex0, ex_norm):
     """Pearson correlation of every T_e-frame window of ``frames`` with
     the centred exemplar ``ex0``.  The flattened windows are a view of
-    ``frames``, so the centred copy is the only window-sized array: the
-    row norms square 8 rows at a time (``np.linalg.norm`` of all rows
-    makes two more), and the copy is freed on return, before the next
-    shot's windows are made."""
+    ``frames``; they are centred and scored ``CORR_ROWS`` at a time, so
+    the copies held at once are that many windows long, however many
+    windows the shot has.  Each window's score is the same as that of
+    all windows centred and scored at once, bit for bit with one BLAS
+    thread: a last group of one window, which ``@`` would take as a
+    vector dot product, joins the group before."""
     flat = np.lib.stride_tricks.sliding_window_view(
         frames.reshape(-1), t_e * frames.shape[1])[::frames.shape[1]]
-    flat0 = flat - flat.mean(axis=1, keepdims=True)
-    norms = np.concatenate([np.linalg.norm(flat0[i: i + 8], axis=1)
-                            for i in range(0, len(flat0), 8)])
-    return (flat0 @ ex0) / (norms * ex_norm + 1e-12)
+    starts = list(range(0, len(flat), CORR_ROWS))
+    if len(starts) > 1 and len(flat) - starts[-1] < 2:
+        starts.pop()
+    out = np.empty(len(flat))
+    for a, b in zip(starts, starts[1:] + [len(flat)]):
+        rows0 = flat[a:b] - flat[a:b].mean(axis=1, keepdims=True)
+        out[a:b] = (rows0 @ ex0) \
+            / (np.linalg.norm(rows0, axis=1) * ex_norm + 1e-12)
+    return out
 
 
 def align_to_exemplar(segments, shots):

@@ -254,14 +254,21 @@ def stream_scores(net: DetectorNet, frames, n_win_frames):
     return out
 
 
-def detect_stream(net: DetectorNet, strong_model, w, window_s):
-    """Score a long recording with a sliding window.
+def detect_stream(net: DetectorNet, strong_model, path, window_s):
+    """Score a long recording, the PCM16 WAV file ``path``, with a sliding
+    window.
 
-    The audio is embedded once; windows of the scan window's frame count
-    (``window_s`` from enrollment) slide at one-frame (320 ms) hops.
-    Returns a list of (start_time_s, score) pairs.
+    The file is read, resampled, turned into log-mel and embedded in
+    blocks (``dsp.WavReader``, ``pretrain.embed_stream``), so only its
+    embedding frames are held whole: E floats per 320 ms.  They are
+    centred on their recording-wide mean, and windows of the scan
+    window's frame count (``window_s`` from enrollment) slide over them at
+    one-frame (320 ms) hops.  Returns a list of (start_time_s, score)
+    pairs.
     """
-    frames = pretrain.embed_frames_normalized(strong_model, w)  # (T', E)
+    reader = dsp.WavReader(path)
+    frames = pretrain.centre_frames(pretrain.embed_stream(
+        strong_model, reader.blocks(), reader.n_samples))       # (T', E)
     return stream_scores(net, frames, window_frame_count(window_s))
 
 

@@ -10,7 +10,10 @@ interpolated from one table.  A file's integer sample rate is resampled by
 exact phase: the step sr / 16000 is a fraction p / q, so only q kernel
 rows occur, and they are made once per file.  Playback-speed changes take
 float rates and interpolate a kernel row per output sample.  Log-mels are
-computed in blocks of frames, so their temporaries stay small.
+computed in blocks of frames, so their temporaries stay small.  WAV
+files are read (``WavReader``) and written in blocks of samples too, so a
+recording can be streamed into log-mel and embedding without being held
+whole.
 """
 
 import math
@@ -25,6 +28,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
     ShapeError,
+    TruncatedFileError,
     UnsupportedFormatError,
 )
 
@@ -43,6 +47,7 @@ MAX_FILE_RATE = 192000    # [MIN_FILE_RATE, MAX_FILE_RATE]
 _SINC_HALF_TAPS = 8   # 16-tap windowed-sinc resampler
 _SINC_GRID = 4096     # fractional positions tabulated per kernel row
 _RESAMPLE_BLOCK = 1 << 13   # output samples per block (1 MiB temporaries)
+_WAV_BLOCK = 1 << 15   # file frames read, or samples written, per block
 _KAISER_BETA = 8.0
 _LOGMEL_BLOCK = 256   # frames per log-mel block
 _LOGMEL_EXACT_FRAMES = 48   # see logmel: slices this long are bit-exact
@@ -65,31 +70,15 @@ class Waveform:
 
 # -- WAV I/O -----------------------------------------------------------------
 
-def load_wav(path):
-    """Load a PCM16 RIFF/WAVE file: mono-mixed, resampled to 16 kHz.
-
-    A header rate outside ``MIN_FILE_RATE``-``MAX_FILE_RATE`` Hz is an
-    UnsupportedFormatError, raised before the samples are read.
-    """
+def _open_wav(path):
+    """``path`` opened with ``wave``, refused unless it is PCM16 at a header
+    rate within ``MIN_FILE_RATE``-``MAX_FILE_RATE`` Hz."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
         if head != b"RIFF":
             raise FormatError(f"{path}: not a RIFF file")
-        with wave.open(str(path), "rb") as f:
-            sampwidth = f.getsampwidth()
-            if sampwidth != 2:
-                raise UnsupportedFormatError(
-                    f"{path}: only PCM16 supported, got {8 * sampwidth}-bit"
-                )
-            n_ch = f.getnchannels()
-            sr = f.getframerate()
-            if not MIN_FILE_RATE <= sr <= MAX_FILE_RATE:
-                raise UnsupportedFormatError(
-                    f"{path}: sample rate {sr} Hz outside "
-                    f"{MIN_FILE_RATE}-{MAX_FILE_RATE} Hz"
-                )
-            raw = f.readframes(f.getnframes())
+        f = wave.open(str(path), "rb")
     except wave.Error as e:
         msg = str(e)
         if "unknown format" in msg or "compression" in msg.lower():
@@ -97,26 +86,100 @@ def load_wav(path):
         raise FormatError(f"{path}: {msg}") from e
     except EOFError as e:
         raise FormatError(f"{path}: truncated header") from e
-    x = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    del raw
-    x /= 32768.0
-    if n_ch > 1:
-        x = x[: len(x) - len(x) % n_ch].reshape(-1, n_ch).mean(axis=1)
-    if resampled_length(len(x), sr / SAMPLE_RATE) < 1:   # none at 16 kHz
-        raise EmptyInputError(f"{path}: no samples")
-    if sr != SAMPLE_RATE:
-        x = _resample_rate(x, sr)
-    return Waveform(np.clip(x, -1.0, 1.0, out=x), SAMPLE_RATE)
+    sampwidth, sr = f.getsampwidth(), f.getframerate()
+    if sampwidth != 2:
+        refusal = f"only PCM16 supported, got {8 * sampwidth}-bit"
+    elif not MIN_FILE_RATE <= sr <= MAX_FILE_RATE:
+        refusal = (f"sample rate {sr} Hz outside "
+                   f"{MIN_FILE_RATE}-{MAX_FILE_RATE} Hz")
+    else:
+        return f
+    f.close()
+    raise UnsupportedFormatError(f"{path}: {refusal}")
+
+
+class WavReader:
+    """A PCM16 RIFF/WAVE file read in blocks: mono-mixed and resampled to
+    16 kHz.
+
+    The header is read and checked on construction, so a refused file
+    fails before any sample is read; ``n_samples`` is the signal's length
+    at 16 kHz.  ``blocks()`` opens the file again and yields the 16 kHz
+    signal in order, in blocks of at most ``_RESAMPLE_BLOCK`` samples
+    (``_WAV_BLOCK`` at 16 kHz).  It reads ``_WAV_BLOCK`` file frames at a
+    time and resamples what they complete (``_resample_rate_blocks``), so
+    its memory does not grow with the file.  A file whose data ends
+    before the frames its header declares is a TruncatedFileError.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with _open_wav(path) as f:
+            self.n_channels = f.getnchannels()
+            self.rate = f.getframerate()
+            self.n_frames = f.getnframes()
+        self.n_samples = resampled_length(self.n_frames,
+                                          self.rate / SAMPLE_RATE)
+        if self.n_samples < 1:          # none at 16 kHz
+            raise EmptyInputError(f"{path}: no samples")
+
+    def _file_blocks(self):
+        """The file's samples at its own rate, mono, in blocks."""
+        frame_bytes = 2 * self.n_channels
+        with _open_wav(self.path) as f:
+            for start in range(0, self.n_frames, _WAV_BLOCK):
+                n = min(_WAV_BLOCK, self.n_frames - start)
+                raw = f.readframes(n)
+                if len(raw) != n * frame_bytes:
+                    raise TruncatedFileError(
+                        f"{self.path}: truncated: the data ends "
+                        f"{(self.n_frames - start) * frame_bytes - len(raw)}"
+                        f" bytes before the {self.n_frames} frames its "
+                        f"header declares")
+                x = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+                x /= 32768.0
+                if self.n_channels > 1:
+                    x = x.reshape(-1, self.n_channels).mean(axis=1)
+                yield x
+
+    def blocks(self):
+        """The 16 kHz signal, clipped to [-1, 1], in blocks."""
+        blocks = self._file_blocks()
+        if self.rate != SAMPLE_RATE:
+            blocks = _resample_rate_blocks(blocks, self.rate, self.n_frames)
+        for x in blocks:
+            yield np.clip(x, -1.0, 1.0, out=x)
+
+
+def load_wav(path):
+    """Load a PCM16 RIFF/WAVE file: mono-mixed, resampled to 16 kHz.
+
+    A header rate outside ``MIN_FILE_RATE``-``MAX_FILE_RATE`` Hz is an
+    UnsupportedFormatError, raised before the samples are read.  The
+    samples are ``WavReader``'s blocks, gathered into one array.
+    """
+    reader = WavReader(path)
+    x = np.empty(reader.n_samples)
+    n = 0
+    for block in reader.blocks():
+        x[n: n + len(block)] = block
+        n += len(block)
+    return Waveform(x, SAMPLE_RATE)
 
 
 def write_wav(path, w: Waveform):
-    """Write mono PCM16 little-endian."""
-    pcm = np.clip(np.round(w.samples * 32767.0), -32768, 32767).astype("<i2")
+    """Write mono PCM16 little-endian, converting ``_WAV_BLOCK`` samples
+    at a time."""
+    x = w.samples
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
-        f.writeframes(pcm.tobytes())
+        f.setnframes(len(x))
+        for b0 in range(0, len(x), _WAV_BLOCK):
+            pcm = np.round(x[b0: b0 + _WAV_BLOCK] * 32767.0)
+            np.clip(pcm, -32768, 32767, out=pcm)
+            f.writeframes(pcm.astype("<i2").tobytes())
 
 
 # -- Resampling --------------------------------------------------------------
@@ -209,31 +272,35 @@ def _filter(x, step, start, stop, taps_at):
     dot of ``x[base - 7 : base + 9]`` with its row, so each output depends
     on its own position alone and a range equals the same slice of the
     whole output.  Outputs are filled in blocks of ``_RESAMPLE_BLOCK``
-    samples.  A block reads its taps from a view of the input span its
-    outputs read (``base`` rises with n), copied with zeros only where
-    that span runs past an end of ``x``, so memory does not grow with the
-    signal's length beyond the input and output, and a short range of a
-    long signal copies none of it.
+    samples (``_taps_dot``), so memory does not grow with the signal's
+    length beyond the input and output, and a short range of a long
+    signal copies none of it.
     """
     n_out = resampled_length(len(x), step)
     if n_out < 1:
         raise EmptyInputError("resampled signal would be empty")
     stop = _output_range(start, stop, n_out)
-    half = _SINC_HALF_TAPS
     out = np.empty(stop - start)
     for b0 in range(start, stop, _RESAMPLE_BLOCK):
         b1 = min(b0 + _RESAMPLE_BLOCK, stop)
-        base, kern = taps_at(np.arange(b0, b1))
-        lo, hi = base[0] - half + 1, base[-1] + half + 1
-        span = x[max(lo, 0): hi]
-        if lo < 0 or hi > len(x):      # zeros beyond either end
-            span = np.pad(span, (max(-lo, 0), max(hi - len(x), 0)))
-        # windows[b - base[0]] holds x[b - 7 : b + 9], the taps around b
-        windows = as_strided(span, (len(span) - 2 * half + 1, 2 * half),
-                             span.strides * 2)
-        out[b0 - start: b1 - start] = \
-            (windows[base - base[0]] * kern).sum(axis=1)
+        out[b0 - start: b1 - start] = _taps_dot(x, *taps_at(np.arange(b0, b1)))
     return out
+
+
+def _taps_dot(x, base, kern):
+    """The outputs centred on input samples ``base`` (rising) with kernel
+    rows ``kern``: the dot of ``x[b - 7 : b + 9]`` with its row for each b.
+    The taps are read from a view of the input span the outputs read,
+    copied with zeros only where that span runs past an end of ``x``."""
+    half = _SINC_HALF_TAPS
+    lo, hi = base[0] - half + 1, base[-1] + half + 1
+    span = x[max(lo, 0): hi]
+    if lo < 0 or hi > len(x):      # zeros beyond either end
+        span = np.pad(span, (max(-lo, 0), max(hi - len(x), 0)))
+    # windows[b - base[0]] holds x[b - 7 : b + 9], the taps around b
+    windows = as_strided(span, (len(span) - 2 * half + 1, 2 * half),
+                         span.strides * 2)
+    return (windows[base - base[0]] * kern).sum(axis=1)
 
 
 def _resample(x, step, start=0, stop=None):
@@ -251,25 +318,43 @@ def _resample(x, step, start=0, stop=None):
     return _filter(x, step, start, stop, taps_at)
 
 
-def _resample_rate(x, sr):
-    """``_resample(x, sr / 16000)`` for an integer rate ``sr``, by exact
-    phase.
+def _resample_rate_blocks(blocks, sr, n_in):
+    """``_resample(x, sr / 16000)`` of the signal ``x`` that ``blocks``
+    yield in order, ``n_in`` samples in all, for an integer rate ``sr``,
+    by exact phase; yielded in blocks as the input arrives.
 
     With sr / 16000 = p / q in lowest terms, output n sits at input
     sample (n p) // q plus the phase ((n p) % q) / q.  Only q kernel rows
     occur (160 at 44.1 kHz, 1 at 48 kHz), so they are interpolated from
     the same table once per call.  Outputs differ from ``_resample``'s
     only where its float position n * step rounds: by under 1e-9.
+
+    After each input block, the outputs whose taps it completes are
+    computed, ``_RESAMPLE_BLOCK`` at a time (``_taps_dot``), and the input
+    before the next output's first tap is dropped.  So the input held is
+    one block and a few taps, and each output equals that of the whole
+    signal at once, bit for bit.
     """
     g = math.gcd(sr, SAMPLE_RATE)
     p, q = sr // g, SAMPLE_RATE // g
-    step = sr / SAMPLE_RATE
-    rows = _kernel_rows(_sinc_table(step), np.arange(q) / q)
-
-    def taps_at(n):
-        base, phase = np.divmod(n * p, q)
-        return base, rows[phase]
-    return _filter(x, step, 0, None, taps_at)
+    n_out = resampled_length(n_in, sr / SAMPLE_RATE)
+    rows = _kernel_rows(_sinc_table(sr / SAMPLE_RATE), np.arange(q) / q)
+    half = _SINC_HALF_TAPS
+    buf, buf0, done = np.empty(0), 0, 0   # buf holds x[buf0:]
+    for block in blocks:
+        buf = np.concatenate([buf, block])
+        have = buf0 + len(buf)
+        # output n reads x up to (n p) // q + 8, or zeros past the end
+        stop = n_out if have >= n_in \
+            else min(n_out, ((have - half) * q - 1) // p + 1)
+        for b0 in range(done, stop, _RESAMPLE_BLOCK):
+            base, phase = np.divmod(
+                np.arange(b0, min(b0 + _RESAMPLE_BLOCK, stop)) * p, q)
+            yield _taps_dot(buf, base - buf0, rows[phase])
+        done = max(done, stop)
+        drop = done * p // q - half + 1 - buf0   # before output done's taps
+        if drop > 0:
+            buf, buf0 = buf[drop:], buf0 + drop
 
 
 def augment_resample(w: Waveform, rate_factor, start=0, stop=None):

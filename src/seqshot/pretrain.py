@@ -36,6 +36,11 @@ MAX_EMBED_DIM = 4096
 # sequences survives.  Embedder checkpoints store it as meta/embed_tap.
 EMBED_TAP = 3
 PSEUDO_BATCH = 128               # pseudo-label windows per forward pass
+# Embedding frames per chunk of the backbone pass (embed_stream): 2048
+# log-mel frames, 20.48 s.  A last chunk of fewer than EMBED_MIN_TAIL
+# joins the one before.
+EMBED_CHUNK = 64
+EMBED_MIN_TAIL = 16
 # Backbone stages a pseudo-label batch's windows share (_pseudo_logits).
 # Stage i runs once per phase of the window starts, on 2**(i-1) maps that
 # each span the batch: 5 output positions per window, against 24 and 12
@@ -553,41 +558,112 @@ def train_strong(student: WeakModel, records, pseudo_per_clip,
 
 # -- embedding extraction ----------------------------------------------------------------
 
-def _logmel_input(w):
-    if len(w.samples) < int(MIN_EMBED_S * dsp.SAMPLE_RATE):
+def _check_embed_length(n_samples):
+    if n_samples < int(MIN_EMBED_S * dsp.SAMPLE_RATE):
         raise EmptyInputError(
             f"need at least {MIN_EMBED_S} s of audio to embed")
-    return dsp.logmel(w)[None, None, :, :]
 
 
 def embed_pooled(model: WeakModel, w: dsp.Waveform):
     """Fixed-length pooled embedding, any duration >= 0.5 s."""
-    return model.embed(_logmel_input(w))[0]
+    _check_embed_length(len(w.samples))
+    return model.embed(dsp.logmel(w)[None, None, :, :])[0]
 
 
 def embed_frames(model: StrongModel, w: dsp.Waveform):
     """(T//32, E) embedding sequence, one frame per 320 ms.
 
     The frames tap backbone stage EMBED_TAP and flatten (channels x
-    frequency); E = C_tap * F_tap.
+    frequency); E = C_tap * F_tap.  They are computed in chunks of whole
+    embedding frames (``embed_stream``).
     """
-    h = _logmel_input(w)
-    for layer in model.backbone.layers[:2 * EMBED_TAP]:   # conv+relu per stage
-        h, _ = layer.forward(h)
+    return embed_stream(model, [w.samples], len(w.samples))
+
+
+def _chunk_spans(n_frames):
+    """The log-mel frame spans [f0, f1) the embedding chunks cover: one
+    per ``EMBED_CHUNK`` embedding frames, a last chunk of fewer than
+    ``EMBED_MIN_TAIL`` joining the one before, and the last chunk running
+    to the last log-mel frame."""
+    size = EMBED_CHUNK * FRAMES_PER_EMBED
+    starts = list(range(0, n_frames, size))
+    if len(starts) > 1 \
+            and n_frames - starts[-1] < EMBED_MIN_TAIL * FRAMES_PER_EMBED:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_frames]))
+
+
+def _span_samples(blocks, spans):
+    """For each log-mel frame span [f0, f1), (f0, the samples its frames
+    read: 160 f0 to 160 (f1 - 1) + 400), gathered from ``blocks``, the
+    signal in order.  A span that lies in one block is a view of it.  The
+    blocks past the last span are read too, so a reader's checks on the
+    end of its file run."""
+    blocks = iter(blocks)
+    buf, buf0 = np.empty(0), 0          # buf holds samples buf0 onward
+    for f0, f1 in spans:
+        a = f0 * dsp.FRAME_HOP
+        b = (f1 - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN
+        pending = [buf[a - buf0:]]
+        held = len(pending[0])
+        while held < b - a:
+            pending.append(next(blocks))
+            held += len(pending[-1])
+        buf = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        buf0 = a
+        yield f0, buf[: b - a]
+    for _ in blocks:
+        pass
+
+
+def embed_stream(model: StrongModel, blocks, n_samples):
+    """``embed_frames`` of the 16 kHz signal that ``blocks`` yield in
+    order, ``n_samples`` samples in all; (T//32, E).
+
+    The backbone runs up to EMBED_TAP on chunks of ``EMBED_CHUNK``
+    embedding frames (32 log-mel frames each) taken from the signal as it
+    arrives, so what it holds beyond the frames returned is one chunk's
+    samples, log-mel and stage outputs.  This is exact: each stage up to
+    the tap has time kernel = stride = 2 and no time padding, so an
+    embedding frame reads only its own 32 log-mel frames, and each chunk
+    starts on a multiple of 256 frames, where ``dsp.logmel`` starts its
+    blocks.  A chunk equals the same frames of the whole signal at once
+    bit for bit; a last chunk shorter than ``EMBED_MIN_TAIL`` frames
+    could differ in the last bit (the GEMMs of a few rows round
+    differently), so it joins the chunk before, and the last chunk runs
+    to the last log-mel frame, as the one-pass computation does.
+    """
+    _check_embed_length(n_samples)
+    spans = _chunk_spans(dsp.frame_count(n_samples))
     per_block = FRAMES_PER_EMBED // 2 ** EMBED_TAP
-    t = h.shape[2] // per_block
-    return np.stack([
-        h[0, :, i * per_block: (i + 1) * per_block, :].mean(axis=1).reshape(-1)
-        for i in range(t)])
+    out = None
+    for f0, x in _span_samples(blocks, spans):
+        h = dsp.logmel(dsp.Waveform(x))[None, None]
+        for layer in model.backbone.layers[:2 * EMBED_TAP]:  # conv+relu
+            h, _ = layer.forward(h)
+        if out is None:
+            out = np.empty((spans[-1][1] // FRAMES_PER_EMBED,
+                            h.shape[1] * h.shape[3]))
+        t0 = f0 // FRAMES_PER_EMBED
+        for i in range(h.shape[2] // per_block):
+            out[t0 + i] = h[0, :, i * per_block: (i + 1) * per_block,
+                            :].mean(axis=1).reshape(-1)
+    return out
 
 
-def embed_frames_normalized(model: StrongModel, w: dsp.Waveform):
-    """Embedding frames minus their per-recording mean frame.
+def centre_frames(frames):
+    """Subtract the recording-wide mean frame from ``frames``, in place.
 
     Removing the recording-wide mean discards the static channel
     response (microphone distance, room coloration, broadband gain), so
     the few-shot detector sees what changes over time rather than what
     the recording sounds like overall.
     """
-    frames = embed_frames(model, w)
-    return frames - frames.mean(axis=0)
+    frames -= frames.mean(axis=0)
+    return frames
+
+
+def embed_frames_normalized(model: StrongModel, w: dsp.Waveform):
+    """Embedding frames minus their per-recording mean frame
+    (``centre_frames``)."""
+    return centre_frames(embed_frames(model, w))

@@ -9,7 +9,11 @@ norms, then a loss pass).  They are the definitions ``nn.Conv1d``,
 block-wise ``dsp.logmel`` must equal bit for bit.  ``pseudo_logits_per_window``
 runs each pseudo-label window through the whole weak model on its own;
 ``pretrain._pseudo_logits``, which shares the first stages between
-windows, must equal it bit for bit.
+windows, must equal it bit for bit.  ``embed_frames_one_pass`` runs the
+backbone over the whole recording at once, which the chunked
+``pretrain.embed_stream`` must equal, and ``window_correlation_one_pass``
+centres and scores every alignment window at once, as
+``curation._window_correlation`` does a few windows at a time.
 """
 
 import numpy as np
@@ -26,6 +30,23 @@ def logmel_one_pass(w):
     spec = np.fft.rfft(frames * dsp._WINDOW, n=dsp.FFT_SIZE, axis=1)
     power = spec.real ** 2 + spec.imag ** 2
     return np.log(power @ dsp._FILTERBANK.T + dsp.LOG_FLOOR)
+
+
+def embed_frames_one_pass(model, w):
+    h = dsp.logmel(w)[None, None, :, :]
+    for layer in model.backbone.layers[:2 * pretrain.EMBED_TAP]:
+        h, _ = layer.forward(h)
+    per_block = pretrain.FRAMES_PER_EMBED // 2 ** pretrain.EMBED_TAP
+    return np.stack([
+        h[0, :, i * per_block: (i + 1) * per_block, :].mean(axis=1).reshape(-1)
+        for i in range(h.shape[2] // per_block)])
+
+
+def window_correlation_one_pass(frames, t_e, ex0, ex_norm):
+    flat = np.lib.stride_tricks.sliding_window_view(
+        frames.reshape(-1), t_e * frames.shape[1])[::frames.shape[1]]
+    flat0 = flat - flat.mean(axis=1, keepdims=True)
+    return (flat0 @ ex0) / (np.linalg.norm(flat0, axis=1) * ex_norm + 1e-12)
 
 
 def pseudo_logits_per_window(model, w):

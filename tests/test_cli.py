@@ -1,6 +1,8 @@
 import argparse
 import json
 import shlex
+import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from seqshot import cli, corpus, curation, detector, dsp, nn, pretrain
 
 from reference_ops import pseudo_logits_per_window
-from test_dsp import write_pcm16_header
+from test_dsp import write_pcm16, write_pcm16_header
 from test_pretrain import split_labels
 
 TINY_MODEL = [
@@ -339,6 +341,27 @@ def test_wav_rate_outside_range_is_runtime_error(tmp_path, capsys, caplog,
                                  f"{rate} Hz")
 
 
+@pytest.mark.parametrize("cut", [3, 400], ids=["mid_sample", "whole_frames"])
+@pytest.mark.parametrize("command", ["enroll", "detect"])
+def test_truncated_wav_is_runtime_error(tmp_path, capsys, caplog, command,
+                                        cut):
+    # a stereo file cut short after its header was written: it ends in
+    # the middle of a sample, or 100 frames before the frames it declares
+    paths = _write_models(tmp_path)
+    argv = _argv("detector", paths, tmp_path)
+    wav = tmp_path / "rec.wav"
+    write_pcm16(wav, 16000, np.random.default_rng(2).integers(
+        -3000, 3000, (2 * 16000, 2)))
+    wav.write_bytes(wav.read_bytes()[:-cut])
+    if command == "enroll":
+        argv = ["enroll", "--shots", str(wav), "--weak", str(paths["weak"]),
+                "--strong", str(paths["strong"]), "--out", str(tmp_path / "o")]
+    code, out = run(capsys, argv)
+    assert code == 1 and out is None
+    assert "Traceback" not in capsys.readouterr().err
+    assert _logged_error(caplog, f"{wav}: truncated")
+
+
 @pytest.mark.parametrize("seconds, error", [
     (1.0, "recording too short: 3 embedding frames < window 4"),
     (0.3, "need at least 0.5 s of audio"),
@@ -475,6 +498,42 @@ def test_detect_scans_the_trained_window(tmp_path, capsys, monkeypatch,
     strong = pretrain.StrongModel.load(paths["strong"])
     n_frames = pretrain.embed_frames(strong, recording).shape[0]
     assert out["n_windows"] == n_frames - t + 1
+
+
+# -- detect reads the recording in blocks -------------------------------------
+
+def test_detect_memory_does_not_grow_with_the_recording(tmp_path, capsys):
+    # detect keeps E floats per 320 ms of the recording and one chunk of
+    # everything else: its allocation peak on 4 minutes of 44.1 kHz audio
+    # is within 10% of its peak on 1 minute
+    paths = _write_models(tmp_path)
+    (tmp_path / "enrollment.json").write_text(json.dumps({"window_s": 1.0}))
+    rng = np.random.default_rng(3)
+    minute = (3000.0 * rng.standard_normal(60 * 44100)).astype("<i2")
+
+    def peak(minutes):
+        path = tmp_path / f"rec{minutes}.wav"
+        with wave.open(str(path), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(44100)
+            for _ in range(minutes):
+                f.writeframes(minute.tobytes())
+        tracemalloc.start()
+        try:
+            # no score reaches 1, so the summary lists no events
+            code, out = run(capsys, [
+                "detect", "--recording", str(path),
+                "--detector", str(paths["detector"]),
+                "--strong", str(paths["strong"]),
+                "--enrollment", str(tmp_path / "enrollment.json"),
+                "--threshold", "1"])
+            assert code == 0 and out["events"] == []
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    four = peak(4)      # first, so tables made once count against it
+    assert four <= 1.1 * peak(1)
 
 
 # -- malformed enrollment and the dropped Δ-encoder flags ------------------------

@@ -8,6 +8,8 @@ from seqshot.errors import (
     EmptyInputError,
 )
 
+from reference_ops import window_correlation_one_pass
+
 HOP = dsp.FRAME_HOP_S   # 0.01 s
 
 
@@ -232,6 +234,24 @@ def test_align_tie_takes_earliest():
     segments = [curation.Segment(0, 0.0, 0.1), curation.Segment(1, 0.0, 0.4)]
     aligned, _ = curation.align_to_exemplar(segments, [ex, shot])
     assert aligned[1].onset_s == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("n_windows", [1, 2, 8, 9, 10, 17, 300, 401])
+def test_window_correlation_in_groups_equals_one_pass(n_windows):
+    # windows are centred and scored CORR_ROWS at a time; a group of one
+    # joins the group before.  Equal to all windows at once, bit for bit
+    # with one BLAS thread; a threaded GEMV splits its rows by thread, so
+    # across thread counts the two may differ in the last bit
+    rng = np.random.default_rng(n_windows)
+    t_e = 37
+    frames = 3.0 * rng.standard_normal((t_e + n_windows - 1, 64)) - 5.0
+    ex = rng.standard_normal(t_e * 64)
+    ex0 = ex - ex.mean()
+    args = frames, t_e, ex0, np.linalg.norm(ex0)
+    got = curation._window_correlation(*args)
+    assert got.shape == (n_windows,)
+    np.testing.assert_allclose(got, window_correlation_one_pass(*args),
+                               rtol=0, atol=1e-12)
 
 
 # -- end to end --------------------------------------------------------------------------

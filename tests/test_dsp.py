@@ -1,6 +1,10 @@
+import gc
+import os
 import re
 import struct
 import tracemalloc
+import warnings
+import wave
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from seqshot.errors import (
     EmptyInputError,
     FormatError,
     ShapeError,
+    TruncatedFileError,
     UnsupportedFormatError,
 )
 
@@ -139,6 +144,94 @@ def test_load_wav_agrees_with_float_step_resampler(tmp_path, rng, rate):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def write_pcm16(path, rate, pcm):
+    """``pcm``, int16 of shape (frames, channels), as a PCM16 WAV file."""
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(pcm.shape[1])
+        f.setsampwidth(2)
+        f.setframerate(rate)
+        f.writeframes(np.ascontiguousarray(pcm, dtype="<i2").tobytes())
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_wav_reader_blocks_equal_load_wav(tmp_path, rng, monkeypatch, rate,
+                                          channels):
+    # the blocks, far smaller than the defaults here, gather into what
+    # one block of the whole file gives, bit for bit
+    p = tmp_path / "x.wav"
+    pcm = rng.integers(-32768, 32768, (int(2.3 * rate), channels))
+    write_pcm16(p, rate, pcm)
+    monkeypatch.setattr(dsp, "_WAV_BLOCK", 1 << 30)
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 1 << 30)
+    whole = dsp.load_wav(p).samples
+    mono = pcm.astype(np.float64) / 32768.0
+    if rate == 16000:       # read as is, mixed down by the channel mean
+        np.testing.assert_array_equal(whole, mono.mean(axis=1))
+    monkeypatch.setattr(dsp, "_WAV_BLOCK", 1001)
+    monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 777)
+    reader = dsp.WavReader(p)
+    blocks = list(reader.blocks())
+    assert len(blocks) > 10 and max(len(b) for b in blocks) <= 1001
+    assert reader.n_samples == len(whole)
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    np.testing.assert_array_equal(dsp.load_wav(p).samples, whole)
+
+
+def test_write_wav_in_blocks_equals_one_pass(tmp_path, rng, monkeypatch):
+    # some samples beyond full scale, so the clip is exercised too
+    x = 1.2 * rng.standard_normal(10_007)
+    monkeypatch.setattr(dsp, "_WAV_BLOCK", 1000)
+    dsp.write_wav(tmp_path / "blocks.wav", dsp.Waveform(x, 22050))
+    pcm = np.clip(np.round(x * 32767.0), -32768, 32767).astype("<i2")
+    write_pcm16(tmp_path / "one.wav", 22050, pcm[:, None])
+    assert (tmp_path / "blocks.wav").read_bytes() \
+        == (tmp_path / "one.wav").read_bytes()
+
+
+@pytest.mark.parametrize("cut", [1, 3, 4, 400, "header_claims_double"])
+def test_load_truncated_data_names_file(tmp_path, rng, monkeypatch, cut):
+    # the header declares more data than the file holds: it ends mid-sample
+    # (1 or 3 bytes cut from a stereo file), whole frames short, or at half
+    # the frames declared.  Small blocks, so the short read is not the first
+    monkeypatch.setattr(dsp, "_WAV_BLOCK", 256)
+    p = tmp_path / "t.wav"
+    write_pcm16(p, 16000, rng.integers(-32768, 32768, (1000, 2)))
+    data = p.read_bytes()
+    if cut == "header_claims_double":
+        assert data[36:40] == b"data"
+        data = data[:40] + struct.pack("<I", 8000) + data[44:]
+    else:
+        data = data[:-cut]
+    p.write_bytes(data)
+    with pytest.raises(TruncatedFileError, match=re.escape(f"{p}: truncated")):
+        dsp.load_wav(p)
+    assert issubclass(TruncatedFileError, FormatError)
+
+
+def _fds_open_on(path):
+    fd_dir = "/proc/self/fd"
+    return sum(os.path.realpath(os.path.join(fd_dir, fd)) == str(path)
+               for fd in os.listdir(fd_dir) if os.path.exists(
+                   os.path.join(fd_dir, fd)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open files")
+def test_dropping_the_block_reader_part_way_closes_its_file(tmp_path, rng):
+    p = (tmp_path / "x.wav").resolve()
+    write_pcm16(p, 44100, rng.integers(-32768, 32768, (3 * 44100, 1)))
+    blocks = dsp.WavReader(p).blocks()
+    next(blocks)
+    assert _fds_open_on(p) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del blocks
+        gc.collect()
+    assert _fds_open_on(p) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 # -- resampling -------------------------------------------------------------------
 
 def test_resample_identity():
@@ -231,15 +324,26 @@ def test_resample_blocks_equal_one_pass(rng, monkeypatch):
                                   one_pass[999:12001])
 
 
+def _resample_rate(blocks, rate):
+    return np.concatenate(list(dsp._resample_rate_blocks(
+        blocks, rate, sum(len(b) for b in blocks))))
+
+
 @pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
 def test_file_rate_blocks_equal_one_pass(rng, monkeypatch, rate):
-    # the exact-phase path load_wav takes, over several output blocks
+    # the exact-phase path load_wav takes, over several output blocks and
+    # over input blocks of any size, down to fewer samples than the taps
     x = 0.3 * rng.standard_normal(rate)
     monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 1 << 20)
-    one_pass = dsp._resample_rate(x, rate)
+    one_pass = _resample_rate([x], rate)
+    assert len(one_pass) == dsp.resampled_length(rate, rate / 16000)
     monkeypatch.setattr(dsp, "_RESAMPLE_BLOCK", 999)
     assert len(one_pass) > 10 * dsp._RESAMPLE_BLOCK
-    np.testing.assert_array_equal(dsp._resample_rate(x, rate), one_pass)
+    np.testing.assert_array_equal(_resample_rate([x], rate), one_pass)
+    cuts = [0, 5, 17, 3000, 3001, 7777, rate - 3, rate]
+    np.testing.assert_array_equal(
+        _resample_rate([x[a:b] for a, b in zip(cuts, cuts[1:])], rate),
+        one_pass)
 
 
 # -- logmel ----------------------------------------------------------------------

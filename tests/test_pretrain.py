@@ -9,7 +9,7 @@ import pytest
 from seqshot import dsp, evaluate, pretrain
 from seqshot.errors import EmptyInputError, SeqshotError, ShapeError
 
-from reference_ops import pseudo_logits_per_window
+from reference_ops import embed_frames_one_pass, pseudo_logits_per_window
 
 TINY = dict(channels=(4, 6, 8, 10, 12), head_hidden=16, embed_dim=8)
 
@@ -112,6 +112,46 @@ def test_strong_locality():
     after = pretrain.embed_frames(model, dsp.Waveform(bumped, 16000))
     np.testing.assert_array_equal(before[:4], after[:4])
     assert not np.array_equal(before[4:], after[4:])
+
+
+@pytest.mark.parametrize("seconds", [20.0, 21.0, 26.0, 41.2, 47.0])
+def test_embed_frames_in_chunks_equal_one_pass(seconds):
+    # 20.48 s chunks: 20 s fits one, 21 s too (its 0.5 s tail, under 16
+    # frames, joins it), 26 s takes two, 41.2 s two (its 0.2 s tail joins
+    # the second) and 47 s three, so chunk edges fall inside scan windows.
+    # Chunks before the last equal the one-pass frames bit for bit; the
+    # last one, at least EMBED_MIN_TAIL frames, to 1e-12 (GEMMs of few rows
+    # may round differently)
+    model = pretrain.StrongModel(pretrain.ModelConfig(n_classes=2, **TINY))
+    w = noise(seconds, seed=int(seconds))
+    want = embed_frames_one_pass(model, w)
+    got = pretrain.embed_frames(model, w)
+    assert got.shape == want.shape
+    spans = pretrain._chunk_spans(dsp.frame_count(len(w.samples)))
+    assert len(spans) == {20.0: 1, 21.0: 1, 26.0: 2, 41.2: 2, 47.0: 3}[seconds]
+    last = spans[-1][0] // pretrain.FRAMES_PER_EMBED
+    assert len(got) - last >= pretrain.EMBED_MIN_TAIL
+    np.testing.assert_array_equal(got[:last], want[:last])
+    np.testing.assert_allclose(got[last:], want[last:], rtol=0, atol=1e-12)
+
+
+def test_embed_stream_takes_blocks_of_any_size():
+    # the signal may arrive in blocks shorter than a frame or than the
+    # 240 samples consecutive chunks share; the frames stay the same
+    model = pretrain.StrongModel(pretrain.ModelConfig(n_classes=2, **TINY))
+    x = noise(43.0, seed=4).samples
+    whole = pretrain.embed_frames(model, dsp.Waveform(x))
+    cuts = [0, 7, 400, 327_681, 327_921, 330_000, 655_360, 655_361, len(x)]
+    blocks = [x[a:b] for a, b in zip(cuts, cuts[1:])]
+    np.testing.assert_array_equal(
+        pretrain.embed_stream(model, blocks, len(x)), whole)
+
+
+def test_centre_frames_subtracts_the_mean_in_place():
+    frames = np.random.default_rng(0).standard_normal((7, 5))
+    want = frames - frames.mean(axis=0)
+    assert pretrain.centre_frames(frames) is frames
+    np.testing.assert_array_equal(frames, want)
 
 
 # -- losses ----------------------------------------------------------------------
