@@ -10,6 +10,7 @@ strong labels.
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -263,7 +264,6 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
     Strong events are retained in the manifest for pseudo-label
     validation but carry no role in weak training.
     """
-    from pathlib import Path
     out_dir = Path(out_dir)
     (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
     n_fam = config.n_classes - config.n_noise_classes
@@ -380,7 +380,6 @@ def gen_episode(spec: EpisodeSpec, out_dir):
     order-scrambled family members.  Eval positives and negatives are
     split 50/50 near/far field.
     """
-    from pathlib import Path
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     motifs = gen_motif_family(

@@ -63,7 +63,8 @@ def fit_loudness(shots):
     The top/bottom 15 % of frames by linear-domain energy across all
     shots are the training labels; a wide loud quantile keeps every
     event note represented, not just the loudest one.  Gradient descent
-    on the BCE plus an L2 penalty runs to |dloss| < LOUDNESS_TOL.
+    on the BCE plus an L2 penalty stops when |dloss| < LOUDNESS_TOL or
+    after LOUDNESS_MAX_ITERS steps, whichever comes first.
     """
     if not shots:
         raise EmptyInputError("no shots")
@@ -205,15 +206,12 @@ def _window_correlation(frames, t_e, ex0, ex_norm):
     the copies held at once are that many windows long, however many
     windows the shot has.  Each window's score is the same as that of
     all windows centred and scored at once, bit for bit with one BLAS
-    thread: a last group of one window, which ``@`` would take as a
-    vector dot product, joins the group before."""
+    thread: the groups are the ``dsp.spans`` with ``min_last`` 2, as
+    ``@`` would take a group of one window as a vector dot product."""
     flat = np.lib.stride_tricks.sliding_window_view(
         frames.reshape(-1), t_e * frames.shape[1])[::frames.shape[1]]
-    starts = list(range(0, len(flat), CORR_ROWS))
-    if len(starts) > 1 and len(flat) - starts[-1] < 2:
-        starts.pop()
     out = np.empty(len(flat))
-    for a, b in zip(starts, starts[1:] + [len(flat)]):
+    for a, b in dsp.spans(len(flat), CORR_ROWS, 2):
         rows0 = flat[a:b] - flat[a:b].mean(axis=1, keepdims=True)
         out[a:b] = (rows0 @ ex0) \
             / (np.linalg.norm(rows0, axis=1) * ex_norm + 1e-12)

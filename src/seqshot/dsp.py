@@ -13,7 +13,8 @@ float rates and interpolate a kernel row per output sample.  Log-mels are
 computed in blocks of frames, so their temporaries stay small.  WAV
 files are read (``WavReader``) and written in blocks of samples too, so a
 recording can be streamed into log-mel and embedding without being held
-whole.
+whole.  Blocked loops take their blocks from ``spans``, and ``regroup``
+cuts a stream of blocks into the spans a computation reads.
 """
 
 import math
@@ -68,6 +69,48 @@ class Waveform:
         return len(self.samples) / self.sample_rate
 
 
+# -- Blocks ------------------------------------------------------------------
+
+def spans(n, size, min_last=1):
+    """The blocks ``[a, b)`` of ``size`` that cover ``range(n)`` in order;
+    a last block shorter than ``min_last`` joins the one before.
+
+    A blocked result that must equal the one-pass formula bit for bit
+    passes as ``min_last`` the shortest block that rounds as that formula
+    does (a GEMM of a few rows may not).
+    """
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < min_last:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def regroup(blocks, spans):
+    """For each span ``[a, b)``, samples ``a:b`` of the signal that
+    ``blocks`` yield in order; the spans' ``a`` and ``b`` both rise.
+
+    A span that lies in one block is a view of it.  The blocks that a
+    span needs are held until the next span starts past them, so what is
+    held is one span and the blocks it touches.  After the last span the
+    blocks are read to their end, so a reader's checks on the end of its
+    file still run; zip this generator before the spans, as ``zip`` stops
+    at its first exhausted argument.
+    """
+    blocks = iter(blocks)
+    held, h0, end = [], 0, 0    # held blocks: samples h0 to end
+    for a, b in spans:
+        while end < b:
+            held.append(next(blocks))
+            end += len(held[-1])
+        while h0 + len(held[0]) <= a:
+            h0 += len(held.pop(0))
+        if len(held) > 1:
+            held, h0 = [np.concatenate([held[0][a - h0:], *held[1:]])], a
+        yield held[0][a - h0: b - h0]
+    for _ in blocks:
+        pass
+
+
 # -- WAV I/O -----------------------------------------------------------------
 
 def _open_wav(path):
@@ -106,10 +149,11 @@ class WavReader:
     fails before any sample is read; ``n_samples`` is the signal's length
     at 16 kHz.  ``blocks()`` opens the file again and yields the 16 kHz
     signal in order, in blocks of at most ``_RESAMPLE_BLOCK`` samples
-    (``_WAV_BLOCK`` at 16 kHz).  It reads ``_WAV_BLOCK`` file frames at a
-    time and resamples what they complete (``_resample_rate_blocks``), so
-    its memory does not grow with the file.  A file whose data ends
-    before the frames its header declares is a TruncatedFileError.
+    (``_WAV_BLOCK`` at 16 kHz).  It reads the file in the ``spans`` of
+    ``_WAV_BLOCK`` frames and resamples them as they arrive
+    (``_resample_rate_blocks``), so its memory does not grow with the
+    file.  A file whose data ends before the frames its header declares
+    is a TruncatedFileError.
     """
 
     def __init__(self, path):
@@ -127,13 +171,12 @@ class WavReader:
         """The file's samples at its own rate, mono, in blocks."""
         frame_bytes = 2 * self.n_channels
         with _open_wav(self.path) as f:
-            for start in range(0, self.n_frames, _WAV_BLOCK):
-                n = min(_WAV_BLOCK, self.n_frames - start)
-                raw = f.readframes(n)
-                if len(raw) != n * frame_bytes:
+            for a, b in spans(self.n_frames, _WAV_BLOCK):
+                raw = f.readframes(b - a)
+                if len(raw) != (b - a) * frame_bytes:
                     raise TruncatedFileError(
                         f"{self.path}: truncated: the data ends "
-                        f"{(self.n_frames - start) * frame_bytes - len(raw)}"
+                        f"{(self.n_frames - a) * frame_bytes - len(raw)}"
                         f" bytes before the {self.n_frames} frames its "
                         f"header declares")
                 x = np.frombuffer(raw, dtype="<i2").astype(np.float64)
@@ -191,9 +234,11 @@ _kaiser_table = None
 def _kaiser(u, half):
     """Kaiser window on tap offsets u in [-half, half].
 
-    Evaluated by linear interpolation of a dense precomputed table
-    (the Bessel function is far too slow to call per audio sample);
-    interpolation error is ~1e-8, well under the resampler tolerances.
+    Evaluated by linear interpolation of a dense precomputed table.  It
+    runs only inside ``_build_sinc_table``, on the 4097 x 16 grid of
+    kernel rows, where calling ``np.i0`` directly would cost no more; but
+    the two differ by up to 9e-10, so dropping the table would change
+    every resampled output.
     """
     global _kaiser_table
     if _kaiser_table is None:
@@ -256,37 +301,6 @@ def _kernel_rows(table, frac):
     return kern
 
 
-def _output_range(start, stop, n):
-    stop = n if stop is None else stop
-    if not 0 <= start < stop <= n:
-        raise ShapeError(f"output range [{start}, {stop}) outside [0, {n})")
-    return stop
-
-
-def _filter(x, step, start, stop, taps_at):
-    """Outputs ``start`` to ``stop`` (default: the end) of resampling ``x``
-    by ``step`` input samples per output.
-
-    ``taps_at(n)`` gives, for the output indices ``n``, the input sample
-    each is centred on (``base``) and its kernel rows; output n is the
-    dot of ``x[base - 7 : base + 9]`` with its row, so each output depends
-    on its own position alone and a range equals the same slice of the
-    whole output.  Outputs are filled in blocks of ``_RESAMPLE_BLOCK``
-    samples (``_taps_dot``), so memory does not grow with the signal's
-    length beyond the input and output, and a short range of a long
-    signal copies none of it.
-    """
-    n_out = resampled_length(len(x), step)
-    if n_out < 1:
-        raise EmptyInputError("resampled signal would be empty")
-    stop = _output_range(start, stop, n_out)
-    out = np.empty(stop - start)
-    for b0 in range(start, stop, _RESAMPLE_BLOCK):
-        b1 = min(b0 + _RESAMPLE_BLOCK, stop)
-        out[b0 - start: b1 - start] = _taps_dot(x, *taps_at(np.arange(b0, b1)))
-    return out
-
-
 def _taps_dot(x, base, kern):
     """The outputs centred on input samples ``base`` (rising) with kernel
     rows ``kern``: the dot of ``x[b - 7 : b + 9]`` with its row for each b.
@@ -304,18 +318,32 @@ def _taps_dot(x, base, kern):
 
 
 def _resample(x, step, start=0, stop=None):
-    """Windowed-sinc resample: output[n] = x(n * step), step in input samples.
+    """Outputs ``start`` to ``stop`` (default: the end) of the windowed-sinc
+    resample output[n] = x(n * step), ``step`` in input samples.
 
-    16-tap Kaiser-windowed sinc; each output's kernel row is interpolated
-    from the table at the fractional part of its float position.
+    Output n is the dot of ``x[base - 7 : base + 9]``, base = floor(n *
+    step), with the kernel row interpolated from the table at the
+    fractional part of n * step.  So each output depends on its own
+    position alone, and a range equals the same slice of the whole
+    output.  Outputs are filled in the ``spans`` of ``_RESAMPLE_BLOCK``
+    (``_taps_dot``), so memory does not grow with the signal's length
+    beyond the input and output, and a short range of a long signal
+    copies none of it.
     """
+    n_out = resampled_length(len(x), step)
+    if n_out < 1:
+        raise EmptyInputError("resampled signal would be empty")
+    stop = n_out if stop is None else stop
+    if not 0 <= start < stop <= n_out:
+        raise ShapeError(
+            f"output range [{start}, {stop}) outside [0, {n_out})")
     table = _sinc_table(step)
-
-    def taps_at(n):
-        pos = n * step
+    out = np.empty(stop - start)
+    for a, b in spans(stop - start, _RESAMPLE_BLOCK):
+        pos = np.arange(start + a, start + b) * step
         base = np.floor(pos).astype(np.int64)
-        return base, _kernel_rows(table, pos - base)
-    return _filter(x, step, start, stop, taps_at)
+        out[a:b] = _taps_dot(x, base, _kernel_rows(table, pos - base))
+    return out
 
 
 def _resample_rate_blocks(blocks, sr, n_in):
@@ -329,32 +357,22 @@ def _resample_rate_blocks(blocks, sr, n_in):
     the same table once per call.  Outputs differ from ``_resample``'s
     only where its float position n * step rounds: by under 1e-9.
 
-    After each input block, the outputs whose taps it completes are
-    computed, ``_RESAMPLE_BLOCK`` at a time (``_taps_dot``), and the input
-    before the next output's first tap is dropped.  So the input held is
-    one block and a few taps, and each output equals that of the whole
+    Outputs come in the ``spans`` of ``_RESAMPLE_BLOCK``; outputs a to b
+    read the input span from a p // q - 7 to (b - 1) p // q + 9, cut to
+    the signal, which ``regroup`` gathers from the blocks.  So the input
+    held is a block and a span, and each output equals that of the whole
     signal at once, bit for bit.
     """
     g = math.gcd(sr, SAMPLE_RATE)
     p, q = sr // g, SAMPLE_RATE // g
-    n_out = resampled_length(n_in, sr / SAMPLE_RATE)
     rows = _kernel_rows(_sinc_table(sr / SAMPLE_RATE), np.arange(q) / q)
     half = _SINC_HALF_TAPS
-    buf, buf0, done = np.empty(0), 0, 0   # buf holds x[buf0:]
-    for block in blocks:
-        buf = np.concatenate([buf, block])
-        have = buf0 + len(buf)
-        # output n reads x up to (n p) // q + 8, or zeros past the end
-        stop = n_out if have >= n_in \
-            else min(n_out, ((have - half) * q - 1) // p + 1)
-        for b0 in range(done, stop, _RESAMPLE_BLOCK):
-            base, phase = np.divmod(
-                np.arange(b0, min(b0 + _RESAMPLE_BLOCK, stop)) * p, q)
-            yield _taps_dot(buf, base - buf0, rows[phase])
-        done = max(done, stop)
-        drop = done * p // q - half + 1 - buf0   # before output done's taps
-        if drop > 0:
-            buf, buf0 = buf[drop:], buf0 + drop
+    outs = spans(resampled_length(n_in, sr / SAMPLE_RATE), _RESAMPLE_BLOCK)
+    ins = [(max(0, a * p // q - half + 1),
+            min(n_in, (b - 1) * p // q + half + 1)) for a, b in outs]
+    for x, (a, b), (x0, _) in zip(regroup(blocks, ins), outs, ins):
+        base, phase = np.divmod(np.arange(a, b) * p, q)
+        yield _taps_dot(x, base - x0, rows[phase])
 
 
 def augment_resample(w: Waveform, rate_factor, start=0, stop=None):
@@ -420,10 +438,10 @@ def logmel(w: Waveform):
     Frame t covers samples [160 t, 160 t + 400), so the log-mel of a
     slice starting at sample 160 k equals rows k onward of the whole, bit
     for bit for slices as long as a training crop (48 frames or more).
-    Frames are taken in blocks of ``_LOGMEL_BLOCK``, a tail shorter than
-    48 joining the block before it: each block is such a slice, so the
-    result equals the one-pass formula bit for bit, and the spectra held
-    at once stay a few hundred frames long.
+    Frames are taken in the ``spans`` of ``_LOGMEL_BLOCK`` with
+    ``min_last`` 48: each block is such a slice, so the result equals the
+    one-pass formula bit for bit, and the spectra held at once stay a few
+    hundred frames long.
     """
     x = w.samples
     n_frames = frame_count(len(x))
@@ -431,11 +449,8 @@ def logmel(w: Waveform):
         x, shape=(n_frames, FRAME_LEN),
         strides=(x.strides[0] * FRAME_HOP, x.strides[0]),
     )
-    starts = list(range(0, n_frames, _LOGMEL_BLOCK))
-    if len(starts) > 1 and n_frames - starts[-1] < _LOGMEL_EXACT_FRAMES:
-        starts.pop()
     out = np.empty((n_frames, N_MELS))
-    for t0, t1 in zip(starts, starts[1:] + [n_frames]):
+    for t0, t1 in spans(n_frames, _LOGMEL_BLOCK, _LOGMEL_EXACT_FRAMES):
         spec = np.fft.rfft(frames[t0:t1] * _WINDOW, n=FFT_SIZE, axis=1)
         power = spec.real ** 2 + spec.imag ** 2
         np.log(power @ _FILTERBANK.T + LOG_FLOOR, out=out[t0:t1])

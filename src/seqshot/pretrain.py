@@ -37,8 +37,8 @@ MAX_EMBED_DIM = 4096
 EMBED_TAP = 3
 PSEUDO_BATCH = 128               # pseudo-label windows per forward pass
 # Embedding frames per chunk of the backbone pass (embed_stream): 2048
-# log-mel frames, 20.48 s.  A last chunk of fewer than EMBED_MIN_TAIL
-# joins the one before.
+# log-mel frames, 20.48 s.  EMBED_MIN_TAIL is the shortest last chunk
+# (the min_last of dsp.spans).
 EMBED_CHUNK = 64
 EMBED_MIN_TAIL = 16
 # Backbone stages a pseudo-label batch's windows share (_pseudo_logits).
@@ -488,8 +488,7 @@ def _pseudo_logits(model: WeakModel, w: dsp.Waveform):
     layers = model.backbone.layers          # conv, relu per stage; pool
     n_shared = 2 * min(PSEUDO_SHARED_STAGES, len(model.config.channels))
     out = []
-    for b0 in range(0, n_win, PSEUDO_BATCH):
-        b1 = min(b0 + PSEUDO_BATCH, n_win)
+    for b0, b1 in dsp.spans(n_win, PSEUDO_BATCH):
         # window j of the batch starts at time row at[j][1] of maps[at[j][0]]
         maps = [m[None, None, b0 * hop_frames:
                   (b1 - 1) * hop_frames + frames_per_win]]
@@ -580,42 +579,6 @@ def embed_frames(model: StrongModel, w: dsp.Waveform):
     return embed_stream(model, [w.samples], len(w.samples))
 
 
-def _chunk_spans(n_frames):
-    """The log-mel frame spans [f0, f1) the embedding chunks cover: one
-    per ``EMBED_CHUNK`` embedding frames, a last chunk of fewer than
-    ``EMBED_MIN_TAIL`` joining the one before, and the last chunk running
-    to the last log-mel frame."""
-    size = EMBED_CHUNK * FRAMES_PER_EMBED
-    starts = list(range(0, n_frames, size))
-    if len(starts) > 1 \
-            and n_frames - starts[-1] < EMBED_MIN_TAIL * FRAMES_PER_EMBED:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n_frames]))
-
-
-def _span_samples(blocks, spans):
-    """For each log-mel frame span [f0, f1), (f0, the samples its frames
-    read: 160 f0 to 160 (f1 - 1) + 400), gathered from ``blocks``, the
-    signal in order.  A span that lies in one block is a view of it.  The
-    blocks past the last span are read too, so a reader's checks on the
-    end of its file run."""
-    blocks = iter(blocks)
-    buf, buf0 = np.empty(0), 0          # buf holds samples buf0 onward
-    for f0, f1 in spans:
-        a = f0 * dsp.FRAME_HOP
-        b = (f1 - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN
-        pending = [buf[a - buf0:]]
-        held = len(pending[0])
-        while held < b - a:
-            pending.append(next(blocks))
-            held += len(pending[-1])
-        buf = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        buf0 = a
-        yield f0, buf[: b - a]
-    for _ in blocks:
-        pass
-
-
 def embed_stream(model: StrongModel, blocks, n_samples):
     """``embed_frames`` of the 16 kHz signal that ``blocks`` yield in
     order, ``n_samples`` samples in all; (T//32, E).
@@ -627,22 +590,27 @@ def embed_stream(model: StrongModel, blocks, n_samples):
     the tap has time kernel = stride = 2 and no time padding, so an
     embedding frame reads only its own 32 log-mel frames, and each chunk
     starts on a multiple of 256 frames, where ``dsp.logmel`` starts its
-    blocks.  A chunk equals the same frames of the whole signal at once
-    bit for bit; a last chunk shorter than ``EMBED_MIN_TAIL`` frames
-    could differ in the last bit (the GEMMs of a few rows round
-    differently), so it joins the chunk before, and the last chunk runs
-    to the last log-mel frame, as the one-pass computation does.
+    blocks.  The chunks are the ``dsp.spans`` of the log-mel frames with
+    ``min_last`` ``EMBED_MIN_TAIL`` embedding frames, as a shorter chunk
+    could differ in the last bit, and ``dsp.regroup`` gathers the samples
+    each chunk's frames read.  So each chunk equals the same frames of
+    the whole signal at once bit for bit, and the last chunk runs to the
+    last log-mel frame, as the one-pass computation does.
     """
     _check_embed_length(n_samples)
-    spans = _chunk_spans(dsp.frame_count(n_samples))
+    chunks = dsp.spans(dsp.frame_count(n_samples),
+                       EMBED_CHUNK * FRAMES_PER_EMBED,
+                       EMBED_MIN_TAIL * FRAMES_PER_EMBED)
+    samples = [(f0 * dsp.FRAME_HOP, (f1 - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN)
+               for f0, f1 in chunks]
     per_block = FRAMES_PER_EMBED // 2 ** EMBED_TAP
     out = None
-    for f0, x in _span_samples(blocks, spans):
+    for x, (f0, _) in zip(dsp.regroup(blocks, samples), chunks):
         h = dsp.logmel(dsp.Waveform(x))[None, None]
         for layer in model.backbone.layers[:2 * EMBED_TAP]:  # conv+relu
             h, _ = layer.forward(h)
         if out is None:
-            out = np.empty((spans[-1][1] // FRAMES_PER_EMBED,
+            out = np.empty((chunks[-1][1] // FRAMES_PER_EMBED,
                             h.shape[1] * h.shape[3]))
         t0 = f0 // FRAMES_PER_EMBED
         for i in range(h.shape[2] // per_block):

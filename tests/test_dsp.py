@@ -36,6 +36,53 @@ def dominant_freq(x, sr):
     return np.argmax(spec) * sr / len(x)
 
 
+# -- blocks --------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, min_last, want", [
+    (5, 3, [(0, 5)]),                                   # under one block
+    (24, 8, [(0, 8), (8, 16), (16, 24)]),               # whole blocks
+    (26, 3, [(0, 8), (8, 16), (16, 26)]),               # tail of 2 joins
+    (27, 3, [(0, 8), (8, 16), (16, 24), (24, 27)]),     # tail of 3 stays
+    (0, 1, []),
+])
+def test_spans(n, min_last, want):
+    assert dsp.spans(n, 8, min_last) == want
+
+
+def test_regroup_gathers_rising_spans_across_uneven_blocks():
+    x = np.arange(150.0)
+    cuts = [0, 3, 4, 40, 41, 97, 150]
+    spans = [(0, 10), (5, 40), (38, 41), (41, 90), (95, 100), (99, 150)]
+    parts = list(dsp.regroup((x[a:b] for a, b in zip(cuts, cuts[1:])),
+                             spans))
+    assert len(parts) == len(spans)
+    for part, (a, b) in zip(parts, spans):
+        np.testing.assert_array_equal(part, x[a:b])
+
+
+def test_regroup_span_in_one_block_is_a_view():
+    x = np.arange(150.0)
+    blocks = [x[:50], x[50:100], x[100:]]
+    parts = list(dsp.regroup(blocks, [(10, 40), (30, 60), (100, 120)]))
+    assert np.shares_memory(parts[0], blocks[0])
+    assert not np.shares_memory(parts[1], x)     # it spans two blocks
+    assert np.shares_memory(parts[2], blocks[2])
+
+
+def test_regroup_reads_the_blocks_to_their_end():
+    # a reader's check on the end of its file runs after the last span;
+    # zip stops at its first exhausted argument, so the generator goes
+    # first
+    def blocks():
+        yield np.zeros(50)
+        yield np.zeros(50)
+        raise TruncatedFileError("the data ends early")
+    spans = [(0, 30), (20, 60)]
+    with pytest.raises(TruncatedFileError):
+        for _ in zip(dsp.regroup(blocks(), spans), spans):
+            pass
+
+
 # -- WAV I/O -------------------------------------------------------------------
 
 def test_load_silence_identity(tmp_path):

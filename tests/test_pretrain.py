@@ -127,7 +127,9 @@ def test_embed_frames_in_chunks_equal_one_pass(seconds):
     want = embed_frames_one_pass(model, w)
     got = pretrain.embed_frames(model, w)
     assert got.shape == want.shape
-    spans = pretrain._chunk_spans(dsp.frame_count(len(w.samples)))
+    spans = dsp.spans(dsp.frame_count(len(w.samples)),
+                      pretrain.EMBED_CHUNK * pretrain.FRAMES_PER_EMBED,
+                      pretrain.EMBED_MIN_TAIL * pretrain.FRAMES_PER_EMBED)
     assert len(spans) == {20.0: 1, 21.0: 1, 26.0: 2, 41.2: 2, 47.0: 3}[seconds]
     last = spans[-1][0] // pretrain.FRAMES_PER_EMBED
     assert len(got) - last >= pretrain.EMBED_MIN_TAIL
