@@ -24,8 +24,8 @@ atexit.register(shutil.rmtree, work)   # removed at exit, on an error too
 print(f"working in {work}")
 
 # 1. a 6-class corpus (4 motif families + pink/babble bursts), 8 clips each
-cfg = corpus.PretrainConfig(n_classes=6, n_noise_classes=2,
-                            clips_per_class=8, clip_duration_s=8.0, seed=7)
+cfg = corpus.PretrainConfig(n_classes=6, clips_per_class=8,
+                            clip_duration_s=8.0, seed=7)
 manifest = corpus.gen_pretrain_dataset(cfg, work / "data")
 records = pretrain.load_manifest(manifest)
 print(f"rendered {len(records)} clips")

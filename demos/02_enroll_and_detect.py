@@ -25,8 +25,8 @@ atexit.register(shutil.rmtree, work)   # removed at exit, on an error too
 print(f"working in {work}")
 
 # -- pretraining (tiny, just enough to give embeddings some structure) -----
-cfg = corpus.PretrainConfig(n_classes=6, n_noise_classes=2,
-                            clips_per_class=8, clip_duration_s=8.0, seed=5)
+cfg = corpus.PretrainConfig(n_classes=6, clips_per_class=8,
+                            clip_duration_s=8.0, seed=5)
 records = pretrain.load_manifest(corpus.gen_pretrain_dataset(cfg, work / "d"))
 mc = pretrain.ModelConfig(n_classes=6, seed=5, **TINY)
 tc = pretrain.TrainConfig(epochs=6, batch_size=8, crop_frames=798,

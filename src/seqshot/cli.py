@@ -72,7 +72,7 @@ def _save_trained(model, out, name, records, **extra):
 
 
 def _n_classes(cfg):
-    # total classes; the last n_noise_classes of them are noise bursts
+    # total classes; the last corpus.N_NOISE_CLASSES of them are noise bursts
     return cfg["corpus"]["n_classes"]
 
 

@@ -34,11 +34,8 @@ DEFAULTS = {
     "evaluate": {"reps": evaluate.REPS},
 }
 
-MAY_BE_ZERO = {
-    "seed", "corpus.n_noise_classes", "train.warmup_frac",
-    "train.weight_decay", "augment.n_time_shift", "augment.n_masked",
-    "augment.n_shuffled",
-    "detector.weight_decay", "detector.margin_weight", "detector.bce_weight"}
+MAY_BE_ZERO = {"seed", "augment.n_time_shift", "augment.n_masked",
+               "augment.n_shuffled"}
 
 
 def _merge(base, update, path=""):

@@ -50,7 +50,7 @@ class Motif:
 class SceneSpec:
     duration_s: float
     background: str = "pink"            # silence | pink | babble
-    snr_db: float = 15.0                # None means no background mixed
+    snr_db: float = 15.0
     insert_time_s: float = 0.0
     field: str = "near"                 # near | far
     rt60_s: float = 0.5
@@ -195,11 +195,10 @@ def render_scene(motif, spec: SceneSpec, rng):
     if spec.field == "far":
         rir = synth_rir(rng, spec.rt60_s)
         placed = dsp.convolve_rir(dsp.Waveform(placed, sr), rir).samples
-        if snr_db is not None:
-            snr_db = snr_db - FAR_FIELD_SNR_PENALTY_DB
+        snr_db = snr_db - FAR_FIELD_SNR_PENALTY_DB
     sig_power = float(np.mean(event_wav.samples ** 2))
     mix = placed.copy()
-    if spec.background != "silence" and snr_db is not None and np.isfinite(snr_db):
+    if spec.background != "silence":
         bg = _background(rng, spec.background, n)
         bg_power = float(np.mean(bg ** 2))
         scale = np.sqrt(sig_power / (bg_power * 10.0 ** (snr_db / 10.0)))
@@ -218,27 +217,21 @@ def render_scene(motif, spec: SceneSpec, rng):
 EVENT_DURATION_RANGE = (1.5, 4.0)  # motif lengths and noise-burst lengths, s
 EVENT_SNR_DB_RANGE = (12.0, 25.0)  # each event over the clip's noise floor
 SECOND_EVENT_PROB = 0.2            # share of clips that hold a second class
+N_NOISE_CLASSES = 2                # the last classes: pink and babble bursts
 
 
 @dataclass
 class PretrainConfig:
     n_classes: int = 12
-    n_noise_classes: int = 2          # pink burst + babble burst
     clips_per_class: int = 42
     clip_duration_s: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
-        # a second class is drawn from the others, noise classes are one
-        # of two kinds (pink, babble), and every clip must embed
+        # a second class is drawn from the others; every clip must embed
         if self.n_classes < 2:
             raise ConfigError(f"corpus needs at least 2 classes, got "
                               f"{self.n_classes}")
-        if self.n_noise_classes > min(2, self.n_classes):
-            raise ConfigError(
-                f"n_noise_classes {self.n_noise_classes} exceeds "
-                f"min(2, n_classes {self.n_classes}): the noise kinds are "
-                f"pink and babble")
         if self.clip_duration_s < pretrain.MIN_EMBED_S:
             raise ConfigError(
                 f"clip_duration_s {self.clip_duration_s} is under the "
@@ -260,13 +253,13 @@ def gen_pretrain_dataset(config: PretrainConfig, out_dir):
     """Write WAVs + a JSON-lines manifest; returns the manifest path.
 
     Coarse class c < n_families is motif family c; the last
-    ``n_noise_classes`` classes are pink-burst and babble-burst events.
+    ``N_NOISE_CLASSES`` classes are pink-burst and babble-burst events.
     Strong events are retained in the manifest for pseudo-label
     validation but carry no role in weak training.
     """
     out_dir = Path(out_dir)
     (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
-    n_fam = config.n_classes - config.n_noise_classes
+    n_fam = config.n_classes - N_NOISE_CLASSES
     families = [
         gen_motif_family(
             family_seed=config.seed * 1000 + 17 * c + 3,
@@ -354,6 +347,7 @@ ENROLL_SNR_DB = 18.0
 EVAL_SNR_DB = 15.0
 EPISODE_RT60_S = 0.5         # far-field reverberation
 EPISODE_BACKGROUNDS = ("pink", "babble")
+SHOT_PAD_RANGE = (2.0, 4.0)  # seconds of scene around each rendered motif
 
 
 @dataclass
@@ -363,7 +357,6 @@ class EpisodeSpec:
     eval_neg_per_seq: int = 20
     n_sequences: int = 10
     length_range: tuple = (1.0, 10.0)
-    shot_pad_range: tuple = (2.0, 4.0)
 
 
 def _fields_5050(count, rng):
@@ -390,7 +383,7 @@ def gen_episode(spec: EpisodeSpec, out_dir):
     rng = np.random.default_rng(spec.family_seed * 7919 + 11)
 
     def render(motif, field, snr, tag, idx):
-        pad = float(rng.uniform(*spec.shot_pad_range))
+        pad = float(rng.uniform(*SHOT_PAD_RANGE))
         duration = motif.duration_s + pad
         insert = float(rng.uniform(0.2, max(0.21, duration - motif.duration_s - 0.2)))
         sc = SceneSpec(

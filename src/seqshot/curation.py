@@ -252,8 +252,8 @@ def embed_crop(w: dsp.Waveform, seg: Segment):
     """The audio under ``seg``, widened at its end (or, at the end of the
     shot, at its start) to the pooled embedder's minimum duration."""
     min_len = int(pretrain.MIN_EMBED_S * w.sample_rate)
-    a = int(seg.onset_s * w.sample_rate)
-    b = int(seg.offset_s * w.sample_rate)
+    a = int(round(seg.onset_s * w.sample_rate))
+    b = int(round(seg.offset_s * w.sample_rate))
     if b - a < min_len:
         b = a + min_len
     if b > len(w.samples):

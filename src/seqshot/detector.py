@@ -78,19 +78,19 @@ class DetectorNet(nn.Module):
 # -- normalized margin ----------------------------------------------------------
 
 MARGIN_EPS = 1e-6                # norm regularizer in the denominator
+GAMMA = 1.0                      # target normalized margin
+MARGIN_WEIGHT = 1.0
+BCE_WEIGHT = 0.1
+LR = 1e-3                        # fixed AdamW learning rate
+WEIGHT_DECAY = 1e-4
 
 
 @dataclass
 class DetectorTrainConfig:
-    """Training settings and the margin loss's weights: the CLI's
-    ``detector`` table, field for field (less ``seed``)."""
+    """Training settings: the CLI's ``detector`` table, field for field
+    (less ``seed``)."""
     epochs: int = 200
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
     seed: int = 0
-    gamma: float = 1.0            # target normalized margin
-    margin_weight: float = 1.0
-    bce_weight: float = 0.1
 
 
 def _gap_seeds(labels):
@@ -129,16 +129,16 @@ def _gap_norms(net, grads, layer_names):
     return norms
 
 
-def detector_loss(net: DetectorNet, x, labels,
-                  config: DetectorTrainConfig = None, frozen_norms=None):
+def detector_loss(net: DetectorNet, x, labels, frozen_norms=None):
     """Margin + BCE loss over a batch; sets the net's parameter gradients.
 
     Margin term: mean over items and feature maps (the input and every
     conv output) of
-    max(0, gamma - gap / (norm + eps)) with the norms held constant
+    max(0, GAMMA - gap / (norm + eps)) with the norms held constant
     (optionally supplied via ``frozen_norms`` for finite-difference
     checks).  BCE term: on sigma(f_target - f_nontarget) against the
-    labels.  Returns (loss, details dict).
+    labels.  The loss is MARGIN_WEIGHT times the first plus BCE_WEIGHT
+    times the second.  Returns (loss, details dict).
 
     One forward and one backward pass per step.  Items do not interact
     and the norms are constants, so at every layer's output the loss
@@ -148,7 +148,6 @@ def detector_loss(net: DetectorNet, x, labels,
     those gradients; the parameter gradients then come from the gap
     gradients scaled by c_b.
     """
-    cfg = config or DetectorTrainConfig()
     labels = np.asarray(labels)
     b = len(labels)
     layer_names = ("input", *net.conv_layer_names())
@@ -164,7 +163,7 @@ def detector_loss(net: DetectorNet, x, labels,
 
     denom = np.stack([norms[name] for name in layer_names]) + MARGIN_EPS
     margins = gap / denom                             # (L, B)
-    hinge = np.maximum(0.0, cfg.gamma - margins)
+    hinge = np.maximum(0.0, GAMMA - margins)
     margin_loss = float(hinge.mean())
     # d margin_loss / d gap, norms frozen
     dgap_margin = -((hinge > 0) / denom).sum(axis=0) / hinge.size
@@ -173,9 +172,9 @@ def detector_loss(net: DetectorNet, x, labels,
     y = labels == 1
     bce = float(-np.mean(np.log(np.where(y, p, 1 - p) + 1e-12)))
 
-    loss = cfg.margin_weight * margin_loss + cfg.bce_weight * bce
-    dgap = cfg.margin_weight * dgap_margin \
-        + cfg.bce_weight * sign * ((p - y) / b)     # c_b
+    loss = MARGIN_WEIGHT * margin_loss + BCE_WEIGHT * bce
+    dgap = MARGIN_WEIGHT * dgap_margin \
+        + BCE_WEIGHT * sign * ((p - y) / b)     # c_b
     output_grads = {
         layer.name: dgap.reshape(-1, *[1] * (grads[layer.name].ndim - 1))
         * grads[layer.name] for layer in net.graph.layers if layer.params}
@@ -194,8 +193,8 @@ TRAIN_BATCH = 128                # items per detector training step
 def train_detector(train_set, config: DetectorTrainConfig = None):
     """Train from EmbeddingSequences (all the same frame count).
 
-    Requires both classes present.  Fixed learning rate, AdamW
-    (``nn.fit``).
+    Requires both classes present.  Fixed learning rate LR, AdamW with
+    WEIGHT_DECAY (``nn.fit``).
     """
     cfg = config or DetectorTrainConfig()
     if not train_set:
@@ -219,10 +218,10 @@ def train_detector(train_set, config: DetectorTrainConfig = None):
             yield order[b0: b0 + TRAIN_BATCH]
 
     def step_loss(idx):
-        return detector_loss(net, x_all[idx], labels[idx], cfg)[0]
+        return detector_loss(net, x_all[idx], labels[idx])[0]
 
     net.loss_curve = nn.fit(net, cfg.epochs, batches, step_loss,
-                            lambda step: cfg.lr, cfg.weight_decay)
+                            lambda step: LR, WEIGHT_DECAY)
     return net
 
 

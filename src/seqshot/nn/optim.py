@@ -7,6 +7,11 @@ import numpy as np
 
 BETAS = (0.9, 0.999)            # moment decay rates
 EPS = 1e-8                      # added to the second-moment root
+# the one-cycle schedule: linear warm-up from FINAL_LR to PEAK_LR over
+# the first WARMUP_FRAC of the run, then cosine decay back to FINAL_LR
+PEAK_LR = 0.01
+FINAL_LR = 0.0001
+WARMUP_FRAC = 0.1
 
 
 def adamw_init(param):
@@ -47,14 +52,13 @@ def adamw_step(param, grad, state, lr, weight_decay=0.0):
     return state
 
 
-def one_cycle_lr(step, total_steps, peak, final, warmup_frac):
-    """Linear warmup final->peak, then cosine decay peak->final."""
+def one_cycle_lr(step, total_steps):
+    """Linear warmup FINAL_LR->PEAK_LR, then cosine decay back."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    warm = warmup_frac * total_steps
-    if warm > 0 and step <= warm:
-        return final + (peak - final) * (step / warm)
-    if total_steps == warm:
-        return peak
+    warm = WARMUP_FRAC * total_steps
+    if step <= warm:
+        return FINAL_LR + (PEAK_LR - FINAL_LR) * (step / warm)
     frac = (step - warm) / (total_steps - warm)
-    return final + (peak - final) * 0.5 * (1.0 + math.cos(math.pi * frac))
+    return FINAL_LR + (PEAK_LR - FINAL_LR) * 0.5 \
+        * (1.0 + math.cos(math.pi * frac))

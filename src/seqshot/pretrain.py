@@ -260,15 +260,14 @@ class StrongModel(_Embedder):
 
 # -- training -------------------------------------------------------------------
 
+WEIGHT_DECAY = 1e-4              # AdamW's decoupled decay, every stage
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    peak_lr: float = 0.01
-    final_lr: float = 0.0001
-    warmup_frac: float = 0.1
-    weight_decay: float = 1e-4
     crop_frames: int = 998
     augment: bool = True
 
@@ -395,10 +394,6 @@ def _fit(model, records, targets, config, random_crop=True, teacher=None):
             yield _prepare_batch(records, idxs, targets, rng, config,
                                  random_crop, clips)
 
-    def lr(step):
-        return nn.one_cycle_lr(step, total_steps, config.peak_lr,
-                               config.final_lr, config.warmup_frac)
-
     def step_loss(batch):
         x, y = batch
         logits, cache = model.forward(x)
@@ -411,8 +406,9 @@ def _fit(model, records, targets, config, random_crop=True, teacher=None):
         model.backward(cache, dlogits)
         return loss
 
-    model.loss_curve = nn.fit(model, config.epochs, batches, step_loss, lr,
-                              config.weight_decay)
+    model.loss_curve = nn.fit(
+        model, config.epochs, batches, step_loss,
+        lambda step: nn.one_cycle_lr(step, total_steps), WEIGHT_DECAY)
     return model
 
 

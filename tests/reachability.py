@@ -3,12 +3,15 @@
 One process runs every user path under ``sys.settrace``: ``bench/run.py
 --seconds 0`` for each workload, the three demos and
 ``pipeline_digests.run_pipeline`` (all seven CLI subcommands).  It then
-prints three lists:
+prints four lists:
 
   - functions never entered;
   - keyword parameters that every traced call leaves at their default
     (compared by ``==``; closures and generators are not checked);
-  - for each function that was entered, the number of its lines never run.
+  - for each function that was entered, the number of its lines never run;
+  - fields of dataclasses that every instance built leaves at their
+    default (compared the same way; a dataclass never built is not
+    listed).
 
 Lines are those the compiler gives code to, so docstrings are not among
 them; the lines of ``raise`` statements are left out, and a
@@ -21,6 +24,7 @@ Only the standard library is used; the traced paths need numpy and scipy.
 
 import ast
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -69,6 +73,7 @@ class Audit:
     def __init__(self, root):
         self.root = os.path.realpath(root)
         self.functions = []
+        self.dataclasses = []
         self._by_key = {}          # (path, first line, qualname) -> Function
         # code object -> (Function, own code, line tracer), or None
         self._known = {}
@@ -137,7 +142,7 @@ class Audit:
         fn = self._by_key.get((os.path.realpath(code.co_filename),
                                code.co_firstlineno, _qualname(code)))
         if fn is None:
-            return None
+            return self._learn_dataclass(frame)
         own = fn.qualname == _qualname(code)
         if own and fn.defaults_kept is None:
             fn.defaults_kept = {}
@@ -152,6 +157,34 @@ class Audit:
                 ran.add(frame.f_lineno)
             return trace_lines
         return fn, own, trace_lines
+
+    def _learn_dataclass(self, frame):
+        """What ``_learn`` gives when ``frame`` runs the generated
+        ``__init__`` of a dataclass of ``root``: a Function whose
+        parameters are the fields, and no line tracer.  Else None.  That
+        ``__init__`` is compiled from a string, so its file is
+        ``<string>``; its class is read from the instance."""
+        code = frame.f_code
+        if code.co_name != "__init__" or not code.co_argcount:
+            return None
+        instance = frame.f_locals[code.co_varnames[0]]
+        cls = next((c for c in type(instance).__mro__ if getattr(
+            vars(c).get("__init__"), "__code__", None) is code), None)
+        if cls is None or not dataclasses.is_dataclass(cls):
+            return None
+        try:
+            path = os.path.realpath(inspect.getsourcefile(cls))
+            line = inspect.getsourcelines(cls)[1]
+        except (OSError, TypeError):
+            return None
+        if not path.startswith(self.root + os.sep):
+            return None
+        # a default_factory field's default here is a marker that only
+        # a call which leaves the field out passes
+        fn = Function(path, line, cls.__qualname__, set(), entered=True,
+                      defaults_kept=_defaults(cls.__init__))
+        self.dataclasses.append(fn)
+        return fn, True, None
 
     def _function_of(self, code, namespace):
         """The function of ``namespace``, or a method of one of its
@@ -174,6 +207,13 @@ class Audit:
         return [(fn, name) for fn in self.functions
                 if fn.entered and fn.defaults_kept for name in fn.defaults_kept]
 
+    def fields_kept(self):
+        """(dataclass, field) for each field every instance left at its
+        default, in source order."""
+        return [(dc, name) for dc in sorted(
+            self.dataclasses, key=lambda dc: (dc.path, dc.line))
+            for name in dc.defaults_kept]
+
     def lines_never_run(self):
         """(Function, count) for each entered function with lines not run."""
         return [(fn, len(fn.lines - fn.ran)) for fn in self.functions
@@ -185,6 +225,7 @@ class Audit:
         never = self.never_entered()
         kept = self.defaults_kept()
         unrun = self.lines_never_run()
+        fields = self.fields_kept()
         out = [f"functions never entered ({len(never)}):"]
         out += [f"  {where(fn)}" for fn in never]
         out.append(f"keyword parameters every call left at their default "
@@ -193,6 +234,9 @@ class Audit:
         out.append(f"lines never run in entered functions "
                    f"({sum(n for _, n in unrun)} in {len(unrun)}):")
         out += [f"  {where(fn)}: {n}" for fn, n in unrun]
+        out.append(f"dataclass fields every instance left at their default "
+                   f"({len(fields)}):")
+        out += [f"  {where(dc)}: {name}" for dc, name in fields]
         return "\n".join(out)
 
 

@@ -142,10 +142,9 @@ class EinsumConv2d(nn.Conv2d):
         return dxp
 
 
-def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
+def two_pass_detector_loss(net, x, labels, frozen_norms=None):
     """The detector step as a probe backward pass for the norms, then a
     full backward pass of the loss; sets the parameter gradients."""
-    cfg = config or detector.DetectorTrainConfig()
     labels = np.asarray(labels)
     layer_names = ("input", *net.conv_layer_names())
     logits, (cache,) = net.forward(x)
@@ -165,7 +164,7 @@ def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
     b = len(labels)
     margins = np.stack([gap / (norms[name] + detector.MARGIN_EPS)
                         for name in layer_names])
-    hinge = np.maximum(0.0, cfg.gamma - margins)
+    hinge = np.maximum(0.0, detector.GAMMA - margins)
     margin_loss = float(hinge.mean())
     active = (hinge > 0).astype(np.float64)
     dgap_margin = -(active / np.stack([norms[n] + detector.MARGIN_EPS
@@ -176,9 +175,9 @@ def two_pass_detector_loss(net, x, labels, config=None, frozen_norms=None):
     eps = 1e-12
     bce = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     dgap_signed_bce = (p - y) / b
-    loss = cfg.margin_weight * margin_loss + cfg.bce_weight * bce
-    dgap_signed = cfg.margin_weight * sign * dgap_margin \
-        + cfg.bce_weight * dgap_signed_bce
+    loss = detector.MARGIN_WEIGHT * margin_loss + detector.BCE_WEIGHT * bce
+    dgap_signed = detector.MARGIN_WEIGHT * sign * dgap_margin \
+        + detector.BCE_WEIGHT * dgap_signed_bce
     net.graph.zero_grads()
     net.graph.backward(cache, np.stack([dgap_signed, -dgap_signed], axis=1))
     return loss, {"margin_loss": margin_loss, "bce": bce, "gap": gap,

@@ -106,18 +106,17 @@ def test_detector_loss_matches_finite_differences_100_cases():
             p += 0.1 * rng.standard_normal(p.shape)
         x = rng.normal(size=(2, 3, 6))
         labels = np.array([1, 0])
-        cfg = detector.DetectorTrainConfig()
-        _, details = detector.detector_loss(net, x, labels, cfg)
+        _, details = detector.detector_loss(net, x, labels)
         norms = details["norms"]            # denominators frozen below
 
         def loss():
             net.graph.zero_grads()
-            val, _ = detector.detector_loss(net, x, labels, cfg,
+            val, _ = detector.detector_loss(net, x, labels,
                                             frozen_norms=norms)
             return val
 
         net.graph.zero_grads()
-        detector.detector_loss(net, x, labels, cfg, frozen_norms=norms)
+        detector.detector_loss(net, x, labels, frozen_norms=norms)
         grads = net.graph.grads()
         params = net.graph.params()
         for key in ("proj/W", "conv0/W", "conv1/b", "head/W"):

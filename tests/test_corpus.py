@@ -42,7 +42,7 @@ def test_scrambled_motif_changes_class():
 def test_render_degenerate_spec_is_identity():
     motif = corpus.gen_motif_family(5, n_sequences=2, length_range=(1.0, 2.0))[0]
     spec = corpus.SceneSpec(duration_s=4.0, background="silence",
-                            snr_db=None, insert_time_s=1.0, field="near")
+                            insert_time_s=1.0, field="near")
     w, events, weak = corpus.render_scene(motif, spec, np.random.default_rng(0))
     ref = corpus.synth_motif(motif).samples
     i0 = int(1.0 * 16000)
@@ -65,8 +65,7 @@ def test_far_field_reverb_tail():
 
     def tail_energy(field):
         spec = corpus.SceneSpec(duration_s=dur, background="silence",
-                                snr_db=None, insert_time_s=0.2, field=field,
-                                rt60_s=0.5)
+                                insert_time_s=0.2, field=field, rt60_s=0.5)
         w, _, _ = corpus.render_scene(motif, spec, np.random.default_rng(1))
         t0 = int((0.2 + motif.duration_s + 0.1) * 16000)
         return float(np.mean(w.samples[t0: t0 + 400] ** 2))
@@ -121,9 +120,10 @@ def test_episode_counts_and_fields(tmp_path):
         assert (tmp_path / e["wav"]).exists()
 
 
-def test_episode_negatives_per_sequence(tmp_path):
+def test_episode_negatives_per_sequence(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "SHOT_PAD_RANGE", (1.0, 1.5))   # short shots
     spec = corpus.EpisodeSpec(family_seed=4, eval_neg_per_seq=20,
-                              length_range=(1.0, 1.5), shot_pad_range=(1.0, 1.5))
+                              length_range=(1.0, 1.5))
     path = corpus.gen_episode(spec, tmp_path)
     desc = json.loads(path.read_text())
     neg = [e for e in desc["eval"] if e["label"] == 0]

@@ -280,3 +280,12 @@ def test_curate_end_to_end():
         assert seg.onset_s == pytest.approx(true_onset, abs=0.15)
     assert len(report["shots"]) == 3
     assert all(r["candidates"] for r in report["shots"])
+
+
+def test_embed_crop_rounds_grid_times_to_samples():
+    # 803 * 0.01 s times 16000 is 128479.99999999999: truncation would
+    # start the crop a sample early
+    w = dsp.Waveform(np.arange(10 * 16000, dtype=np.float64), 16000)
+    seg = curation.Segment(0, 803 * dsp.FRAME_HOP_S, 900 * dsp.FRAME_HOP_S)
+    crop = curation.embed_crop(w, seg)
+    assert crop.samples[0] == 128480 and len(crop.samples) == 97 * 160

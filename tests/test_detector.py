@@ -120,11 +120,10 @@ def test_detector_loss_gradcheck():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 7))
     labels = np.array([1, 0, 1, 0])
-    mcfg = detector.DetectorTrainConfig()
-    _, details = detector.detector_loss(net, x, labels, mcfg)
+    _, details = detector.detector_loss(net, x, labels)
     norms = details["norms"]
 
-    detector.detector_loss(net, x, labels, mcfg, frozen_norms=norms)
+    detector.detector_loss(net, x, labels, frozen_norms=norms)
     grads = {k: v.copy() for k, v in net.grads().items()}
 
     h = 1e-6
@@ -137,12 +136,10 @@ def test_detector_loss_gradcheck():
         orig = p[idx]
         p[idx] = orig + h
         net.graph.mark_updated()
-        lp, _ = detector.detector_loss(net, x, labels, mcfg,
-                                       frozen_norms=norms)
+        lp, _ = detector.detector_loss(net, x, labels, frozen_norms=norms)
         p[idx] = orig - h
         net.graph.mark_updated()
-        lm, _ = detector.detector_loss(net, x, labels, mcfg,
-                                       frozen_norms=norms)
+        lm, _ = detector.detector_loss(net, x, labels, frozen_norms=norms)
         p[idx] = orig
         net.graph.mark_updated()
         num = (lp - lm) / (2 * h)
@@ -155,10 +152,9 @@ def test_detector_loss_has_margin_and_bce_terms():
     x = np.random.default_rng(9).standard_normal((2, 4, 6))
     labels = np.array([1, 0])
     loss, details = detector.detector_loss(net, x, labels)
-    mcfg = detector.DetectorTrainConfig()
     assert loss == pytest.approx(
-        mcfg.margin_weight * details["margin_loss"]
-        + mcfg.bce_weight * details["bce"])
+        detector.MARGIN_WEIGHT * details["margin_loss"]
+        + detector.BCE_WEIGHT * details["bce"])
     assert details["margins"].shape == (4, 2)   # input + 3 convs, 2 items
 
 
@@ -264,20 +260,17 @@ def test_clip_score_short_clip_uses_whole(toy_net):
 
 # -- the fused step against the two-pass reference --------------------------------
 
-FUSED_CASES = {
-    "default": dict(),
-    "frozen_norms": dict(),
-    "no_bce": dict(bce_weight=0.0),
-    "short_window": dict(),
-}
+FUSED_CASES = ("default", "frozen_norms", "no_bce", "short_window")
 # frames per item; the others run at 9, where every tap reads the input.
 # At 3, conv1 keeps 2 of its 3 taps and conv2 keeps 1, and the input norm
 # still comes from the projection's Gram matrix
 FUSED_FRAMES = {"short_window": 3}
 
 
-@pytest.mark.parametrize("case", sorted(FUSED_CASES))
-def test_fused_step_matches_two_pass_reference(case):
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_fused_step_matches_two_pass_reference(case, monkeypatch):
+    if case == "no_bce":            # both losses read the module's weight
+        monkeypatch.setattr(detector, "BCE_WEIGHT", 0.0)
     rng = np.random.default_rng(21)
     net = detector.DetectorNet(detector.DetectorConfig(embed_dim=6,
                                                        proj_dim=5, seed=3))
@@ -286,14 +279,13 @@ def test_fused_step_matches_two_pass_reference(case):
     net.graph.mark_updated()
     x = rng.standard_normal((7, 6, FUSED_FRAMES.get(case, 9)))
     labels = np.array([1, 0, 0, 1, 0, 1, 0])
-    mcfg = detector.DetectorTrainConfig(**FUSED_CASES[case])
     frozen = None
     if case == "frozen_norms":
         frozen = {k: v * rng.uniform(0.5, 2.0, v.shape) for k, v in
-                  detector.detector_loss(net, x, labels, mcfg)[1]["norms"].items()}
+                  detector.detector_loss(net, x, labels)[1]["norms"].items()}
 
     def run(loss_fn):
-        loss, details = loss_fn(net, x, labels, mcfg, frozen_norms=frozen)
+        loss, details = loss_fn(net, x, labels, frozen_norms=frozen)
         return loss, details, {k: v.copy() for k, v in net.grads().items()}
 
     loss, details, grads = run(detector.detector_loss)

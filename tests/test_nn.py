@@ -268,20 +268,15 @@ def test_adamw_refuses_mismatched_gradient():
         nn.adamw_step(p, np.zeros(2), nn.adamw_init(p), lr=0.01)
 
 
-def _one_cycle(step):
-    # TrainConfig's schedule over 1000 steps
-    return nn.one_cycle_lr(step, 1000, peak=0.01, final=0.0001,
-                           warmup_frac=0.1)
-
-
 def test_one_cycle_endpoints():
-    assert _one_cycle(0) == pytest.approx(0.0001)
-    assert _one_cycle(100) == pytest.approx(0.01)   # warmup end
-    assert _one_cycle(1000) == pytest.approx(0.0001)
+    # the pretraining schedule over 1000 steps
+    assert nn.one_cycle_lr(0, 1000) == pytest.approx(0.0001)
+    assert nn.one_cycle_lr(100, 1000) == pytest.approx(0.01)   # warmup end
+    assert nn.one_cycle_lr(1000, 1000) == pytest.approx(0.0001)
 
 
 def test_one_cycle_monotone_decay_after_peak():
-    lrs = [_one_cycle(s) for s in range(100, 1001)]
+    lrs = [nn.one_cycle_lr(s, 1000) for s in range(100, 1001)]
     assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
