@@ -4,8 +4,9 @@ Pretrains tiny weak + frame-embedding models, then runs the few-shot
 side on one synthetic episode with ``evaluate.enroll``: curate the K
 unsegmented shots, expand the curated segments into a training set
 (positives by time shift, negatives by masking/shuffling the positives
-themselves), train the margin detector, and stream it over an
-evaluation clip with the scan window the enrollment decided.
+themselves), train the detector on them by binary cross-entropy, and
+stream it over an evaluation clip with the scan window the enrollment
+decided.
 
 Runs in a few minutes on a laptop:  python3 demos/02_enroll_and_detect.py
 """
@@ -43,7 +44,7 @@ desc = json.loads(corpus.gen_episode(spec, work / "ep").read_text())
 shots = [dsp.load_wav(work / "ep" / e["wav"]) for e in desc["enrollment"]]
 
 # -- enrollment: curate the shots, expand the curated segments into a
-# training set from the positives alone, train the margin detector --------
+# training set from the positives alone, train the detector ---------------
 models = evaluate.PretrainedModels(weak=weak, strong=strong, delta=None,
                                    donor_pairs=[])
 # no Δ-encoder (delta=None), so no Δ positives

@@ -1,4 +1,4 @@
-"""Episode benchmark: margin detector vs. pooled-cosine baseline.
+"""Episode benchmark: sequence detector vs. pooled-cosine baseline.
 
 Runs the audited episode protocol on a few synthetic episodes of
 different target durations and prints AUPRC for the frame-sequence

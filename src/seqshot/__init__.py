@@ -6,7 +6,7 @@ Subpackages/modules:
   pretrain   weak/distilled/strong embedding training, pseudo labels
   curation   onset/offset estimation from unsegmented enrollment shots
   augment    embedding-space target augmentation and negative synthesis
-  detector   margin-loss binary detector over embedding sequences
+  detector   binary detector over embedding sequences
   corpus     deterministic synthetic acoustic-sequence datasets
   evaluate   episode protocol, AUPRC, difficulty index
 """

@@ -25,8 +25,8 @@ from .nn.checkpoint import read_exact, read_header, write_header
 PROVENANCES = ("curated", "time_shift", "delta", "masked", "shuffled")
 
 ENLARGE_S = 0.5          # curation bounds grow by this much, split evenly
-MIN_CROP_S = 1.4         # shortest audio crop that embeds to >= 4 frames
-                         # (enough for the masking/shuffling synthesizers)
+MIN_FRAMES = 4           # shortest sequence the negative synthesizers take
+MIN_CROP_S = 1.4         # shortest audio crop that embeds to >= MIN_FRAMES
 MASK_FRACTION = (0.25, 0.5)
 SHUFFLE_BLOCK_DIVISOR = 5
 
@@ -273,8 +273,8 @@ def delta_augment(model: DeltaEncoder, target: EmbeddingSequence, donor_pair,
 def synth_negative_mask(target: EmbeddingSequence, rng):
     """Replace a contiguous block (25-50 % of T) with the mean frame."""
     t = target.frames.shape[0]
-    if t < 4:
-        raise EmptyInputError("need >= 4 frames to mask")
+    if t < MIN_FRAMES:
+        raise EmptyInputError(f"need >= {MIN_FRAMES} frames to mask")
     rho = float(rng.uniform(*MASK_FRACTION))
     length = max(1, int(round(rho * t)))
     start = int(rng.integers(0, t - length + 1))
@@ -287,8 +287,8 @@ def synth_negative_shuffle(target: EmbeddingSequence, rng):
     """Permute blocks (about T/5 of them, min 2) with a non-identity
     permutation; preserves the frame multiset exactly."""
     t = target.frames.shape[0]
-    if t < 4:
-        raise EmptyInputError("need >= 4 frames to shuffle")
+    if t < MIN_FRAMES:
+        raise EmptyInputError(f"need >= {MIN_FRAMES} frames to shuffle")
     n_blocks = max(2, int(round(t / SHUFFLE_BLOCK_DIVISOR)))
     base = t // n_blocks
     bounds = [(i * base, (i + 1) * base if i < n_blocks - 1 else t)

@@ -1,18 +1,14 @@
 """Few-shot sequence detector over embedding frames.
 
 A small dilated causal conv net maps an embedding sequence (E x T) to
-two logits (target, non-target).  Training maximizes a normalized
-margin at several internal feature maps — the logit gap divided by the
-Frobenius norm of its gradient at that feature map — plus a small
-binary cross-entropy term.  The norms act as frozen scale estimates:
-gradients flow through the logit gap only.
+two logits (target, non-target).  It trains on the binary cross-entropy
+of sigma(f_target - f_nontarget) against the labels.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from . import dsp, nn, pretrain
 from .errors import (
@@ -62,9 +58,6 @@ class DetectorNet(nn.Module):
             sizes["kernel"] = convs[0][2]
         return sizes
 
-    def conv_layer_names(self):
-        return [f"conv{i}" for i in range(self.config.n_conv)]
-
     def logits(self, x):
         """x: (B, E, T) -> logits (B, 2)."""
         return self.forward(x)[0]
@@ -72,15 +65,11 @@ class DetectorNet(nn.Module):
     def score(self, x):
         """sigma(f_target - f_nontarget) per item, in (0, 1)."""
         logits = self.logits(x)
-        return expit(logits[:, 0] - logits[:, 1])
+        return pretrain.sigmoid(logits[:, 0] - logits[:, 1])
 
 
-# -- normalized margin ----------------------------------------------------------
+# -- training and streaming detection ---------------------------------------------
 
-MARGIN_EPS = 1e-6                # norm regularizer in the denominator
-GAMMA = 1.0                      # target normalized margin
-MARGIN_WEIGHT = 1.0
-BCE_WEIGHT = 0.1
 LR = 1e-3                        # fixed AdamW learning rate
 WEIGHT_DECAY = 1e-4
 
@@ -93,99 +82,16 @@ class DetectorTrainConfig:
     seed: int = 0
 
 
-def _gap_seeds(labels):
-    """Backward seeds for the logit gap f_true - f_other, shape (B, 2)."""
-    labels = np.asarray(labels)
-    seeds = np.empty((len(labels), 2))
-    seeds[:, 0] = np.where(labels == 1, 1.0, -1.0)
-    seeds[:, 1] = -seeds[:, 0]
-    return seeds
+def detector_loss(net: DetectorNet, x, labels):
+    """Binary cross-entropy of sigma(f_target - f_nontarget) against the
+    labels over a batch; accumulates the net's parameter gradients and
+    returns the loss."""
+    logits, cache = net.forward(x)
+    loss, dgap = pretrain.bce_with_logits(
+        logits[:, 0] - logits[:, 1], (np.asarray(labels) == 1).astype(float))
+    net.backward(cache, np.stack([dgap, -dgap], axis=1))
+    return loss
 
-
-def _item_dots(a, b):
-    """Per-item sum of a * b over all axes but the first."""
-    return np.einsum("ij,ij->i", a.reshape(len(a), -1), b.reshape(len(b), -1))
-
-
-def _gap_norms(net, grads, layer_names):
-    """Per-item Frobenius norm of the gap gradient at each named feature
-    map, from a gradient pass that stopped at the projection.  The
-    projection is 1x1, so the input gradient at frame t is W^T g_t (W the
-    P x E projection, g_t its output gradient) and its squared norm is
-    g_t^T (W W^T) g_t: the (B, T, E) input gradient is never built."""
-    norms = {}
-    for name in layer_names:
-        if name == "input":
-            proj = net.graph.layers[0]
-            w = proj.params["W"][:, :, 0]                 # (P, E)
-            g = grads[proj.name].transpose(0, 2, 1)       # (B, T, P)
-            gw = g.reshape(-1, len(w)) @ (w @ w.T)
-            sq = _item_dots(gw.reshape(g.shape), g)
-        else:
-            g = grads[name]
-            g = g.transpose(0, *range(2, g.ndim), 1)      # memory order
-            sq = _item_dots(g, g)
-        norms[name] = np.sqrt(sq)
-    return norms
-
-
-def detector_loss(net: DetectorNet, x, labels, frozen_norms=None):
-    """Margin + BCE loss over a batch; sets the net's parameter gradients.
-
-    Margin term: mean over items and feature maps (the input and every
-    conv output) of
-    max(0, GAMMA - gap / (norm + eps)) with the norms held constant
-    (optionally supplied via ``frozen_norms`` for finite-difference
-    checks).  BCE term: on sigma(f_target - f_nontarget) against the
-    labels.  The loss is MARGIN_WEIGHT times the first plus BCE_WEIGHT
-    times the second.  Returns (loss, details dict).
-
-    One forward and one backward pass per step.  Items do not interact
-    and the norms are constants, so at every layer's output the loss
-    gradient of item b is a scalar c_b = dloss/dgap_b times the gradient
-    of its gap f_true - f_other.  One gradient pass seeded with the gaps,
-    stopping at the projection, gives the norms (``_gap_norms``) and
-    those gradients; the parameter gradients then come from the gap
-    gradients scaled by c_b.
-    """
-    labels = np.asarray(labels)
-    b = len(labels)
-    layer_names = ("input", *net.conv_layer_names())
-    logits, (cache,) = net.forward(x)
-    seeds = _gap_seeds(labels)
-    sign = seeds[:, 0]
-    gap_signed = logits[:, 0] - logits[:, 1]          # f_target - f_nontarget
-    gap = sign * gap_signed                           # f_true - f_other
-
-    grads = net.graph.output_grads(cache, seeds)
-    norms = _gap_norms(net, grads, layer_names) if frozen_norms is None \
-        else frozen_norms
-
-    denom = np.stack([norms[name] for name in layer_names]) + MARGIN_EPS
-    margins = gap / denom                             # (L, B)
-    hinge = np.maximum(0.0, GAMMA - margins)
-    margin_loss = float(hinge.mean())
-    # d margin_loss / d gap, norms frozen
-    dgap_margin = -((hinge > 0) / denom).sum(axis=0) / hinge.size
-
-    p = expit(gap_signed)
-    y = labels == 1
-    bce = float(-np.mean(np.log(np.where(y, p, 1 - p) + 1e-12)))
-
-    loss = MARGIN_WEIGHT * margin_loss + BCE_WEIGHT * bce
-    dgap = MARGIN_WEIGHT * dgap_margin \
-        + BCE_WEIGHT * sign * ((p - y) / b)     # c_b
-    output_grads = {
-        layer.name: dgap.reshape(-1, *[1] * (grads[layer.name].ndim - 1))
-        * grads[layer.name] for layer in net.graph.layers if layer.params}
-    net.zero_grads()
-    net.graph.backward_params(cache, output_grads)
-    details = {"margin_loss": margin_loss, "bce": bce, "gap": gap,
-               "margins": margins, "norms": norms}
-    return loss, details
-
-
-# -- training and streaming detection ---------------------------------------------
 
 TRAIN_BATCH = 128                # items per detector training step
 
@@ -218,7 +124,7 @@ def train_detector(train_set, config: DetectorTrainConfig = None):
             yield order[b0: b0 + TRAIN_BATCH]
 
     def step_loss(idx):
-        return detector_loss(net, x_all[idx], labels[idx])[0]
+        return detector_loss(net, x_all[idx], labels[idx])
 
     net.loss_curve = nn.fit(net, cfg.epochs, batches, step_loss,
                             lambda step: LR, WEIGHT_DECAY)

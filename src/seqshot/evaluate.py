@@ -146,7 +146,18 @@ def enroll(shots, models: PretrainedModels, seeds,
     """Curate the shots once, then per seed ``s`` build a train set with
     ``default_rng(s)`` and train a detector with seed ``s``.  The scan
     window is the training crops' length, ``augment.crop_duration_s`` of
-    the curated window."""
+    the curated window.  A shot too short to embed to
+    ``augment.MIN_FRAMES`` frames is refused before curation: no training
+    crop of it could be masked or shuffled."""
+    for i, w in enumerate(shots):
+        if detector.window_frame_count(w.duration_s) < augment.MIN_FRAMES:
+            # the fewest samples that embed to MIN_FRAMES frames
+            need = dsp.FRAME_LEN + dsp.FRAME_HOP * (
+                augment.MIN_FRAMES * pretrain.FRAMES_PER_EMBED - 1)
+            raise EmptyInputError(
+                f"enrollment shot {i} lasts {w.duration_s:.3f} s, under the "
+                f"{need / dsp.SAMPLE_RATE:.3f} s that embed to "
+                f"{augment.MIN_FRAMES} frames")
     aug_cfg = augment_config or augment.AugmentConfig()
     train_cfg = train_config or detector.DetectorTrainConfig()
     segments, report = curation.curate(

@@ -39,46 +39,18 @@ class Graph:
         input grad.  ``input_grad=False`` skips the first layer's input
         gradient (returns None).  Each layer's output gradient is freed
         once the layer below has used it."""
-        self._check(cache, dy)
+        if cache.graph is not self or cache.version != self.version:
+            raise StaleCacheError("activation cache is stale for this graph")
+        if dy.shape != cache.output.shape:
+            raise ShapeError(
+                f"dy shape {dy.shape} != output shape {cache.output.shape}"
+            )
         g = dy
         last = len(self.layers) - 1
         for i, (layer, c) in enumerate(zip(reversed(self.layers),
                                            reversed(cache.layer_caches))):
             g = layer.backward(c, g, input_grad=input_grad or i < last)
         return g
-
-    def output_grads(self, cache, dy):
-        """{layer name: the loss gradient at its output}, from dL/dy.
-        Computes no parameter gradient and no input gradient of the
-        first layer."""
-        self._check(cache, dy)
-        grads = {}
-        g = dy
-        for layer, c in zip(reversed(self.layers[1:]),
-                            reversed(cache.layer_caches[1:])):
-            grads[layer.name] = g
-            g = layer.backward(c, g, True, False)   # no parameter gradients
-        grads[self.layers[0].name] = g
-        return grads
-
-    def backward_params(self, cache, output_grads):
-        """Accumulate each layer's parameter gradients from the loss
-        gradient at its output, ``output_grads[name]``, without
-        propagating further down.  For a loss whose output gradients are
-        known per layer, as ``detector.detector_loss`` knows them from
-        one ``output_grads`` pass."""
-        self._check(cache)
-        for layer, c in zip(self.layers, cache.layer_caches):
-            if layer.params:
-                layer.backward(c, output_grads[layer.name], input_grad=False)
-
-    def _check(self, cache, dy=None):
-        if cache.graph is not self or cache.version != self.version:
-            raise StaleCacheError("activation cache is stale for this graph")
-        if dy is not None and dy.shape != cache.output.shape:
-            raise ShapeError(
-                f"dy shape {dy.shape} != output shape {cache.output.shape}"
-            )
 
     # -- parameter access ---------------------------------------------------
 

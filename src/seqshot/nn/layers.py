@@ -1,9 +1,9 @@
 """Layer implementations.
 
 Each layer exposes ``forward(x) -> (y, cache)`` and
-``backward(cache, dy, input_grad=True, param_grads=True) -> dx``:
-parameter gradients accumulate into ``layer.grads`` unless
-``param_grads=False``, and ``input_grad=False`` skips dx (returns None).
+``backward(cache, dy, input_grad=True) -> dx``: parameter gradients
+accumulate into ``layer.grads``, and ``input_grad=False`` skips dx
+(returns None).
 Parameters are float64 in memory but initialized on a float32 grid so
 that freshly initialized graphs survive the f32 on-disk checkpoint format
 bit-exactly.  A ``Module`` moves all its parameters into one flat array
@@ -70,7 +70,7 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
+    def backward(self, cache, dy, input_grad=True):
         raise NotImplementedError
 
 
@@ -92,12 +92,11 @@ class Linear(Layer):
         y = x @ self.params["W"] + self.params["b"]
         return y, x
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
-        if param_grads:
-            x2 = cache.reshape(-1, self.n_in)
-            dy2 = dy.reshape(-1, self.n_out)
-            self.grads["W"] += x2.T @ dy2
-            self.grads["b"] += dy2.sum(axis=0)
+    def backward(self, cache, dy, input_grad=True):
+        x2 = cache.reshape(-1, self.n_in)
+        dy2 = dy.reshape(-1, self.n_out)
+        self.grads["W"] += x2.T @ dy2
+        self.grads["b"] += dy2.sum(axis=0)
         return dy @ self.params["W"].T if input_grad else None
 
 
@@ -156,17 +155,15 @@ class _Conv(Layer):
         return y.reshape(b, *geo.out, self.c_out).transpose(geo.to_first), \
             (cols, x.shape)
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
-        """Weight and bias gradients (unless ``param_grads=False``): one
-        GEMM; the input gradient (unless ``input_grad=False``): one GEMM
-        per live offset."""
+    def backward(self, cache, dy, input_grad=True):
+        """Weight and bias gradients: one GEMM; the input gradient
+        (unless ``input_grad=False``): one GEMM per live offset."""
         cols, x_shape = cache
         geo = self._at(x_shape)
         dy2 = dy.transpose(geo.to_last).reshape(-1, self.c_out)
-        if param_grads:
-            dw = self._held(self.grads)[geo.live]
-            dw += (dy2.T @ cols).reshape(dw.shape)
-            self.grads["b"] += dy2.sum(axis=0)
+        dw = self._held(self.grads)[geo.live]
+        dw += (dy2.T @ cols).reshape(dw.shape)
+        self.grads["b"] += dy2.sum(axis=0)
         if not input_grad:
             return None
         b = x_shape[0]
@@ -308,7 +305,7 @@ class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
+    def backward(self, cache, dy, input_grad=True):
         return dy * (cache > 0) if input_grad else None
 
 
@@ -325,7 +322,7 @@ class _MeanPool(Layer):
                              f", got {x.shape}")
         return x.mean(axis=self.POOLED), x.shape
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
+    def backward(self, cache, dy, input_grad=True):
         if not input_grad:
             return None
         return _spread(dy / math.prod(cache[a] for a in self.POOLED), cache)

@@ -1,10 +1,8 @@
 """Reference implementations the fast paths are checked against.
 
 ``EinsumConv1d``/``EinsumConv2d`` are the convolutions as ``np.stack``
-im2col plus ``einsum``, and ``two_pass_detector_loss`` is the detector
-step as one forward and two full backward passes (a probe pass for the
-norms, then a loss pass).  They are the definitions ``nn.Conv1d``,
-``nn.Conv2d`` and ``detector.detector_loss`` must agree with to rounding.
+im2col plus ``einsum``, the definitions ``nn.Conv1d`` and ``nn.Conv2d``
+must agree with to rounding.
 ``logmel_one_pass`` is the log-mel of every frame at once, which the
 block-wise ``dsp.logmel`` must equal bit for bit.  ``pseudo_logits_per_window``
 runs each pseudo-label window through the whole weak model on its own;
@@ -18,7 +16,7 @@ centres and scores every alignment window at once, as
 
 import numpy as np
 
-from seqshot import detector, dsp, nn, pretrain
+from seqshot import dsp, nn, pretrain
 
 
 def logmel_one_pass(w):
@@ -82,7 +80,7 @@ class EinsumConv1d(nn.Conv1d):
         y += self.params["b"][:, None]
         return y, (cols, x.shape)
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
+    def backward(self, cache, dy, input_grad=True):
         cols, x_shape = cache
         self.grads["W"] += np.einsum("bot,bikt->oik", dy, cols, optimize=True)
         self.grads["b"] += dy.sum(axis=(0, 2))
@@ -116,7 +114,7 @@ class EinsumConv2d(nn.Conv2d):
         y += self.params["b"][:, None, None]
         return y, (cols, x.shape)
 
-    def backward(self, cache, dy, input_grad=True, param_grads=True):
+    def backward(self, cache, dy, input_grad=True):
         cols, x_shape = cache
         kt, kf = self.kernel
         st, sf = self.stride
@@ -140,45 +138,3 @@ class EinsumConv2d(nn.Conv2d):
             return dxp[:, :, pt: dxp.shape[2] - pt or None,
                        pf: dxp.shape[3] - pf or None]
         return dxp
-
-
-def two_pass_detector_loss(net, x, labels, frozen_norms=None):
-    """The detector step as a probe backward pass for the norms, then a
-    full backward pass of the loss; sets the parameter gradients."""
-    labels = np.asarray(labels)
-    layer_names = ("input", *net.conv_layer_names())
-    logits, (cache,) = net.forward(x)
-    gap_signed = logits[:, 0] - logits[:, 1]
-    sign = np.where(labels == 1, 1.0, -1.0)
-    gap = sign * gap_signed
-    if frozen_norms is None:
-        net.graph.zero_grads()
-        seeds = detector._gap_seeds(labels)
-        grads = {**net.graph.output_grads(cache, seeds),
-                 "input": net.graph.backward(cache, seeds)}
-        norms = {name: np.sqrt(np.sum(
-            grads[name] ** 2, axis=tuple(range(1, grads[name].ndim))))
-            for name in layer_names}
-    else:
-        norms = frozen_norms
-    b = len(labels)
-    margins = np.stack([gap / (norms[name] + detector.MARGIN_EPS)
-                        for name in layer_names])
-    hinge = np.maximum(0.0, detector.GAMMA - margins)
-    margin_loss = float(hinge.mean())
-    active = (hinge > 0).astype(np.float64)
-    dgap_margin = -(active / np.stack([norms[n] + detector.MARGIN_EPS
-                                       for n in layer_names])).sum(axis=0) \
-        / hinge.size
-    p = 1.0 / (1.0 + np.exp(-gap_signed))
-    y = (labels == 1).astype(np.float64)
-    eps = 1e-12
-    bce = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    dgap_signed_bce = (p - y) / b
-    loss = detector.MARGIN_WEIGHT * margin_loss + detector.BCE_WEIGHT * bce
-    dgap_signed = detector.MARGIN_WEIGHT * sign * dgap_margin \
-        + detector.BCE_WEIGHT * dgap_signed_bce
-    net.graph.zero_grads()
-    net.graph.backward(cache, np.stack([dgap_signed, -dgap_signed], axis=1))
-    return loss, {"margin_loss": margin_loss, "bce": bce, "gap": gap,
-                  "margins": margins, "norms": norms}

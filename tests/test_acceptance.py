@@ -106,18 +106,14 @@ def test_detector_loss_matches_finite_differences_100_cases():
             p += 0.1 * rng.standard_normal(p.shape)
         x = rng.normal(size=(2, 3, 6))
         labels = np.array([1, 0])
-        _, details = detector.detector_loss(net, x, labels)
-        norms = details["norms"]            # denominators frozen below
 
         def loss():
-            net.graph.zero_grads()
-            val, _ = detector.detector_loss(net, x, labels,
-                                            frozen_norms=norms)
-            return val
+            return detector.detector_loss(net, x, labels)
 
-        net.graph.zero_grads()
-        detector.detector_loss(net, x, labels, frozen_norms=norms)
-        grads = net.graph.grads()
+        net.zero_grads()
+        detector.detector_loss(net, x, labels)
+        # a copy: each loss() below accumulates into the gradients
+        grads = {k: v.copy() for k, v in net.graph.grads().items()}
         params = net.graph.params()
         for key in ("proj/W", "conv0/W", "conv1/b", "head/W"):
             p, g = params[key], grads[key]

@@ -353,6 +353,26 @@ def test_wav_rate_outside_range_is_runtime_error(tmp_path, capsys, caplog,
                                  f"{rate} Hz")
 
 
+def test_enroll_refuses_shot_too_short_to_mask(tmp_path, capsys, caplog):
+    # 1.2 s embeds to 3 frames: the synthesizers need 4, so the shot is
+    # refused before curation, and nothing is trained or written
+    paths = _write_models(tmp_path)
+    rng = np.random.default_rng(4)
+    shots = []
+    for i, seconds in enumerate((1.2, 3.0, 3.0)):
+        shots.append(str(tmp_path / f"shot{i}.wav"))
+        dsp.write_wav(shots[-1], dsp.Waveform(
+            0.1 * rng.standard_normal(int(seconds * 16000))))
+    code, out = run(capsys, ["enroll", "--shots", *shots,
+                             "--weak", str(paths["weak"]),
+                             "--strong", str(paths["strong"]),
+                             "--out", str(tmp_path / "o")])
+    assert code == 1 and out is None
+    assert _logged_error(caplog, "enrollment shot 0 lasts 1.200 s, under "
+                                 "the 1.295 s that embed to 4 frames")
+    assert not (tmp_path / "o" / "detector.ckpt").exists()
+
+
 @pytest.mark.parametrize("cut", [3, 400], ids=["mid_sample", "whole_frames"])
 @pytest.mark.parametrize("command", ["enroll", "detect"])
 def test_truncated_wav_is_runtime_error(tmp_path, capsys, caplog, command,

@@ -9,8 +9,6 @@ from seqshot.errors import (
     EmptyInputError,
     ShapeError,
 )
-from reference_ops import two_pass_detector_loss
-from test_nn import assert_rel_close
 
 
 def make_toy_set(n_per_class=30, t=5, e=8, seed=0):
@@ -52,66 +50,6 @@ def test_forward_wrong_dim():
         net.forward(np.zeros((1, 5, 10)))
 
 
-# -- normalized margin ----------------------------------------------------------
-
-def linear_gap_net(w0, w1):
-    """Identity projection, no convs: gap = (w0 - w1) . mean_t(x)."""
-    cfg = detector.DetectorConfig(embed_dim=2, proj_dim=2, n_conv=0)
-    net = detector.DetectorNet(cfg)
-    p = net.params()
-    p["proj/W"][...] = np.eye(2)[:, :, None]
-    p["proj/b"][...] = 0.0
-    p["head/W"][...] = np.stack([w0, w1]).T    # (in, out) layout
-    p["head/b"][...] = 0.0
-    net.graph.mark_updated()
-    return net
-
-
-def margins_at_eps0(net, x, true_class):
-    """Per feature map, one input's normalized margin without the norm
-    regularizer: ``detector_loss``'s gap over its gradient norm there."""
-    _, details = detector.detector_loss(net, x[None], [true_class])
-    return {name: details["gap"][0] / norm[0]
-            for name, norm in details["norms"].items()}
-
-
-def test_margin_hand_example():
-    # gap = 3*1 + 4*1 = 7, input gradient (3, 4), norm 5 -> margin 7/5
-    net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
-    x = np.ones((2, 1))
-    assert margins_at_eps0(net, x, 1)["input"] == pytest.approx(7.0 / 5.0)
-    _, details = detector.detector_loss(net, x[None], [1])
-    assert details["margins"][0, 0] == pytest.approx(7.0 / (5.0 + 1e-6))
-
-
-def test_margin_sign_for_nontarget():
-    net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
-    x = np.ones((2, 1))
-    assert margins_at_eps0(net, x, 0)["input"] == pytest.approx(-7.0 / 5.0)
-
-
-def test_margin_invariant_to_head_rescale():
-    cfg = detector.DetectorConfig(embed_dim=5, proj_dim=4, seed=3)
-    net = detector.DetectorNet(cfg)
-    x = np.random.default_rng(4).standard_normal((5, 9))
-    before = margins_at_eps0(net, x, 1)
-    net.params()["head/W"][...] *= 7.3
-    net.params()["head/b"][...] *= 7.3
-    net.graph.mark_updated()
-    after = margins_at_eps0(net, x, 1)
-    assert list(after) == ["input", "conv0", "conv1", "conv2"]
-    np.testing.assert_allclose(list(before.values()), list(after.values()),
-                               rtol=1e-9)
-
-
-def test_margin_scales_with_input_rescale():
-    # doubling the input doubles the gap but not the input-layer gradient
-    net = linear_gap_net(np.array([3.0, 4.0]), np.zeros(2))
-    d1 = margins_at_eps0(net, np.ones((2, 1)), 1)["input"]
-    d2 = margins_at_eps0(net, 2 * np.ones((2, 1)), 1)["input"]
-    assert d2 == pytest.approx(2 * d1)
-
-
 # -- loss gradients ---------------------------------------------------------------
 
 def test_detector_loss_gradcheck():
@@ -120,10 +58,8 @@ def test_detector_loss_gradcheck():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 4, 7))
     labels = np.array([1, 0, 1, 0])
-    _, details = detector.detector_loss(net, x, labels)
-    norms = details["norms"]
-
-    detector.detector_loss(net, x, labels, frozen_norms=norms)
+    net.zero_grads()
+    detector.detector_loss(net, x, labels)
     grads = {k: v.copy() for k, v in net.grads().items()}
 
     h = 1e-6
@@ -136,26 +72,14 @@ def test_detector_loss_gradcheck():
         orig = p[idx]
         p[idx] = orig + h
         net.graph.mark_updated()
-        lp, _ = detector.detector_loss(net, x, labels, frozen_norms=norms)
+        lp = detector.detector_loss(net, x, labels)
         p[idx] = orig - h
         net.graph.mark_updated()
-        lm, _ = detector.detector_loss(net, x, labels, frozen_norms=norms)
+        lm = detector.detector_loss(net, x, labels)
         p[idx] = orig
         net.graph.mark_updated()
         num = (lp - lm) / (2 * h)
         assert grads[name][idx] == pytest.approx(num, rel=1e-4, abs=1e-8)
-
-
-def test_detector_loss_has_margin_and_bce_terms():
-    cfg = detector.DetectorConfig(embed_dim=4, proj_dim=3, seed=8)
-    net = detector.DetectorNet(cfg)
-    x = np.random.default_rng(9).standard_normal((2, 4, 6))
-    labels = np.array([1, 0])
-    loss, details = detector.detector_loss(net, x, labels)
-    assert loss == pytest.approx(
-        detector.MARGIN_WEIGHT * details["margin_loss"]
-        + detector.BCE_WEIGHT * details["bce"])
-    assert details["margins"].shape == (4, 2)   # input + 3 convs, 2 items
 
 
 # -- training ----------------------------------------------------------------------
@@ -258,44 +182,7 @@ def test_clip_score_short_clip_uses_whole(toy_net):
     assert 0.0 < s < 1.0
 
 
-# -- the fused step against the two-pass reference --------------------------------
-
-FUSED_CASES = ("default", "frozen_norms", "no_bce", "short_window")
-# frames per item; the others run at 9, where every tap reads the input.
-# At 3, conv1 keeps 2 of its 3 taps and conv2 keeps 1, and the input norm
-# still comes from the projection's Gram matrix
-FUSED_FRAMES = {"short_window": 3}
-
-
-@pytest.mark.parametrize("case", FUSED_CASES)
-def test_fused_step_matches_two_pass_reference(case, monkeypatch):
-    if case == "no_bce":            # both losses read the module's weight
-        monkeypatch.setattr(detector, "BCE_WEIGHT", 0.0)
-    rng = np.random.default_rng(21)
-    net = detector.DetectorNet(detector.DetectorConfig(embed_dim=6,
-                                                       proj_dim=5, seed=3))
-    for p in net.params().values():
-        p += 0.1 * rng.standard_normal(p.shape)
-    net.graph.mark_updated()
-    x = rng.standard_normal((7, 6, FUSED_FRAMES.get(case, 9)))
-    labels = np.array([1, 0, 0, 1, 0, 1, 0])
-    frozen = None
-    if case == "frozen_norms":
-        frozen = {k: v * rng.uniform(0.5, 2.0, v.shape) for k, v in
-                  detector.detector_loss(net, x, labels)[1]["norms"].items()}
-
-    def run(loss_fn):
-        loss, details = loss_fn(net, x, labels, frozen_norms=frozen)
-        return loss, details, {k: v.copy() for k, v in net.grads().items()}
-
-    loss, details, grads = run(detector.detector_loss)
-    ref_loss, ref_details, ref_grads = run(two_pass_detector_loss)
-    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    for name in ("input", *net.conv_layer_names()):
-        assert_rel_close(details["norms"][name], ref_details["norms"][name])
-    for k in ref_grads:
-        assert_rel_close(grads[k], ref_grads[k])
-
+# -- saturation ---------------------------------------------------------------------
 
 def test_saturated_logits_score_and_train_without_warnings():
     net = detector.DetectorNet(detector.DetectorConfig(embed_dim=6,
@@ -309,6 +196,6 @@ def test_saturated_logits_score_and_train_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scores = net.score(x)
-        loss, details = detector.detector_loss(net, x, labels)
+        loss = detector.detector_loss(net, x, labels)
     assert np.all((scores >= 0) & (scores <= 1))
-    assert np.isfinite(loss) and np.isfinite(details["bce"])
+    assert np.isfinite(loss) and np.all(np.isfinite(net.flat_grads))

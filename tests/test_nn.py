@@ -155,23 +155,6 @@ def test_stale_cache_rejected(rng):
         g.backward(cache, np.ones_like(y))
 
 
-def test_feature_grads_by_name(rng):
-    g = nn.Graph([
-        nn.Linear(3, 4, "a", rng),
-        nn.ReLU("r"),
-        nn.Linear(4, 2, "b", rng),
-    ])
-    y, cache = g.forward(rng.normal(size=(1, 3)))
-    dy = np.ones_like(y)
-    grads = g.output_grads(cache, dy)
-    assert list(grads) == ["b", "r", "a"]
-    assert grads["b"] is dy
-    np.testing.assert_array_equal(
-        grads["r"], dy @ g.layers[2].params["W"].T)
-    np.testing.assert_array_equal(grads["a"],
-                                  grads["r"] * (cache.layer_caches[1] > 0))
-
-
 # -- gradient checks per layer -------------------------------------------------
 
 def test_gradcheck_linear(rng):
@@ -584,38 +567,5 @@ def test_skipping_input_grad_leaves_param_grads_bitwise(rng):
     grads = {k: v.copy() for k, v in g.grads().items()}
     g.zero_grads()
     assert dx is not None and g.backward(cache, dy, input_grad=False) is None
-    for k, v in g.grads().items():
-        np.testing.assert_array_equal(v, grads[k])
-
-
-def test_skipping_param_grads_leaves_them_untouched(rng):
-    g = _small_net(rng)
-    x = rng.normal(size=(2, 1, 8, 6))
-    y, cache = g.forward(x)
-    dy = rng.normal(size=y.shape)
-    dx = g.backward(cache, dy)
-    before = {k: v.copy() for k, v in g.grads().items()}
-    grads = g.output_grads(cache, dy)
-    for k, v in g.grads().items():
-        np.testing.assert_array_equal(v, before[k])
-    # the gradient at the first layer's output gives the full input gradient
-    first = g.layers[0]
-    np.testing.assert_array_equal(
-        first.backward(cache.layer_caches[0], grads[first.name],
-                       param_grads=False), dx)
-
-
-def test_backward_params_from_output_grads(rng):
-    # the output gradients fed back layer by layer give the parameter
-    # gradients of a full backward pass
-    g = _small_net(rng)
-    x = rng.normal(size=(2, 1, 8, 6))
-    y, cache = g.forward(x)
-    dy = rng.normal(size=y.shape)
-    g.zero_grads()
-    g.backward(cache, dy)
-    grads = {k: v.copy() for k, v in g.grads().items()}
-    g.zero_grads()
-    g.backward_params(cache, g.output_grads(cache, dy))
     for k, v in g.grads().items():
         np.testing.assert_array_equal(v, grads[k])
