@@ -4,6 +4,12 @@ Positives: the curated segments, time-shifted re-crops of the audio,
 and delta-encoder deformations in embedding space.  Negatives: masked
 or block-shuffled copies of target embedding sequences.  Nothing here
 ever reads non-target audio.
+
+One rule, ``crop_bounds``, places every crop the detector sees: the
+curated segment widened to at least ``MIN_CROP`` samples, the fewest
+that embed to ``MIN_FRAMES`` frames.  Time-shifted crops have its
+length and start within ``ENLARGE_S / 2`` of its start, and the scan
+window is its length.
 """
 
 import json
@@ -12,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, nn
+from . import dsp, nn, pretrain
 from .errors import (
     EmptyInputError,
     FormatError,
@@ -24,40 +30,35 @@ from .nn.checkpoint import read_exact, read_header, write_header
 
 PROVENANCES = ("curated", "time_shift", "delta", "masked", "shuffled")
 
-ENLARGE_S = 0.5          # curation bounds grow by this much, split evenly
+ENLARGE_S = 0.5          # time shifts move a crop by up to half this
 MIN_FRAMES = 4           # shortest sequence the negative synthesizers take
-MIN_CROP_S = 1.4         # shortest audio crop that embeds to >= MIN_FRAMES
+# the fewest samples that embed to MIN_FRAMES frames: 20720 (1.295 s)
+MIN_CROP = dsp.FRAME_LEN + dsp.FRAME_HOP * (
+    MIN_FRAMES * pretrain.FRAMES_PER_EMBED - 1)
 MASK_FRACTION = (0.25, 0.5)
 SHUFFLE_BLOCK_DIVISOR = 5
 
 
-def crop_duration_s(duration_s, shot_duration_s=float("inf")):
-    """Length of the audio crop the detector trains on for a curated
-    segment of ``duration_s``: at least MIN_CROP_S, or the whole shot
-    when the shot is shorter.  Its frame count is the scan window's."""
-    return max(duration_s, min(MIN_CROP_S, shot_duration_s))
-
-
-def _padded_sample_bounds(shot, onset_s, offset_s):
-    """Sample bounds for [onset, offset), widened symmetrically to
-    ``crop_duration_s`` and clipped to the shot.  Every training crop of
-    the segment, curated or time-shifted, is ``b - a`` samples long.
+def crop_bounds(shot, onset_s, offset_s):
+    """Sample bounds of the curated crop for the segment [onset, offset):
+    the segment widened symmetrically to at least ``MIN_CROP`` samples and
+    clipped to the shot.  Every training crop of the segment and the scan
+    window are ``b - a`` samples long.
 
     This is not ``curation.embed_crop``, which widens at the end only,
     to the pooled embedder's 0.5 s: the detector's training crops are
     centred on the segment, with bounds rounded to samples.
     """
-    sr = shot.sample_rate
-    a = int(round(onset_s * sr))
-    b = int(round(offset_s * sr))
-    need = int(crop_duration_s((b - a) / sr) * sr)
-    if b - a < need:
-        mid = (a + b) // 2
-        a = max(0, mid - need // 2)
-        b = a + need
+    a = int(round(onset_s * shot.sample_rate))
+    b = int(round(offset_s * shot.sample_rate))
+    if not 0 <= a <= b <= len(shot.samples):
+        raise SeqshotError("segment runs past its shot")
+    if b - a < MIN_CROP:
+        a = max(0, (a + b) // 2 - MIN_CROP // 2)
+        b = a + MIN_CROP
         if b > len(shot.samples):
             b = len(shot.samples)
-            a = max(0, b - need)
+            a = max(0, b - MIN_CROP)
     return a, b
 
 
@@ -80,24 +81,19 @@ class EmbeddingSequence:
 # -- time-domain positive augmentation ----------------------------------------
 
 def time_shift_augment(shot: dsp.Waveform, segment, n, rng, embed_fn):
-    """Re-crop the curated segment within bounds enlarged by 250 ms per
-    side and embed each crop; every crop has the curated crop's length
-    (``_padded_sample_bounds``), so all outputs share one frame count."""
+    """Re-crop the curated crop (``crop_bounds``) with its start moved by
+    up to ``ENLARGE_S / 2`` (250 ms) either way, within the shot, and
+    embed each crop; every crop has the curated crop's length, so all
+    outputs share one frame count."""
     sr = shot.sample_rate
-    dur = segment.offset_s - segment.onset_s
-    if dur > shot.duration_s + 1e-9:
-        raise SeqshotError("segment longer than its shot")
-    dur = crop_duration_s(dur, shot.duration_s)
-    lo = max(0.0, segment.onset_s - ENLARGE_S / 2)
-    hi = min(shot.duration_s, segment.onset_s + dur + ENLARGE_S / 2)
-    max_start = max(lo, hi - dur)
-    a, b = _padded_sample_bounds(shot, segment.onset_s, segment.offset_s)
+    a, b = crop_bounds(shot, segment.onset_s, segment.offset_s)
     n_samples = b - a
+    lo = max(0.0, a / sr - ENLARGE_S / 2)
+    hi = min((len(shot.samples) - n_samples) / sr, a / sr + ENLARGE_S / 2)
     out = []
     for _ in range(n):
-        start = float(rng.uniform(lo, max_start)) if max_start > lo else lo
+        start = float(rng.uniform(lo, hi)) if hi > lo else lo
         a = int(round(start * sr))
-        a = min(a, len(shot.samples) - n_samples)
         crop = dsp.Waveform(shot.samples[a: a + n_samples], sr)
         out.append(EmbeddingSequence(embed_fn(crop), label=1,
                                      provenance="time_shift"))
@@ -327,7 +323,7 @@ def build_train_set(shots, segments, embed_fn, delta_model, donor_pairs,
     out = []
     for shot, seg in zip(shots, segments):
         sr = shot.sample_rate
-        a, b = _padded_sample_bounds(shot, seg.onset_s, seg.offset_s)
+        a, b = crop_bounds(shot, seg.onset_s, seg.offset_s)
         curated = EmbeddingSequence(
             embed_fn(dsp.Waveform(shot.samples[a:b], sr)),
             label=1, provenance="curated",

@@ -45,27 +45,38 @@ def test_sequence_validation():
 
 # -- time shift ----------------------------------------------------------------
 
-def test_time_shift_count_and_bounds():
+@pytest.mark.parametrize("onset_s, offset_s", [(1.0, 1.8), (0.6, 2.6)],
+                         ids=["widened", "long"])
+def test_time_shift_count_and_bounds(onset_s, offset_s):
+    # a 0.8 s segment is widened to MIN_CROP samples around its middle,
+    # and the shifted starts straddle that crop's start, not the onset; a
+    # 2.0 s segment is its own crop, so they straddle the onset
     shot = dsp.Waveform(np.arange(3 * 16000, dtype=float) / 1e6, 16000)
-    segment = curation.Segment(0, 1.0, 1.8)
+    segment = curation.Segment(0, onset_s, offset_s)
+    a, b = augment.crop_bounds(shot, onset_s, offset_s)
+    n = round((offset_s - onset_s) * 16000)
+    assert b - a == max(n, augment.MIN_CROP)
     rng = np.random.default_rng(0)
     out = augment.time_shift_augment(shot, segment, 10, rng, fake_embed)
     assert len(out) == 10
+    shifts = []
     for s in out:
         assert s.label == 1 and s.provenance == "time_shift"
         assert s.frames.shape == out[0].frames.shape
-        start = s.frames[0, 0] * 1e6 / 16000      # first sample index -> s
-        assert 0.75 - 1e-6 <= start <= 1.25 + 1e-6
-        # 0.8 s segment is padded up to the 1 s embedding minimum
-        assert s.frames[0, 2] == int(augment.MIN_CROP_S * 16000)
+        shifts.append((s.frames[0, 0] * 1e6 - a) / 16000)   # sample -> s
+        assert abs(shifts[-1]) <= augment.ENLARGE_S / 2 + 1e-6
+        assert s.frames[0, 2] == b - a
+    assert min(shifts) < 0 < max(shifts)
 
 
 def test_time_shift_segment_too_long():
+    # longer than the shot, or as long but running past its end
     shot = dsp.Waveform(np.zeros(16000), 16000)
-    segment = curation.Segment(0, 0.0, 2.0)
-    with pytest.raises(SeqshotError):
-        augment.time_shift_augment(shot, segment, 1,
-                                   np.random.default_rng(0), fake_embed)
+    for onset_s, offset_s in [(0.0, 2.0), (0.5, 1.5)]:
+        segment = curation.Segment(0, onset_s, offset_s)
+        with pytest.raises(SeqshotError, match="runs past its shot"):
+            augment.time_shift_augment(shot, segment, 1,
+                                       np.random.default_rng(0), fake_embed)
 
 
 # -- delta encoder -------------------------------------------------------------

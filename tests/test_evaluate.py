@@ -170,7 +170,7 @@ def test_run_episode_structure_and_audit(small_episode, tiny_models):
     assert sorted(eval_reads) == list(range(12))
 
 
-@pytest.mark.parametrize("curated_s", [0.36, 0.76, 1.0, 1.52, 3.6])
+@pytest.mark.parametrize("curated_s", [0.36, 0.76, 1.0, 1.33, 1.52, 3.6])
 def test_enroll_window_is_every_train_item_frame_count(tiny_models,
                                                        monkeypatch,
                                                        curated_s):
@@ -198,4 +198,5 @@ def test_enroll_window_is_every_train_item_frame_count(tiny_models,
     assert enrolled.train_items == [per_seed, per_seed]
     assert len(trained) == 2 * per_seed
     assert set(trained) == {detector.window_frame_count(enrolled.window_s)}
-    assert enrolled.window_s == max(curated_s, augment.MIN_CROP_S)
+    assert enrolled.window_s == \
+        max(round(curated_s * 16000), augment.MIN_CROP) / 16000
