@@ -120,9 +120,9 @@ class DeltaEncoder(nn.Module):
     """Encoder-decoder over embedding frames: a low-dim deformation code z
     extracted from a (clean, degraded) frame pair is applied to new frames.
 
-    The encoder learns from mean-removed frames
-    (``pretrain.embed_frames_normalized``); ``delta_augment`` centres its
-    target to match.
+    The encoder learns from frames centred on their own mean, the
+    detector's domain (``pretrain.embed_frames_normalized``);
+    ``delta_augment`` centres its target to match.
     """
 
     KIND = "delta"
@@ -183,9 +183,9 @@ def train_delta(pairs, config: DeltaConfig = None):
 
     Per frame: z = Enc(clean || degraded), reconstruction
     Dec(clean || z) ~ degraded, L1 loss.  The pairs are expected to be
-    mean-removed frames (``pretrain.embed_frames_normalized``): the model
-    learns the deformation in that domain, and ``delta_augment`` applies
-    it there.  Returns the model with its held-out L1 recorded in
+    frames centred on their own mean (``pretrain.embed_frames_normalized``):
+    the model learns the deformation in that domain, and ``delta_augment``
+    applies it there.  Returns the model with its held-out L1 recorded in
     ``holdout_l1`` and its mean training L1 per epoch in ``loss_curve``.
     """
     cfg = config or DeltaConfig()
@@ -241,9 +241,9 @@ def delta_augment(model: DeltaEncoder, target: EmbeddingSequence, donor_pair,
     with target frames by index modulo donor length.  Output keeps the
     target's frame count and stays a positive.
 
-    The encoder learns from mean-removed frames, and a recording's mean
-    frame is a static channel response, not part of the deformation.  So
-    the target's mean frame is removed before the deformation and added
+    The encoder learns from frames centred on their own mean, and a crop's
+    mean frame is a static channel response, not part of the deformation.
+    So the target's mean frame is removed before the deformation and added
     back afterwards: shifting the target by a constant frame shifts every
     output by the same constant.  The donor pair is used as given, since
     its clean-to-degraded difference is the deformation itself.

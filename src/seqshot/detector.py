@@ -142,18 +142,26 @@ def window_frame_count(window_s):
     return max(1, dsp.frame_count(n) // pretrain.FRAMES_PER_EMBED)
 
 
-def stream_scores(net: DetectorNet, frames, n_win_frames):
-    """Sliding-window scores over precomputed embedding frames (T, E)
-    at one-frame hops; list of (start_time_s, score)."""
-    t = frames.shape[0]
-    if t < n_win_frames:
+def stream_scores(net: DetectorNet, blocks, n_frames, n_win_frames):
+    """Sliding-window scores at one-frame hops over the embedding frames
+    (T, E) that ``blocks`` yield in order, ``n_frames`` in all; list of
+    (start_time_s, score).
+
+    Each window is centred on its own mean frame before it is scored, as
+    a training crop is (``pretrain.embed_frames_normalized``).  The
+    frames of ``SCAN_BATCH`` windows are gathered at a time
+    (``dsp.regroup``), so one batch and the blocks it touches are held.
+    """
+    if n_frames < n_win_frames:
         raise EmptyInputError(
-            f"recording too short: {t} embedding frames < window "
+            f"recording too short: {n_frames} embedding frames < window "
             f"{n_win_frames}")
-    windows = sliding_window_view(frames, n_win_frames, axis=0)  # (N, E, T)
+    batches = dsp.spans(n_frames - n_win_frames + 1, SCAN_BATCH)
+    spans = [(a, b + n_win_frames - 1) for a, b in batches]  # their frames
     out = []
-    for b0 in range(0, len(windows), SCAN_BATCH):
-        scores = net.score(windows[b0: b0 + SCAN_BATCH])
+    for x, (b0, _) in zip(dsp.regroup(blocks, spans), batches):
+        w = sliding_window_view(x, n_win_frames, axis=0)      # (N, E, T)
+        scores = net.score(w - w.mean(axis=2, keepdims=True))
         out.extend((s * pretrain.EMBED_HOP_S, float(v))
                    for s, v in enumerate(scores, b0))
     return out
@@ -161,25 +169,25 @@ def stream_scores(net: DetectorNet, frames, n_win_frames):
 
 def detect_stream(net: DetectorNet, strong_model, path, window_s):
     """Score a long recording, the PCM16 WAV file ``path``, with a sliding
-    window.
+    window in one pass.
 
     The file is read, resampled, turned into log-mel and embedded in
-    blocks (``dsp.WavReader``, ``pretrain.embed_stream``), so only its
-    embedding frames are held whole: E floats per 320 ms.  They are
-    centred on their recording-wide mean, and windows of the scan
-    window's frame count (``window_s`` from enrollment) slide over them at
-    one-frame (320 ms) hops.  Returns a list of (start_time_s, score)
-    pairs.
+    blocks (``dsp.WavReader``, ``pretrain.embed_stream``), and windows of
+    the scan window's frame count (``window_s`` from enrollment) are
+    scored as their frames arrive (``stream_scores``): one embedding
+    chunk and one batch of windows are held.  Returns (start_time_s,
+    score) pairs, one per 320 ms hop.
     """
     reader = dsp.WavReader(path)
-    frames = pretrain.centre_frames(pretrain.embed_stream(
-        strong_model, reader.blocks(), reader.n_samples))       # (T', E)
-    return stream_scores(net, frames, window_frame_count(window_s))
+    frames = pretrain.embed_stream(strong_model, reader.blocks(),
+                                   reader.n_samples)
+    n_frames = dsp.frame_count(reader.n_samples) // pretrain.FRAMES_PER_EMBED
+    return stream_scores(net, frames, n_frames, window_frame_count(window_s))
 
 
 def clip_score_from_frames(net: DetectorNet, frames, n_win_frames):
-    """Max sliding-window score; the whole clip if shorter than window."""
-    if frames.shape[0] < n_win_frames:
-        return float(net.score(frames.T[None])[0])
-    return max(v for _, v in stream_scores(net, frames, n_win_frames))
-
+    """Max sliding-window score over a clip's embedding frames (T, E);
+    the whole clip is one window if shorter than ``n_win_frames``."""
+    t = frames.shape[0]
+    return max(v for _, v in stream_scores(net, [frames], t,
+                                           min(t, n_win_frames)))

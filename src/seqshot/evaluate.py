@@ -183,9 +183,9 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=REPS, seed=0,
 
     Training phase: ``enroll`` from the enrollment shots, one detector
     per rep, rep ``r`` seeded ``seed * 10007 + r``.  Eval phase: embed
-    every held-out clip once, score with each detector (max over
-    sliding windows of the scan window) and with the weak-label cosine
-    baseline.  Reports median-over-reps AUPRC.
+    every held-out clip once, score with each detector (max over sliding
+    windows of the scan window, each centred on its own mean) and with
+    the weak-label cosine baseline.  Reports median-over-reps AUPRC.
     """
     episode.set_phase("train")
     shots = [episode.load_enrollment(i)
@@ -203,7 +203,7 @@ def run_episode(episode: Episode, models: PretrainedModels, reps=REPS, seed=0,
     eval_frames, eval_pooled = [], []
     for i in range(len(episode.eval_items)):
         w = episode.load_eval(i)
-        eval_frames.append(pretrain.embed_frames_normalized(models.strong, w))
+        eval_frames.append(pretrain.embed_frames(models.strong, w))
         eval_pooled.append(pretrain.embed_pooled(models.weak, w))
 
     psl_per_rep = []

@@ -569,29 +569,30 @@ def embed_frames(model: StrongModel, w: dsp.Waveform):
     """(T//32, E) embedding sequence, one frame per 320 ms.
 
     The frames tap backbone stage EMBED_TAP and flatten (channels x
-    frequency); E = C_tap * F_tap.  They are computed in chunks of whole
-    embedding frames (``embed_stream``).
+    frequency); E = C_tap * F_tap.  They are ``embed_stream``'s chunks.
     """
-    return embed_stream(model, [w.samples], len(w.samples))
+    return np.concatenate(list(embed_stream(model, [w.samples],
+                                            len(w.samples))))
 
 
 def embed_stream(model: StrongModel, blocks, n_samples):
     """``embed_frames`` of the 16 kHz signal that ``blocks`` yield in
-    order, ``n_samples`` samples in all; (T//32, E).
+    order, ``n_samples`` samples in all, yielded in (t, E) chunks; the
+    length is checked at the call.
 
     The backbone runs up to EMBED_TAP on chunks of ``EMBED_CHUNK``
     embedding frames (32 log-mel frames each) taken from the signal as it
-    arrives, so what it holds beyond the frames returned is one chunk's
-    samples, log-mel and stage outputs.  This is exact: each stage up to
-    the tap has time kernel = stride = 2 and no time padding, so an
-    embedding frame reads only its own 32 log-mel frames, and each chunk
-    starts on a multiple of 256 frames, where ``dsp.logmel`` starts its
-    blocks.  The chunks are the ``dsp.spans`` of the log-mel frames with
-    ``min_last`` ``EMBED_MIN_TAIL`` embedding frames, as a shorter chunk
-    could differ in the last bit, and ``dsp.regroup`` gathers the samples
-    each chunk's frames read.  So each chunk equals the same frames of
-    the whole signal at once bit for bit, and the last chunk runs to the
-    last log-mel frame, as the one-pass computation does.
+    arrives, so what it holds is one chunk's samples, log-mel, stage
+    outputs and frames.  This is exact: each stage up to the tap has time
+    kernel = stride = 2 and no time padding, so an embedding frame reads
+    only its own 32 log-mel frames, and each chunk starts on a multiple
+    of 256 frames, where ``dsp.logmel`` starts its blocks.  The chunks
+    are the ``dsp.spans`` of the log-mel frames with ``min_last``
+    ``EMBED_MIN_TAIL`` embedding frames, as a shorter chunk could differ
+    in the last bit, and ``dsp.regroup`` gathers the samples each chunk's
+    frames read.  So each chunk equals the same frames of the whole
+    signal at once bit for bit, and the last chunk runs to the last
+    log-mel frame, as the one-pass computation does.
     """
     _check_embed_length(n_samples)
     chunks = dsp.spans(dsp.frame_count(n_samples),
@@ -600,34 +601,23 @@ def embed_stream(model: StrongModel, blocks, n_samples):
     samples = [(f0 * dsp.FRAME_HOP, (f1 - 1) * dsp.FRAME_HOP + dsp.FRAME_LEN)
                for f0, f1 in chunks]
     per_block = FRAMES_PER_EMBED // 2 ** EMBED_TAP
-    out = None
-    for x, (f0, _) in zip(dsp.regroup(blocks, samples), chunks):
-        h = dsp.logmel(dsp.Waveform(x))[None, None]
-        for layer in model.backbone.layers[:2 * EMBED_TAP]:  # conv+relu
-            h, _ = layer.forward(h)
-        if out is None:
-            out = np.empty((chunks[-1][1] // FRAMES_PER_EMBED,
-                            h.shape[1] * h.shape[3]))
-        t0 = f0 // FRAMES_PER_EMBED
-        for i in range(h.shape[2] // per_block):
-            out[t0 + i] = h[0, :, i * per_block: (i + 1) * per_block,
-                            :].mean(axis=1).reshape(-1)
-    return out
 
-
-def centre_frames(frames):
-    """Subtract the recording-wide mean frame from ``frames``, in place.
-
-    Removing the recording-wide mean discards the static channel
-    response (microphone distance, room coloration, broadband gain), so
-    the few-shot detector sees what changes over time rather than what
-    the recording sounds like overall.
-    """
-    frames -= frames.mean(axis=0)
-    return frames
+    def frames():
+        for x in dsp.regroup(blocks, samples):
+            h = dsp.logmel(dsp.Waveform(x))[None, None]
+            for layer in model.backbone.layers[:2 * EMBED_TAP]:  # conv+relu
+                h, _ = layer.forward(h)
+            c, t, f = h.shape[1:]
+            n = t // per_block
+            yield (h[0, :, :n * per_block].reshape(c, n, per_block, f)
+                   .mean(axis=2).transpose(1, 0, 2).reshape(n, c * f))
+    return frames()
 
 
 def embed_frames_normalized(model: StrongModel, w: dsp.Waveform):
-    """Embedding frames minus their per-recording mean frame
-    (``centre_frames``)."""
-    return centre_frames(embed_frames(model, w))
+    """A clip's embedding frames centred on their own mean, which drops
+    the static channel response (microphone, room, gain): the domain of
+    every window the detector scores (``detector.stream_scores``)."""
+    frames = embed_frames(model, w)
+    frames -= frames.mean(axis=0)
+    return frames

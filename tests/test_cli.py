@@ -535,9 +535,12 @@ def test_detect_scans_the_trained_window(tmp_path, capsys, monkeypatch,
 # -- detect reads the recording in blocks -------------------------------------
 
 def test_detect_memory_does_not_grow_with_the_recording(tmp_path, capsys):
-    # detect keeps E floats per 320 ms of the recording and one chunk of
-    # everything else: its allocation peak on 4 minutes of 44.1 kHz audio
-    # is within 10% of its peak on 1 minute
+    # detect scores each window as its frames arrive, so it holds one
+    # embedding chunk, one SCAN_BATCH of windows and one (start, score)
+    # pair per 320 ms: its allocation peak on 4 minutes of 44.1 kHz audio
+    # is within 10% of its peak on 1 minute.  Most of the 9% it reads is
+    # not the recording: the 4-minute run pays for tables made once, and
+    # only it fills a whole batch
     paths = _write_models(tmp_path)
     (tmp_path / "enrollment.json").write_text(json.dumps({"window_s": 1.0}))
     rng = np.random.default_rng(3)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqshot import augment, detector, pretrain
+from seqshot import augment, detector, dsp, pretrain
 from seqshot.errors import (
     DegenerateInputError,
     EmptyInputError,
@@ -144,7 +144,8 @@ def test_stream_scores_localize_pattern(toy_net):
     frames = 0.1 * rng.standard_normal((20, 8))
     pos = next(s for s in train_set if s.label == 1)
     frames[8:13] = pos.frames
-    out = detector.stream_scores(net, frames, n_win_frames=5)
+    out = detector.stream_scores(net, [frames[:9], frames[9:]], 20,
+                                 n_win_frames=5)
     assert len(out) == 16
     starts = [t for t, _ in out]
     assert starts[0] == pytest.approx(0.0)
@@ -153,33 +154,64 @@ def test_stream_scores_localize_pattern(toy_net):
     assert best[0] == pytest.approx(8 * 0.32, abs=0.33)
 
 
-@pytest.mark.parametrize("t, n", [(300, 4), (20, 5), (5, 5)])
+@pytest.mark.parametrize("t, n", [(300, 4), (300, 12), (20, 5), (5, 5)])
 def test_stream_scores_equal_stacked_windows(toy_net, t, n):
-    # the windows stacked one by one, SCAN_BATCH at a time, as the
-    # reference the strided view must equal exactly
+    # each window stacked alone and centred on its own mean, SCAN_BATCH
+    # at a time, as the reference the batched scan over frame blocks of
+    # 7 must equal exactly
     net, _ = toy_net
     frames = np.random.default_rng(t).standard_normal((t, 8))
     starts = list(range(t - n + 1))
     ref = []
     for b0 in range(0, len(starts), detector.SCAN_BATCH):
         chunk = starts[b0: b0 + detector.SCAN_BATCH]
-        x = np.stack([frames[s: s + n] for s in chunk]).transpose(0, 2, 1)
+        x = np.stack([frames[s: s + n] - frames[s: s + n].mean(axis=0)
+                      for s in chunk]).transpose(0, 2, 1)
         ref.extend((s * pretrain.EMBED_HOP_S, float(v))
                    for s, v in zip(chunk, net.score(x)))
-    assert detector.stream_scores(net, frames, n) == ref
+    blocks = [frames[a: a + 7] for a in range(0, t, 7)]
+    assert detector.stream_scores(net, blocks, t, n) == ref
 
 
 def test_stream_too_short(toy_net):
     net, _ = toy_net
     with pytest.raises(EmptyInputError):
-        detector.stream_scores(net, np.zeros((3, 8)), n_win_frames=5)
+        detector.stream_scores(net, [np.zeros((3, 8))], 3, n_win_frames=5)
 
 
 def test_clip_score_short_clip_uses_whole(toy_net):
+    # a clip shorter than the scan window is one window, centred whole
     net, train_set = toy_net
     pos = next(s for s in train_set if s.label == 1)
-    s = detector.clip_score_from_frames(net, pos.frames[:3], n_win_frames=5)
+    clip = pos.frames[:3]
+    s = detector.clip_score_from_frames(net, clip, n_win_frames=5)
     assert 0.0 < s < 1.0
+    whole = (clip - clip.mean(axis=0)).T[None]
+    assert s == pytest.approx(float(net.score(whole)[0]), rel=1e-12)
+
+
+def test_detect_scores_a_window_as_a_training_crop(tmp_path):
+    # a training crop is embedded alone and centred on its own mean
+    # (embed_frames_normalized); detect's first window covers the same
+    # samples of a 16 kHz recording, so its score must be the crop's
+    strong = pretrain.StrongModel(pretrain.ModelConfig(
+        n_classes=2, channels=(4, 6, 8, 10, 12), head_hidden=16,
+        embed_dim=8))
+    x = 0.3 * np.random.default_rng(5).standard_normal(6 * 16000)
+    x[:16000] += 0.5                   # a mean the whole recording lacks
+    dsp.write_wav(tmp_path / "rec.wav", dsp.Waveform(np.clip(x, -1, 1)))
+    rec = dsp.load_wav(tmp_path / "rec.wav")
+    window_s = 1.5
+    crop = dsp.Waveform(rec.samples[:int(window_s * 16000)])
+    frames = pretrain.embed_frames_normalized(strong, crop)
+    net = detector.DetectorNet(detector.DetectorConfig(
+        embed_dim=frames.shape[1], seed=3))
+    scored = detector.detect_stream(net, strong, tmp_path / "rec.wav",
+                                    window_s)
+    assert frames.shape[0] == detector.window_frame_count(window_s)
+    assert scored[0][0] == 0.0
+    np.testing.assert_allclose(scored[0][1],
+                               net.score(frames.T[None])[0], rtol=1e-9)
 
 
 # -- saturation ---------------------------------------------------------------------

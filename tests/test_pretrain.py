@@ -146,14 +146,24 @@ def test_embed_stream_takes_blocks_of_any_size():
     cuts = [0, 7, 400, 327_681, 327_921, 330_000, 655_360, 655_361, len(x)]
     blocks = [x[a:b] for a, b in zip(cuts, cuts[1:])]
     np.testing.assert_array_equal(
-        pretrain.embed_stream(model, blocks, len(x)), whole)
+        np.concatenate(list(pretrain.embed_stream(model, blocks, len(x)))),
+        whole)
 
 
-def test_centre_frames_subtracts_the_mean_in_place():
-    frames = np.random.default_rng(0).standard_normal((7, 5))
-    want = frames - frames.mean(axis=0)
-    assert pretrain.centre_frames(frames) is frames
-    np.testing.assert_array_equal(frames, want)
+def test_embed_stream_checks_the_length_at_the_call():
+    # a generator would defer the check to its first chunk
+    model = pretrain.StrongModel(pretrain.ModelConfig(n_classes=2, **TINY))
+    with pytest.raises(EmptyInputError, match="0.5 s"):
+        pretrain.embed_stream(model, iter(()), 7999)
+
+
+def test_embed_frames_normalized_has_zero_mean_frame():
+    model = pretrain.StrongModel(pretrain.ModelConfig(n_classes=2, **TINY))
+    w = noise(3.3, seed=2)
+    frames = pretrain.embed_frames_normalized(model, w)
+    raw = pretrain.embed_frames(model, w)
+    np.testing.assert_array_equal(frames, raw - raw.mean(axis=0))
+    np.testing.assert_allclose(frames.mean(axis=0), 0.0, atol=1e-12)
 
 
 # -- losses ----------------------------------------------------------------------
